@@ -26,7 +26,7 @@ from .extension import ExtensionConfig, lift_projection, verify_bowen
 from .maps import (BUILTIN_MAPS, constant_potential, doubling,
                    geometric_potential, manneville_pomeau, perturbed_doubling,
                    tabulated_map, tabulated_potential, zero_potential)
-from .orbits import FullCollection, OrbitSegment
+from .orbits import CylinderTree, FullCollection, OrbitSegment, tree_depth
 from .pressure import ct_hypothesis_check, gap_report, pressure_at_scale
 from .solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                        conjugacy_h, fiber_point, fiber_sample,
@@ -163,11 +163,15 @@ def cmd_pressure(cfg):
     phi = build_potential(cfg, system)
     dec = DecompositionConfig(cfg["sigma"])
     colls = [FullCollection(), GoodCollection(dec), BadCollection(dec)]
+    # one tree, deep enough for every collection's refinement, serves all
+    # (eps, collection) cells
+    tree = CylinderTree(system, tree_depth(
+        system, cfg["n_max"], max(c.refine_depth for c in colls)))
     w = Writer(cfg["out"], cfg, ["collection", "sigma", "eps", "rate",
                                  "rate_uncertainty", "limsup_proxy", "empty"])
     for eps in _eps_values(cfg):
         for coll in colls:
-            est = pressure_at_scale(system, phi, coll, eps, cfg["n_max"])
+            est = pressure_at_scale(system, phi, coll, eps, cfg["n_max"], tree=tree)
             w.row(coll.name, cfg["sigma"], eps, est.rate, est.rate_uncertainty,
                   est.limsup_proxy, int(est.is_empty))
     w.flush()
@@ -313,23 +317,37 @@ def cmd_solenoid(cfg):
     return 0 if ok else 2
 
 
-def _gap_cell(payload):
-    cfg, sigma = payload
-    system = build_map(cfg)
-    phi = build_potential(cfg, system)
-    [report] = gap_report(system, phi, [sigma], cfg["eps"], cfg["n_max"])
-    return report
+_worker_fn = None  # set in each forked pool worker by _init_worker
+
+
+def _init_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(arg):
+    return _worker_fn(arg)
+
+
+def _pool_map(workers):
+    """A `map` that forks a pool of `workers` when it is called.  A forked
+    worker inherits `fn` and all it refers to, so only the items and the
+    results are pickled."""
+    def pool_map(fn, items):
+        with get_context("fork").Pool(workers, initializer=_init_worker,
+                                      initargs=(fn,)) as pool:
+            return pool.map(_call_worker_fn, items)
+    return pool_map
 
 
 def cmd_gap_report(cfg):
+    system = build_map(cfg)
+    phi = build_potential(cfg, system)
     sigmas = _sigma_values(cfg)
     workers = int(os.environ.get("PRESSGAP_WORKERS", cfg["workers"]))
-    payloads = [(cfg, s) for s in sigmas]
-    if workers > 1 and len(payloads) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            reports = pool.map(_gap_cell, payloads)
-    else:
-        reports = [_gap_cell(p) for p in payloads]
+    mapper = _pool_map(workers) if workers > 1 and len(sigmas) > 1 else map
+    reports = gap_report(system, phi, sigmas, cfg["eps"], cfg["n_max"],
+                         mapper=mapper)
     w = Writer(cfg["out"], cfg, ["sigma", "eps", "n_max", "p_full", "p_bad",
                                  "gap", "holds"])
     for rep in reports:
@@ -422,6 +440,14 @@ def build_parser():
     return ap
 
 
+def _float_list(field, text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(field, f"{text!r} is not a comma-separated list "
+                                     "of numbers") from None
+
+
 def resolve_config(args):
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if args.config:
@@ -447,9 +473,9 @@ def resolve_config(args):
     if args.potential_t is not None:
         cfg["potential"]["t"] = args.potential_t
     if args.sigma_grid:
-        cfg["sigma_grid"] = [float(v) for v in args.sigma_grid.split(",")]
+        cfg["sigma_grid"] = _float_list("sigma_grid", args.sigma_grid)
     if args.eps_list:
-        cfg["eps_list"] = [float(v) for v in args.eps_list.split(",")]
+        cfg["eps_list"] = _float_list("eps_list", args.eps_list)
     for field in _FLOAT_FIELDS:
         v = getattr(args, field.replace("-", "_"), None)
         if v is not None:

@@ -286,6 +286,10 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     """
     from .decomposition import GoodCollection
 
+    if ext_cfg.depth < n_range[0]:
+        raise ValidationError(
+            "depth", f"truncation depth {ext_cfg.depth} is below the shortest "
+                     f"sampled segment length {n_range[0]}")
     rng = np.random.default_rng(seed)
     good = GoodCollection(dec_cfg)
     sync = max(4, int(math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps)

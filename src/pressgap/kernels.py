@@ -1,119 +1,92 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, pure numpy.
 
-The backend is chosen once at import time from the environment variable
-``PRESSGAP_BACKEND``:
-
-* ``numba`` -- require the jitted kernels (raises if numba is missing),
-* ``numpy`` -- force the vectorized pure-numpy implementations,
-* anything else / unset -- use numba when importable, numpy otherwise.
-
-Both paths implement identical selection semantics (same candidate order,
-same comparisons), so results are bit-for-bit interchangeable; the numba
-path only changes speed.  ``set_backend`` exists for tests and benchmarks.
+Orbit rows hold one point per row and one column per time step, with all
+values reduced to [0, 1).  The Bowen distance between two rows is the max
+over columns of the circle distance ``min(d, 1 - d)``, ``d = |x - y|``.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-_requested = os.environ.get("PRESSGAP_BACKEND", "auto").lower()
-if _requested == "numba" and not HAVE_NUMBA:  # pragma: no cover
-    raise ImportError("PRESSGAP_BACKEND=numba but numba is not importable")
-_BACKEND = "numpy" if _requested == "numpy" or not HAVE_NUMBA else "numba"
+# Widens the time-0 window past eps so that rounding in the window bounds
+# can never drop a true neighbour; rows inside the window still get the
+# exact test, so the pad changes the work done, not the result.
+_WINDOW_PAD = 1e-9
 
 
 def backend():
-    return _BACKEND
-
-
-def set_backend(name):
-    """Switch kernel backend at runtime ('numba' or 'numpy')."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is unavailable")
-    _BACKEND = name
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # greedy (n, eps)-separated selection
 #
-# Candidates are orbit rows (one point per row, one column per time step,
-# all values reduced to [0, 1)).  Processing follows `order`; a candidate is
-# kept iff its Bowen distance to every previously kept candidate is >= eps.
+# Processing follows `order`; a candidate is kept iff its Bowen distance to
+# every previously kept candidate is >= eps.  A Bowen distance below eps
+# implies circle distances below eps at every time, so with the pool sorted
+# on column 0 a kept row need only look at the rows in its circular time-0
+# window (found by binary search).  Those are screened on the last column,
+# where an expanding map has spread neighbours furthest apart, and the
+# survivors get the full test.  Each screen is the same elementwise test as
+# the full one, so the keep-mask is the same as comparing with every row.
 # ---------------------------------------------------------------------------
-
-def _greedy_separated_numpy(orbits, order, eps):
-    n_cand = orbits.shape[0]
-    keep = np.zeros(n_cand, dtype=bool)
-    # alive[i] == True while i is >= eps away from every kept candidate
-    alive = np.ones(n_cand, dtype=bool)
-    for idx in order:
-        if not alive[idx]:
-            continue
-        keep[idx] = True
-        cand = np.flatnonzero(alive)
-        d = np.abs(orbits[cand] - orbits[idx])
-        d = np.minimum(d, 1.0 - d)
-        alive[cand[d.max(axis=1) < eps]] = False
-    return keep
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _greedy_separated_numba(orbits, order, eps):  # pragma: no cover - jitted
-        n_cand, n_steps = orbits.shape
-        keep = np.zeros(n_cand, dtype=np.bool_)
-        sel = np.empty(n_cand, dtype=np.int64)
-        n_sel = 0
-        for oi in range(n_cand):
-            i = order[oi]
-            ok = True
-            for sj in range(n_sel):
-                j = sel[sj]
-                dmax = 0.0
-                for k in range(n_steps):
-                    d = abs(orbits[i, k] - orbits[j, k])
-                    if d > 0.5:
-                        d = 1.0 - d
-                    if d > dmax:
-                        dmax = d
-                        if dmax >= eps:
-                            break
-                if dmax < eps:
-                    ok = False
-                    break
-            if ok:
-                keep[i] = True
-                sel[n_sel] = i
-                n_sel += 1
-        return keep
-
 
 def greedy_separated(orbits, order, eps):
     """Boolean keep-mask of the greedy maximal (n, eps)-separated subset."""
     orbits = np.ascontiguousarray(orbits, dtype=np.float64)
     order = np.ascontiguousarray(order, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _greedy_separated_numba(orbits, order, float(eps))
-    return _greedy_separated_numpy(orbits, order, float(eps))
+    eps = float(eps)
+    n_cand = orbits.shape[0]
+    keep = np.zeros(n_cand, dtype=bool)
+    if n_cand == 0:
+        return keep
+    by_x0 = np.argsort(orbits[:, 0], kind="stable")
+    rows = orbits[by_x0]
+    x0, last = rows[:, 0], np.ascontiguousarray(rows[:, -1])
+    rank = np.empty(n_cand, dtype=np.int64)
+    rank[by_x0] = np.arange(n_cand)
+    # windows[r] = (a, b, c, d): sorted rows [0, a), [b, c) and [d, n_cand)
+    # hold every time-0 neighbour of sorted row r; the outer two are the
+    # wrap at 0/1
+    half = eps + _WINDOW_PAD
+    if 2.0 * half >= 1.0:
+        windows = np.tile([0, 0, n_cand, n_cand], (n_cand, 1))
+    else:
+        windows = np.searchsorted(x0, np.stack(
+            (x0 - 1.0 + half, x0 - half, x0 + half, x0 + 1.0 - half), axis=1))
+    windows = windows.tolist()
+    # alive[r] == True while sorted row r is >= eps away from every kept row
+    alive = np.ones(n_cand, dtype=bool)
+    kept = []
+    for r in rank[order].tolist():
+        if not alive[r]:
+            continue
+        kept.append(r)
+        alive[r] = False
+        row = rows[r]
+        a, b, c, d = windows[r]
+        for lo, hi in ((0, a), (b, c), (d, n_cand)):
+            if lo >= hi:
+                continue
+            dist = np.abs(last[lo:hi] - row[-1])
+            near = np.minimum(dist, 1.0 - dist) < eps
+            near &= alive[lo:hi]
+            cand = lo + np.flatnonzero(near)
+            if cand.size == 0:
+                continue
+            dist = np.abs(rows[cand] - row)
+            dist = np.minimum(dist, 1.0 - dist)
+            alive[cand[dist.max(axis=1) < eps]] = False
+    keep[by_x0[kept]] = True
+    return keep
 
 
 # ---------------------------------------------------------------------------
 # pairwise Bowen distance matrix (small candidate pools only)
 # ---------------------------------------------------------------------------
 
-def _pairwise_bowen_numpy(orbits):
+def pairwise_bowen(orbits):
+    """Full matrix of Bowen distances between orbit rows."""
+    orbits = np.ascontiguousarray(orbits, dtype=np.float64)
     n = orbits.shape[0]
     out = np.empty((n, n))
     # row blocks keep the broadcast temporaries modest
@@ -124,34 +97,6 @@ def _pairwise_bowen_numpy(orbits):
         d = np.minimum(d, 1.0 - d)
         out[lo:hi] = d.max(axis=2)
     return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, parallel=True)
-    def _pairwise_bowen_numba(orbits):  # pragma: no cover - jitted
-        n, n_steps = orbits.shape
-        out = np.zeros((n, n))
-        for i in numba.prange(n):
-            for j in range(i + 1, n):
-                dmax = 0.0
-                for k in range(n_steps):
-                    d = abs(orbits[i, k] - orbits[j, k])
-                    if d > 0.5:
-                        d = 1.0 - d
-                    if d > dmax:
-                        dmax = d
-                out[i, j] = dmax
-                out[j, i] = dmax
-        return out
-
-
-def pairwise_bowen(orbits):
-    """Full matrix of Bowen distances between orbit rows."""
-    orbits = np.ascontiguousarray(orbits, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _pairwise_bowen_numba(orbits)
-    return _pairwise_bowen_numpy(orbits)
 
 
 def min_bowen_distance(orbits):

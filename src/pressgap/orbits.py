@@ -136,15 +136,21 @@ class CylinderTree:
         return out
 
 
+def tree_depth(system, n, refine=0, cap=DEFAULT_NODE_CAP):
+    """Depth of the tree behind length-n pools refined by `refine` levels:
+    n + refine, cut to fit degree^depth within `cap`, but never below n."""
+    depth = n + refine
+    while system.degree ** depth > cap and depth > n:
+        depth -= 1
+    return depth
+
+
 def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, node_cap,
                     tree=None):
     if candidates is None:
         # membership-filtered collections may refine the enumerator with
         # deeper-tree representatives (finer resolution, same cylinders)
-        refine = getattr(coll, "refine_depth", 0)
-        depth = n + refine
-        while system.degree ** depth > node_cap and depth > n:
-            depth -= 1
+        depth = tree_depth(system, n, getattr(coll, "refine_depth", 0), node_cap)
         if tree is None or tree.depth < depth:
             tree = CylinderTree(system, depth, anchor=anchor, node_cap=node_cap)
         points = tree.representatives(depth)

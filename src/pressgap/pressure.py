@@ -16,7 +16,7 @@ import numpy as np
 from .decomposition import BadCollection
 from .errors import CoverError, ValidationError
 from .orbits import (CylinderTree, FullCollection, greedy_cover,
-                     partition_sum_sep)
+                     partition_sum_sep, tree_depth)
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,7 @@ def pressure_at_scale(system, phi, coll, eps, n_max, node_cap=1 << 18,
         raise ValidationError("eps", "must be positive")
     ns = list(range(1, n_max + 1))
     if tree is None:
-        refine = getattr(coll, "refine_depth", 0)
-        depth = n_max + refine
-        while system.degree ** depth > node_cap and depth > n_max:
-            depth -= 1
+        depth = tree_depth(system, n_max, getattr(coll, "refine_depth", 0), node_cap)
         tree = CylinderTree(system, depth, node_cap=node_cap)
     logs = [partition_sum_sep(system, phi, coll, n, eps,
                               node_cap=node_cap, log=True, tree=tree)
@@ -141,8 +138,13 @@ class GapReport:
                    gap=gap, hypothesis_holds=bool(gap > combined))
 
 
-def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=1 << 18):
-    """Gap reports over a sigma grid; the full estimate is shared.
+def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=1 << 18,
+               mapper=map):
+    """Gap reports over a sigma grid; the tree and full estimate are shared.
+
+    The bad-collection estimates, one per sigma, run through
+    ``mapper(fn, sigmas)``, which may be a process pool's ``map``; it is
+    called after the shared tree and the full estimate exist.
 
     Raising sigma strengthens the full-window failure condition, so the bad
     collection shrinks and its rate is nonincreasing along an increasing
@@ -154,19 +156,17 @@ def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=1 << 18):
     for s in sigmas:
         if not 0.0 < s < 1.0:
             raise ValidationError("sigma", f"{s} outside (0, 1)")
-    refine = BadCollection(DecompositionConfig(sigmas[0])).refine_depth
-    depth = n_max + refine
-    while system.degree ** depth > node_cap and depth > n_max:
-        depth -= 1
+    depth = tree_depth(system, n_max, BadCollection.refine_depth, node_cap)
     tree = CylinderTree(system, depth, node_cap=node_cap)
     p_full = pressure_at_scale(system, phi, FullCollection(), eps, n_max,
                                node_cap=node_cap, tree=tree)
-    reports = []
-    for s in sigmas:
-        p_bad = pressure_at_scale(system, phi, BadCollection(DecompositionConfig(s)),
-                                  eps, n_max, node_cap=node_cap, tree=tree)
-        reports.append(GapReport.build(s, p_full, p_bad))
-    return reports
+
+    def p_bad(s):
+        return pressure_at_scale(system, phi, BadCollection(DecompositionConfig(s)),
+                                 eps, n_max, node_cap=node_cap, tree=tree)
+
+    return [GapReport.build(s, p_full, bad)
+            for s, bad in zip(sigmas, mapper(p_bad, sigmas))]
 
 
 @dataclass(frozen=True)

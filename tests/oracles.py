@@ -101,3 +101,21 @@ def brute_split(log_values, log_sigma):
         if is_bad(log_values[m:], log_sigma):
             return m
     return n
+
+
+def greedy_separated_quadratic(orbits, order, eps):
+    """Reference greedy (n, eps)-separated keep-mask: every kept candidate is
+    compared with every still-alive row of the pool."""
+    n_cand = orbits.shape[0]
+    keep = np.zeros(n_cand, dtype=bool)
+    # alive[i] == True while i is >= eps away from every kept candidate
+    alive = np.ones(n_cand, dtype=bool)
+    for idx in order:
+        if not alive[idx]:
+            continue
+        keep[idx] = True
+        cand = np.flatnonzero(alive)
+        d = np.abs(orbits[cand] - orbits[idx])
+        d = np.minimum(d, 1.0 - d)
+        alive[cand[d.max(axis=1) < eps]] = False
+    return keep

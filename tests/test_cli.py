@@ -1,6 +1,8 @@
 import json
 
-from pressgap.cli import main
+import pressgap as pg
+from pressgap import orbits
+from pressgap.cli import fmt, main
 
 
 def run(args):
@@ -141,3 +143,62 @@ def test_gap_report_worker_pool_deterministic(tmp_path, monkeypatch):
 def test_node_cap_overflow_exit_code(capsys):
     assert run(["pressure", "--n-max", "40"]) == 2
     assert "node cap" in capsys.readouterr().err
+
+
+def _count_tree_builds(monkeypatch):
+    builds = []
+    init = orbits.CylinderTree.__init__
+
+    def counting_init(self, system, depth, *args, **kwargs):
+        builds.append(depth)
+        init(self, system, depth, *args, **kwargs)
+
+    monkeypatch.setattr(orbits.CylinderTree, "__init__", counting_init)
+    return builds
+
+
+def test_gap_report_builds_one_tree(tmp_path, monkeypatch):
+    builds = _count_tree_builds(monkeypatch)
+    assert run(["gap-report", "--map", "manneville_pomeau",
+                "--sigma-grid", "0.7,0.8,0.9", "--n-max", "6",
+                "--out", str(tmp_path / "g.csv")]) == 0
+    assert builds == [10]
+
+
+def test_pressure_builds_one_tree(tmp_path, monkeypatch):
+    builds = _count_tree_builds(monkeypatch)
+    assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "6",
+                "--eps-list", "0.0625,0.03125",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert builds == [10]
+
+
+def test_pressure_rows_match_unshared_trees(tmp_path):
+    out = tmp_path / "p.csv"
+    args = ["pressure", "--map", "manneville_pomeau", "--potential", "geometric",
+            "--n-max", "6", "--sigma", "0.75", "--eps-list", "0.0625,0.03125"]
+    assert run(args + ["--out", str(out)]) == 0
+    system = pg.manneville_pomeau(0.5)
+    phi = pg.geometric_potential(system, 1.0)
+    dec = pg.DecompositionConfig(0.75)
+    expected = []
+    for eps in (0.0625, 0.03125):
+        for coll in (orbits.FullCollection(), pg.GoodCollection(dec),
+                     pg.BadCollection(dec)):
+            est = pg.pressure_at_scale(system, phi, coll, eps, 6, tree=None)
+            expected.append(",".join(fmt(v) for v in (
+                coll.name, 0.75, eps, est.rate, est.rate_uncertainty,
+                est.limsup_proxy, int(est.is_empty))))
+    assert read(out).splitlines()[2:] == expected
+
+
+def test_extension_depth_below_segment_lengths(capsys):
+    assert run(["extension", "--depth", "3", "--samples", "5"]) == 1
+    assert "depth:" in capsys.readouterr().err
+
+
+def test_unparsable_number_lists(capsys):
+    assert run(["gap-report", "--sigma-grid", "0.5,abc"]) == 1
+    assert "sigma_grid:" in capsys.readouterr().err
+    assert run(["pressure", "--eps-list", "0.03125,x"]) == 1
+    assert "eps_list:" in capsys.readouterr().err

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pressgap import kernels
 
+from oracles import greedy_separated_quadratic
+
 
 def _random_instance(seed, n_cand=60, n_steps=6):
     rng = np.random.default_rng(seed)
@@ -23,38 +25,6 @@ def _bowen(orbits, i, j):
     return max(_circ(orbits[i, k], orbits[j, k]) for k in range(orbits.shape[1]))
 
 
-def test_backend_selection_roundtrip():
-    original = kernels.backend()
-    try:
-        kernels.set_backend("numpy")
-        assert kernels.backend() == "numpy"
-        if kernels.HAVE_NUMBA:
-            kernels.set_backend("numba")
-            assert kernels.backend() == "numba"
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-    finally:
-        kernels.set_backend(original)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("seed", range(8))
-def test_backends_agree(seed):
-    orbits, order, eps = _random_instance(seed)
-    original = kernels.backend()
-    try:
-        kernels.set_backend("numba")
-        keep_nb = kernels.greedy_separated(orbits, order, eps)
-        pw_nb = kernels.pairwise_bowen(orbits)
-        kernels.set_backend("numpy")
-        keep_np = kernels.greedy_separated(orbits, order, eps)
-        pw_np = kernels.pairwise_bowen(orbits)
-    finally:
-        kernels.set_backend(original)
-    assert np.array_equal(keep_nb, keep_np)
-    assert np.allclose(pw_nb, pw_np, atol=1e-15)
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_greedy_separated_semantics(seed):
@@ -69,6 +39,70 @@ def test_greedy_separated_semantics(seed):
     for i in order:
         if not keep[i]:
             assert any(_bowen(orbits, i, j) < eps for j in kept)
+
+
+ONE_MINUS_ULP = float(np.nextafter(1.0, 0.0))
+EPS_VALUES = (1e-3, 1.0 / 32.0, 0.3, 0.5, 0.75)
+
+
+@st.composite
+def pools(draw):
+    """Orbit pools in [0, 1): uniform, clustered near-duplicates (exact
+    copies and rows a few ulps or 1e-12 apart), or rows built from the
+    window edges 0, 1 - ulp, eps and 1 - eps."""
+    n_cand = draw(st.integers(0, 48))
+    n_steps = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from(EPS_VALUES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("uniform", "clustered", "edges")))
+    if kind == "uniform":
+        orbits = rng.random((n_cand, n_steps))
+    elif kind == "clustered":
+        centres = rng.random((3, n_steps))
+        centres[0, 0], centres[1, 0] = 0.0, ONE_MINUS_ULP
+        orbits = centres[rng.integers(0, 3, size=n_cand)]
+        ulps = rng.integers(-4, 5, size=orbits.shape)
+        orbits = orbits + ulps * np.spacing(orbits)
+        orbits[rng.random(n_cand) < 0.3] += 1e-12
+        orbits = np.where((orbits < 0.0) | (orbits >= 1.0), 0.0, orbits)
+    else:
+        edges = np.array([0.0, ONE_MINUS_ULP, eps % 1.0, (1.0 - eps) % 1.0,
+                          (0.5 + eps) % 1.0, 0.5])
+        orbits = np.where(rng.random((n_cand, n_steps)) < 0.7,
+                          edges[rng.integers(0, edges.size, (n_cand, n_steps))],
+                          rng.random((n_cand, n_steps)))
+    ordering = draw(st.sampled_from(("address", "random", "reversed")))
+    order = {"address": np.arange(n_cand),
+             "random": rng.permutation(n_cand),
+             "reversed": np.arange(n_cand)[::-1]}[ordering]
+    return orbits, order.astype(np.int64), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=pools())
+def test_sweep_matches_quadratic_reference(pool):
+    orbits, order, eps = pool
+    keep = kernels.greedy_separated(orbits, order, eps)
+    assert keep.dtype == bool and keep.shape == (orbits.shape[0],)
+    assert np.array_equal(keep, greedy_separated_quadratic(orbits, order, eps))
+
+
+@pytest.mark.parametrize("eps", EPS_VALUES)
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0.25, 0.5]],
+    [[0.0, 0.5], [ONE_MINUS_ULP, 0.5]],  # time-0 distance of one ulp across 0/1
+    [[0.0, 0.1], [ONE_MINUS_ULP, 0.9], [0.5, 0.1], [0.5, 0.1]],
+])
+def test_sweep_edge_pools(rows, eps):
+    orbits = np.array(rows, dtype=float).reshape(len(rows), 2)
+    for order in (np.arange(len(rows)), np.arange(len(rows))[::-1]):
+        keep = kernels.greedy_separated(orbits, order, eps)
+        assert np.array_equal(keep, greedy_separated_quadratic(orbits, order, eps))
+
+
+def test_backend_is_numpy():
+    assert kernels.backend() == "numpy"
 
 
 def test_pairwise_bowen_values():
