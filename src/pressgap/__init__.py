@@ -33,8 +33,8 @@ from .pressure import (GapReport, HypothesisReport, PressureEstimate,
 from .solenoid import (AttractorPoint, SolenoidSystem, apply_f,
                        attractor_bowen_check, conjugacy_h, fiber_point,
                        fiber_sample, holonomy, metric_equivalence)
-from .specification import (ExtensionGluingPlan, GluingPlan, fiber_sync_time,
-                            glue_base, glue_extension, verify_shadow,
+from .specification import (ExtensionGluingPlan, GluingPlan, glue_base,
+                            glue_extension, verify_shadow,
                             verify_shadow_extension)
 from .transfer import (EigenData, OperatorGrid, build_operator,
                        check_equilibrium, leading_eigen)

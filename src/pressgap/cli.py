@@ -105,7 +105,37 @@ def build_potential(cfg, system):
     raise ValidationError("potential", f"unknown kind {kind!r}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_type(field, value, default):
+    """Reject a value of another JSON type than the field's; nothing is
+    coerced, so a valid config keeps its config_hash."""
+    if value is None and default is None:
+        return
+    name = field.rsplit(".", 1)[-1]
+    if name in ("sigma_grid", "eps_list"):
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    elif name in ("kind", "out"):
+        ok = isinstance(value, str)
+    elif isinstance(default, int):
+        ok = _is_number(value) and isinstance(value, int)
+    else:
+        ok = _is_number(value)
+    if not ok:
+        raise ValidationError(field, f"{value!r} is not of the field's type")
+
+
 def validate(cfg):
+    for key, default in DEFAULTS.items():
+        if not isinstance(default, dict):
+            _check_type(key, cfg[key], default)
+        elif not isinstance(cfg[key], dict):
+            raise ValidationError(key, "must be a JSON object")
+        else:
+            for sub, sub_default in default.items():
+                _check_type(f"{key}.{sub}", cfg[key].get(sub, sub_default), sub_default)
     if not 0.0 < cfg["sigma"] < 1.0:
         raise ValidationError("sigma", f"{cfg['sigma']} outside (0, 1)")
     for s in cfg["sigma_grid"] or []:
@@ -340,11 +370,24 @@ def _pool_map(workers):
     return pool_map
 
 
+def _workers(cfg):
+    """`workers`, unless PRESSGAP_WORKERS overrides it; the variable stays
+    out of the config and so out of config_hash."""
+    text = os.environ.get("PRESSGAP_WORKERS")
+    if text is None:
+        return cfg["workers"]
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError("workers", f"PRESSGAP_WORKERS={text!r} is not "
+                                         "an integer") from None
+
+
 def cmd_gap_report(cfg):
     system = build_map(cfg)
     phi = build_potential(cfg, system)
     sigmas = _sigma_values(cfg)
-    workers = int(os.environ.get("PRESSGAP_WORKERS", cfg["workers"]))
+    workers = _workers(cfg)
     mapper = _pool_map(workers) if workers > 1 and len(sigmas) > 1 else map
     reports = gap_report(system, phi, sigmas, cfg["eps"], cfg["n_max"],
                          mapper=mapper)
@@ -364,13 +407,15 @@ def cmd_check(cfg):
     dec = DecompositionConfig(cfg["sigma"])
     rng = np.random.default_rng(cfg["seed"])
 
-    [gap] = gap_report(system, phi, [cfg["sigma"]], cfg["eps"], cfg["n_max"])
-
+    # verify_bowen rejects a too-shallow depth, so it runs before the
+    # costlier pressure estimate
     ext = ExtensionConfig(cfg["a"], cfg["depth"])
     phi_hat = lift_projection(phi)
     bowen = verify_bowen(system, ext, dec, phi_hat, cfg["eps"],
                          max(50, cfg["samples"] // 4), seed=cfg["seed"])
     bowen_ok = math.isfinite(bowen.bound) and bowen.within_bound
+
+    [gap] = gap_report(system, phi, [cfg["sigma"]], cfg["eps"], cfg["n_max"])
 
     spec_ok = True
     for _ in range(3):
@@ -403,8 +448,19 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are validation errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        # argparse reports "argument --n-max: invalid int value: 'abc'"
+        field, _, detail = message.partition(": ")
+        if field.startswith("argument ") and detail:
+            raise ValidationError(field[len("argument "):], detail)
+        raise ValidationError("arguments", message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="pressgap",
         description="pressure, decomposition, specification, and "
                     "equilibrium-state experiments for expanding circle maps")
@@ -451,8 +507,13 @@ def _float_list(field, text):
 def resolve_config(args):
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if args.config:
-        with open(args.config) as fh:
-            user = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError("config", str(exc)) from None
+        if not isinstance(user, dict):
+            raise ValidationError("config", "must be a JSON object")
         for key, value in user.items():
             if key not in cfg:
                 raise ValidationError(key, "unknown configuration field")
@@ -491,8 +552,8 @@ def resolve_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
     except ValidationError as exc:

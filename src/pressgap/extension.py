@@ -32,17 +32,26 @@ class ExtensionConfig:
 
     @property
     def tail_bound(self):
-        return CIRCLE_DIAMETER * self.a ** (-self.depth) * self.a / (self.a - 1.0)
+        return tail_bound(self.a, self.depth)
 
 
-def depth_for_tolerance(a, tol, diam=CIRCLE_DIAMETER):
-    """Smallest truncation depth whose tail bound sits below `tol`."""
+def tail_bound(a, depth):
+    """Bound on what the coordinates from `depth` down add to the weighted
+    metric: the sum over i >= depth of diam * a^-i."""
+    return CIRCLE_DIAMETER * a ** (-depth) * a / (a - 1.0)
+
+
+def depth_for_tolerance(a, tol):
+    """Smallest truncation depth whose tail bound sits below `tol`; it is
+    also the time after which forward shifts contract a fiber below `tol`."""
     if a <= 1.0:
         raise ValidationError("a", "metric base must exceed 1")
     if tol <= 0.0:
         raise ValidationError("tol", "must be positive")
-    depth = max(0, math.ceil(math.log(diam * a / (a - 1.0) / tol) / math.log(a)))
-    while diam * a ** (-depth) * a / (a - 1.0) >= tol:
+    depth = max(0, math.ceil(math.log(tail_bound(a, 0) / tol) / math.log(a)))
+    while depth > 0 and tail_bound(a, depth - 1) < tol:
+        depth -= 1      # the log estimate may overshoot by rounding
+    while tail_bound(a, depth) >= tol:
         depth += 1
     return depth
 
@@ -132,8 +141,7 @@ def hat_distance(cfg, p, q):
     weights = cfg.a ** -np.arange(p.depth + 1)
     trunc = float(np.sum(weights * circle_dist(np.asarray(p.coords),
                                                np.asarray(q.coords))))
-    tail = CIRCLE_DIAMETER * cfg.a ** (-p.depth) * cfg.a / (cfg.a - 1.0)
-    return trunc, tail
+    return trunc, tail_bound(cfg.a, p.depth)
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,13 @@ def tree_depth(system, n, refine=0, cap=DEFAULT_NODE_CAP):
 
 def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, node_cap,
                     tree=None):
+    if eps <= 0:
+        raise ValidationError("eps", "must be positive")
     if candidates is None:
         # membership-filtered collections may refine the enumerator with
         # deeper-tree representatives (finer resolution, same cylinders)
         depth = tree_depth(system, n, getattr(coll, "refine_depth", 0), node_cap)
-        if tree is None or tree.depth < depth:
+        if tree is None or tree.depth < depth or tree.anchor != float(anchor):
             tree = CylinderTree(system, depth, anchor=anchor, node_cap=node_cap)
         points = tree.representatives(depth)
         orbits = tree.orbit_matrix(n, depth=depth)
@@ -181,8 +183,6 @@ def separated_set(system, coll, n, eps, phi=None, candidates=None,
     either way it is filtered through the collection's membership test and
     ordered by descending Birkhoff weight (ties by address).
     """
-    if eps <= 0:
-        raise ValidationError("eps", "must be positive")
     points, orbits, _, order = _candidate_pool(
         system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
     if points.size == 0:
@@ -207,8 +207,6 @@ def partition_sum_sep(system, phi, coll, n, eps, candidates=None,
     a lower bound for the supremum over all separated subsets of the pool.
     With ``log=True`` the stable log-sum is returned (-inf for empty pools).
     """
-    if eps <= 0:
-        raise ValidationError("eps", "must be positive")
     points, orbits, weights, order = _candidate_pool(
         system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
     if points.size == 0:
@@ -258,8 +256,6 @@ def partition_sum_span(system, phi, coll, n, eps, candidates=None,
     estimate an upper bound for the spanning infimum restricted to
     constructed covers and guarantees span <= sep on identical inputs.
     """
-    if eps <= 0:
-        raise ValidationError("eps", "must be positive")
     points, orbits, weights, order = _candidate_pool(
         system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
     if points.size == 0:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .decomposition import BadCollection
 from .errors import CoverError, ValidationError
-from .orbits import (CylinderTree, FullCollection, greedy_cover,
-                     partition_sum_sep, tree_depth)
+from .orbits import (DEFAULT_NODE_CAP, CylinderTree, FullCollection,
+                     greedy_cover, partition_sum_sep, tree_depth)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def growth_fit(n_values, log_sums):
     return rate, unc, proxy, False
 
 
-def pressure_at_scale(system, phi, coll, eps, n_max, node_cap=1 << 18,
+def pressure_at_scale(system, phi, coll, eps, n_max, node_cap=DEFAULT_NODE_CAP,
                       tree=None):
     """Estimate the pressure of phi on the collection at scale eps.
 
@@ -138,7 +138,7 @@ class GapReport:
                    gap=gap, hypothesis_holds=bool(gap > combined))
 
 
-def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=1 << 18,
+def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=DEFAULT_NODE_CAP,
                mapper=map):
     """Gap reports over a sigma grid; the tree and full estimate are shared.
 

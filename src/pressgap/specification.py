@@ -8,7 +8,9 @@ covering property bounds the wait by the mixing time), intersecting, and
 pulling the intersection back.  Every time step of the glued orbit is
 represented by an explicit arc containing the true orbit point, so
 verification never iterates a floating-point orbit through expanding
-dynamics.
+dynamics.  On the natural extension each segment's orbit is led by a stretch
+of its stored backward history, whose arcs are clipped to the shadowing
+ball; downstairs that stretch is empty, and both use one construction.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from .decomposition import GoodCollection
 from .errors import GluingError, ValidationError
-from .extension import ExtPoint
+from .extension import ExtPoint, depth_for_tolerance, tail_bound
 from .maps import CIRCLE_DIAMETER, circle_dist
 from .orbits import OrbitSegment
 
@@ -63,7 +65,7 @@ def _pullback_arc(system, x, arc):
     return Arc(lo, width)
 
 
-def _chain_pull(system, orbit_pts, end_arc, clip_radius=None, clip_until=0):
+def _chain_pull(system, orbit_pts, end_arc, clip_radius, clip_until):
     """Pull `end_arc` back through the chain of local inverses along
     `orbit_pts`; arcs[k] covers the orbit of any point of arcs[-1] pulled to
     time k.  Steps with k < clip_until are intersected with the ball of
@@ -73,7 +75,7 @@ def _chain_pull(system, orbit_pts, end_arc, clip_radius=None, clip_until=0):
     arcs[n] = end_arc
     for k in range(n - 1, -1, -1):
         arc = _pullback_arc(system, orbit_pts[k], arcs[k + 1])
-        if clip_radius is not None and k < clip_until:
+        if k < clip_until:
             arc = _clip_to_ball(arc, orbit_pts[k], clip_radius)
             if arc is None:
                 raise GluingError("history tube left the shadowing ball")
@@ -148,6 +150,44 @@ def _overlap(target, lo, hi):
     return best
 
 
+def _glue(system, orbits, hist, radius, cap):
+    """Backward gluing of reference orbits, shared by the base map and the
+    extension.
+
+    orbits[j] is segment j's orbit through its end point, led by hist[j]
+    points of its backward history (none downstairs); arcs on that history
+    are clipped to the shadowing ball around it.  Returns
+    (transition_times, offsets, arcs): transition j runs from the end of
+    segment j to the start of segment j + 1 (the bridge plus the next
+    history), offsets[j] is segment j's start time, and arcs holds one arc
+    per time.  A single segment shadows itself: zero-width arcs, no
+    transitions.
+    """
+    if len(orbits) == 1:
+        return (), (hist[0],), tuple(Arc(float(p), 0.0) for p in orbits[0])
+    ball = radius * _BALL_SHRINK
+    k = len(orbits)
+    chains = [None] * k
+    bridges = [None] * k      # bridges[j] = (t, transit) out of segment j
+    end = float(orbits[-1][-1])
+    chains[-1] = _chain_pull(system, orbits[-1], Arc(end - ball, 2 * ball),
+                             ball, hist[-1])
+    for j in range(k - 2, -1, -1):
+        t, entry, transit = _bridge(system, float(orbits[j][-1]), radius,
+                                    chains[j + 1][0], cap)
+        bridges[j] = (t, transit)
+        chains[j] = _chain_pull(system, orbits[j], entry, ball, hist[j])
+    taus, offsets, timeline = [], [], []
+    for j in range(k):
+        offsets.append(len(timeline) + hist[j])
+        timeline.extend(chains[j])
+        if j < k - 1:
+            t, transit = bridges[j]
+            timeline.extend(transit[1:t])  # transit[0] is chains[j][-1]
+            taus.append(t + hist[j + 1])
+    return tuple(taus), tuple(offsets), tuple(timeline)
+
+
 @dataclass(frozen=True)
 class GluingPlan:
     segments: Tuple[OrbitSegment, ...]
@@ -198,52 +238,12 @@ def glue_base(system, cfg, segments, eps, tau_cap=None, k0=1):
         tau_cap = system.mixing_time(eps)
 
     orbits = [system.orbit(seg.start, seg.length + 1)[0] for seg in segments]
-    if len(segments) == 1:
-        arcs = tuple(Arc(float(p), 0.0) for p in orbits[0])
-        return _assemble(system, cfg, segments, eps, tau_cap, [], [arcs[:]],
-                         glue_point=segments[0].start)
-
-    ball = eps * _BALL_SHRINK
-    k = len(segments)
-    chains = [None] * k
-    taus = [0] * k            # taus[j] = transition entering segment j
-    transits = [None] * k
-    end = orbits[-1][-1]
-    chains[-1] = _chain_pull(system, orbits[-1], Arc(end - ball, 2 * ball))
-    for j in range(k - 2, -1, -1):
-        target = chains[j + 1][0]
-        t, entry, transit = _bridge(system, float(orbits[j][-1]), eps,
-                                    target, tau_cap)
-        taus[j + 1] = t
-        transits[j + 1] = transit
-        chains[j] = _chain_pull(system, orbits[j], entry)
-    plan_chains = [[arc for arc in chain] for chain in chains]
-    return _assemble(system, cfg, segments, eps, tau_cap,
-                     list(zip(taus[1:], transits[1:])), plan_chains,
-                     glue_point=plan_chains[0][0].midpoint)
-
-
-def _assemble(system, cfg, segments, eps, tau_cap, bridges, chains, glue_point):
-    offsets = [0]
-    taus = []
-    timeline = []
-    for j, seg in enumerate(segments):
-        timeline.extend(chains[j][:seg.length])
-        if j < len(segments) - 1:
-            t, transit = bridges[j]
-            taus.append(t)
-            timeline.append(chains[j][seg.length])  # = transit[0]
-            timeline.extend(transit[1:t])           # strict transit interior
-            offsets.append(offsets[-1] + seg.length + t)
-        else:
-            timeline.append(chains[j][seg.length])
-    schedule = []
-    for j in range(len(segments)):
-        schedule.append(sum(s.length for s in segments[:j + 1]) + sum(taus[:j]))
+    taus, offsets, arcs = _glue(system, orbits, [0] * len(segments), eps, tau_cap)
+    glue_point = segments[0].start if len(segments) == 1 else arcs[0].midpoint
     return GluingPlan(segments=segments, eps=float(eps), tau_cap=int(tau_cap),
-                      transition_times=tuple(taus), glue_point=float(glue_point),
-                      schedule=tuple(schedule), offsets=tuple(offsets),
-                      arcs=tuple(timeline), sigma=cfg.sigma)
+                      transition_times=taus, glue_point=float(glue_point),
+                      schedule=tuple(o + seg.length for o, seg in zip(offsets, segments)),
+                      offsets=offsets, arcs=arcs, sigma=cfg.sigma)
 
 
 def verify_shadow(system, plan):
@@ -261,19 +261,6 @@ def verify_shadow(system, plan):
 # ---------------------------------------------------------------------------
 # gluing on the natural extension
 # ---------------------------------------------------------------------------
-
-def fiber_sync_time(a, eps, diam=CIRCLE_DIAMETER):
-    """Smallest k with diam * a^-k * a/(a-1) < eps: forward shifts of a fiber
-    contract below eps after k steps."""
-    if a <= 1.0:
-        raise ValidationError("a", "metric base must exceed 1")
-    k = 0
-    while diam * a ** (-k) * a / (a - 1.0) >= eps:
-        k += 1
-        if k > 10_000:
-            raise ValidationError("eps", "no finite synchronization time")
-    return k
-
 
 @dataclass(frozen=True)
 class ExtensionGluingPlan:
@@ -326,79 +313,36 @@ def glue_extension(system, cfg, ext_segments, eps, a, depth):
         if not good.contains(system, p.coords[0], n):
             raise ValidationError("segments", "projected segment is not good")
     delta = eps * (a - 1.0) / (2.0 * a)
-    tau_sync = fiber_sync_time(a, eps / 2.0)
+    tau_sync = depth_for_tolerance(a, eps / 2.0)
     hist = [min(tau_sync, p.depth, depth) for p, _ in ext_segments]
+    # augmented orbit of each segment: deep history first, then the forward leg
+    aug_orbits = [np.concatenate([np.array(p.coords[1:h + 1][::-1]),
+                                  system.orbit(p.coords[0], n + 1)[0]])
+                  for (p, n), h in zip(ext_segments, hist)]
+    cap_bridge = (system.mixing_time(min(delta, system.epsilon0))
+                  if len(ext_segments) > 1 else 0)
+    taus, offsets, arcs = _glue(system, aug_orbits, hist, delta, cap_bridge)
+
     if len(ext_segments) == 1:
         # the segment's own point shadows itself exactly
-        p, n = ext_segments[0]
-        h = hist[0]
-        past = list(p.coords[1:h + 1][::-1])
-        fwd = system.orbit(p.coords[0], n + 1)[0]
-        arcs = tuple(Arc(float(v), 0.0) for v in past + list(fwd))
-        return ExtensionGluingPlan(
-            ext_segments=ext_segments, eps=float(eps), a=float(a),
-            depth=int(depth), sigma=cfg.sigma, base_scale=float(delta),
-            tau_sync=int(tau_sync), history_depths=(h,), tau_cap=int(tau_sync),
-            transition_times=(), glue_point=ExtPoint(p.coords[:depth + 1]),
-            offsets=(h,), arcs=arcs)
-    cap_bridge = system.mixing_time(min(delta, system.epsilon0))
-    ball = delta * _BALL_SHRINK
-
-    # augmented orbit of each segment: deep history first, then the forward leg
-    aug_orbits = []
-    for (p, n), h in zip(ext_segments, hist):
-        past = np.array(p.coords[1:h + 1][::-1])
-        fwd = system.orbit(p.coords[0], n + 1)[0]
-        aug_orbits.append(np.concatenate([past, fwd]))
-
-    k = len(ext_segments)
-    chains = [None] * k
-    taus = [0] * k
-    transits = [None] * k
-    last = aug_orbits[-1]
-    chains[-1] = _chain_pull(system, last, Arc(float(last[-1]) - ball, 2 * ball),
-                             clip_radius=ball, clip_until=hist[-1])
-    for j in range(k - 2, -1, -1):
-        target = chains[j + 1][0]
-        t, entry, transit = _bridge(system, float(aug_orbits[j][-1]), delta,
-                                    target, cap_bridge)
-        taus[j + 1] = t
-        transits[j + 1] = transit
-        chains[j] = _chain_pull(system, aug_orbits[j], entry,
-                                clip_radius=ball, clip_until=hist[j])
-
-    # timeline over augmented blocks; segment j starts hist[j] steps into its block
-    timeline = []
-    offsets = []
-    trans_reported = []
-    for j, ((p, n), h) in enumerate(zip(ext_segments, hist)):
-        offsets.append(len(timeline) + h)
-        timeline.extend(chains[j][:h + n])
-        if j < k - 1:
-            t = taus[j + 1]
-            timeline.append(chains[j][h + n])
-            timeline.extend(transits[j + 1][1:t])
-            trans_reported.append(t + hist[j + 1])
-        else:
-            timeline.append(chains[j][h + n])
-
-    # glue point: a genuine backward orbit through the synchronized history
-    # arcs (pulled back along the same local inverses the chain used), then
-    # extended lex-min below the stored history
-    h0 = hist[0]
-    coords = [timeline[h0].midpoint]
-    for i in range(1, h0 + 1):
-        ref = aug_orbits[0][h0 - i]
-        coords.append(float(system.pullback(np.float64(ref), np.float64(coords[-1]))))
-    z = ExtPoint(tuple(coords))
-    while z.depth < depth:
-        z = ExtPoint(z.coords + (float(system.branch_solve(0, np.float64(z.coords[-1]))),))
+        z = ExtPoint(ext_segments[0][0].coords[:depth + 1])
+    else:
+        # a genuine backward orbit through the synchronized history arcs
+        # (pulled back along the same local inverses the chain used), then
+        # extended lex-min below the stored history
+        h0 = hist[0]
+        coords = [arcs[h0].midpoint]
+        for i in range(1, h0 + 1):
+            ref = aug_orbits[0][h0 - i]
+            coords.append(float(system.pullback(np.float64(ref), np.float64(coords[-1]))))
+        z = ExtPoint(tuple(coords))
+        while z.depth < depth:
+            z = ExtPoint(z.coords + (float(system.branch_solve(0, np.float64(z.coords[-1]))),))
     return ExtensionGluingPlan(
         ext_segments=ext_segments, eps=float(eps), a=float(a), depth=int(depth),
         sigma=cfg.sigma, base_scale=float(delta), tau_sync=int(tau_sync),
         history_depths=tuple(hist), tau_cap=int(cap_bridge + tau_sync),
-        transition_times=tuple(trans_reported), glue_point=z,
-        offsets=tuple(offsets), arcs=tuple(timeline))
+        transition_times=taus, glue_point=z, offsets=offsets, arcs=arcs)
 
 
 def verify_shadow_extension(system, plan):
@@ -411,7 +355,7 @@ def verify_shadow_extension(system, plan):
     """
     a, depth = plan.a, plan.depth
     weights = a ** -np.arange(depth + 1)
-    tail = CIRCLE_DIAMETER * a ** (-depth) * a / (a - 1.0)
+    tail = tail_bound(a, depth)
     z = plan.glue_point
     h0 = plan.history_depths[0]
     worst = 0.0

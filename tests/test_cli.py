@@ -1,7 +1,7 @@
 import json
 
 import pressgap as pg
-from pressgap import orbits
+from pressgap import cli, orbits
 from pressgap.cli import fmt, main
 
 
@@ -202,3 +202,53 @@ def test_unparsable_number_lists(capsys):
     assert "sigma_grid:" in capsys.readouterr().err
     assert run(["pressure", "--eps-list", "0.03125,x"]) == 1
     assert "eps_list:" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_naming_the_flag(capsys):
+    assert run(["pressure", "--n-max", "abc"]) == 1
+    assert "validation error: --n-max:" in capsys.readouterr().err
+    assert run(["pressure", "--map", "foo"]) == 1
+    assert "validation error: --map:" in capsys.readouterr().err
+    assert run(["nonsense"]) == 1
+    assert "validation error: command:" in capsys.readouterr().err
+
+
+def test_unparsable_workers_variable(monkeypatch, capsys):
+    monkeypatch.setenv("PRESSGAP_WORKERS", "abc")
+    assert run(["gap-report", "--n-max", "4"]) == 1
+    assert "validation error: workers:" in capsys.readouterr().err
+
+
+def test_config_field_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for doc, field in (({"n_max": "abc"}, "n_max"), ({"n_max": 6.0}, "n_max"),
+                       ({"seed": True}, "seed"), ({"sigma": "0.5"}, "sigma"),
+                       ({"eps_list": [0.1, "x"]}, "eps_list"), ({"out": 3}, "out"),
+                       ({"map": {"alpha": "x"}}, "map.alpha"),
+                       ({"potential": {"kind": 1}}, "potential.kind"),
+                       ({"map": "doubling"}, "map")):
+        cfg.write_text(json.dumps(doc))
+        assert run(["pressure", "--config", str(cfg)]) == 1
+        assert f"validation error: {field}:" in capsys.readouterr().err
+    for text in ("[1]", "{"):
+        cfg.write_text(text)
+        assert run(["pressure", "--config", str(cfg)]) == 1
+        assert "validation error: config:" in capsys.readouterr().err
+
+
+def test_config_numbers_are_not_coerced(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"a": 3, "eps_list": [1, 0.5], "out": None}))
+    resolved = cli.resolve_config(cli.build_parser().parse_args(
+        ["pressure", "--config", str(cfg)]))
+    assert resolved["a"] == 3 and isinstance(resolved["a"], int)
+    assert resolved["eps_list"] == [1, 0.5]
+
+
+def test_check_rejects_depth_before_gap_report(monkeypatch, capsys):
+    def no_gap_report(*args, **kwargs):
+        raise AssertionError("gap_report ran before the depth was checked")
+
+    monkeypatch.setattr(cli, "gap_report", no_gap_report)
+    assert run(["check", "--depth", "3", "--samples", "5"]) == 1
+    assert "depth:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,12 @@ def test_fiber_contraction_bound(doubling_map, rng):
 
 
 def test_depth_for_tolerance():
+    # diam 1/2, a = 2: smallest k with 2^-k < tol
+    assert depth_for_tolerance(2.0, 1.0 / 16.0) == 5
+    assert depth_for_tolerance(2.0, 1.0 / 4.0) == 3
+    assert depth_for_tolerance(4.0, 1.0 / 16.0) == 2
+    # one ulp above 2^-47: the log estimate gives 48, the answer is 47
+    assert depth_for_tolerance(2.0, math.nextafter(2.0 ** -47, 1.0)) == 47
     for a, tol in ((2.0, 1e-6), (3.0, 1e-4), (1.5, 1e-3)):
         k = depth_for_tolerance(a, tol)
         assert ExtensionConfig(a, k).tail_bound < tol

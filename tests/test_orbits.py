@@ -102,6 +102,15 @@ def test_separated_pairwise_and_maximal(builtin_maps, rng):
                 any(abs(p - q) < 1e-14 for q in e)
 
 
+def test_passed_tree_with_other_anchor_is_not_reused(mp_map):
+    phi = pg.geometric_potential(mp_map, 1.0)
+    tree = CylinderTree(mp_map, 6, anchor=0.5)
+    got = partition_sum_sep(mp_map, phi, FullCollection(), 6, 1.0 / 32.0,
+                            anchor=0.3, log=True, tree=tree)
+    assert got == partition_sum_sep(mp_map, phi, FullCollection(), 6, 1.0 / 32.0,
+                                    anchor=0.3, log=True, tree=None)
+
+
 def test_partition_sum_examples(doubling_map):
     full = FullCollection()
     zero = pg.zero_potential()

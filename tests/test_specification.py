@@ -4,10 +4,9 @@ import pytest
 
 from pressgap.decomposition import DecompositionConfig, GoodCollection
 from pressgap.errors import GluingError, ValidationError
-from pressgap.extension import extend
+from pressgap.extension import depth_for_tolerance, extend
 from pressgap.orbits import OrbitSegment
-from pressgap.specification import (fiber_sync_time, glue_base,
-                                    glue_extension, verify_shadow,
+from pressgap.specification import (glue_base, glue_extension, verify_shadow,
                                     verify_shadow_extension)
 
 
@@ -109,11 +108,16 @@ def test_plan_serialization_deterministic(doubling_map, rng):
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_fiber_sync_time_example():
+def test_fiber_sync_time_example(doubling_map, rng):
     # diam 1/2, a = 2: smallest k with 2^-k < eps
-    assert fiber_sync_time(2.0, 1.0 / 16.0) == 5
-    assert fiber_sync_time(2.0, 1.0 / 4.0) == 3
-    assert fiber_sync_time(4.0, 1.0 / 16.0) == 2
+    assert depth_for_tolerance(2.0, 1.0 / 16.0) == 5
+    assert depth_for_tolerance(2.0, 1.0 / 4.0) == 3
+    assert depth_for_tolerance(4.0, 1.0 / 16.0) == 2
+    # the extension gluing synchronizes fibers at eps/2
+    p = extend(doubling_map, 0.3, 20, policy="random", rng=rng)
+    plan = glue_extension(doubling_map, DecompositionConfig(0.75), [(p, 8)],
+                          1.0 / 8.0, 2.0, 20)
+    assert plan.tau_sync == 5
 
 
 def test_glue_extension_single(doubling_map, rng):
@@ -131,16 +135,23 @@ def test_glue_extension_pairs(builtin_maps, rng):
         cfg = DecompositionConfig(sigma)
         good = GoodCollection(cfg)
         eps = min(1.0 / 8.0, system.epsilon0)
-        pts = []
-        while len(pts) < 2:
-            x = float(rng.random())
-            n = int(rng.integers(5, 13))
-            if good.contains(system, x, n):
-                pts.append((extend(system, x, 20, policy="random", rng=rng), n))
-        plan = glue_extension(system, cfg, pts, eps, 2.0, 20)
-        mx, tail = verify_shadow_extension(system, plan)
-        assert mx <= eps + tail
-        assert all(t <= plan.tau_cap for t in plan.transition_times)
+        for k in (2, 3):
+            pts = []
+            while len(pts) < k:
+                x = float(rng.random())
+                n = int(rng.integers(5, 13))
+                if good.contains(system, x, n):
+                    pts.append((extend(system, x, 20, policy="random", rng=rng), n))
+            plan = glue_extension(system, cfg, pts, eps, 2.0, 20)
+            mx, tail = verify_shadow_extension(system, plan)
+            assert mx <= eps + tail
+            assert all(t <= plan.tau_cap for t in plan.transition_times)
+            # segment j starts its history depth into the timeline, and each
+            # transition spans the bridge plus the next history stretch
+            assert plan.offsets[0] == plan.history_depths[0]
+            for j in range(1, k):
+                assert plan.offsets[j] == (plan.offsets[j - 1] + pts[j - 1][1]
+                                           + plan.transition_times[j - 1])
 
 
 def test_glue_extension_depth_validation(doubling_map, rng):
