@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (BadCollection, DecompositionConfig,
-                            GoodCollection, classify_segment, decompose)
+                            GoodCollection, classify_logs, segment_log_sigma,
+                            split_index)
 from .errors import PressgapError, ValidationError
 from .extension import ExtensionConfig, lift_projection, verify_bowen
 from .maps import (BUILTIN_MAPS, constant_potential, doubling,
@@ -58,6 +59,10 @@ DEFAULTS = {
     "cloud_depth": 0,
 }
 
+# orbit points per segment_log_sigma call in decompose; branch_lipschitz
+# holds 33 samples of each, so this bounds the call's memory
+_DECOMPOSE_POINTS = 1 << 12
+
 _FLOAT_FIELDS = ("sigma", "eps", "a", "lam_s", "offset")
 _INT_FIELDS = ("n_max", "grid_size", "depth", "seed", "workers", "samples",
                "length_min", "length_max", "group_size", "k_max", "cloud_depth")
@@ -86,7 +91,7 @@ def build_map(cfg):
     if kind == "perturbed_doubling":
         return perturbed_doubling(m.get("delta", 0.75))
     if kind == "tabulated":
-        return tabulated_map(m["values"])
+        return tabulated_map(_table_field(cfg, "map", "values", list))
     raise ValidationError("map", f"unknown kind {kind!r}")
 
 
@@ -100,13 +105,31 @@ def build_potential(cfg, system):
     if kind == "geometric":
         return geometric_potential(system, p.get("t", 1.0))
     if kind == "tabulated":
-        return tabulated_potential(p["xs"], p["values"],
-                                   p["holder_constant"], p["holder_exponent"])
+        return tabulated_potential(
+            _table_field(cfg, "potential", "xs", list),
+            _table_field(cfg, "potential", "values", list),
+            _table_field(cfg, "potential", "holder_constant", float),
+            _table_field(cfg, "potential", "holder_exponent", float))
     raise ValidationError("potential", f"unknown kind {kind!r}")
 
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _table_field(cfg, key, name, kind):
+    """Field `name` of a tabulated map or potential: a list of numbers when
+    `kind` is list, else a number.  DEFAULTS does not declare these fields,
+    so `validate` leaves them to this check."""
+    value = cfg[key].get(name)
+    if kind is list:
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    else:
+        ok = _is_number(value)
+    if not ok:
+        raise ValidationError(f"{key}.{name}", "missing" if value is None else
+                              f"{value!r} is not of the field's type")
+    return value
 
 
 def _check_type(field, value, default):
@@ -213,12 +236,21 @@ def cmd_decompose(cfg):
     dec = DecompositionConfig(cfg["sigma"])
     rng = np.random.default_rng(cfg["seed"])
     w = Writer(cfg["out"], cfg, ["start", "length", "class", "g_len", "s_len"])
-    for _ in range(cfg["samples"]):
-        seg = OrbitSegment(float(rng.random()),
-                           int(rng.integers(cfg["length_min"], cfg["length_max"] + 1)))
-        cls = classify_segment(system, dec, seg)
-        d = decompose(system, dec, seg)
-        w.row(seg.start, seg.length, cls.value, d.g_len, d.s_len)
+    segs = [OrbitSegment(float(rng.random()),
+                         int(rng.integers(cfg["length_min"], cfg["length_max"] + 1)))
+            for _ in range(cfg["samples"])]
+    # the log-sigma field of a block of starts at their longest length;
+    # each segment is classified on its own prefix of its row
+    block = max(1, _DECOMPOSE_POINTS // cfg["length_max"])
+    for first in range(0, len(segs), block):
+        group = segs[first:first + block]
+        logs = segment_log_sigma(system, np.array([seg.start for seg in group]),
+                                 max(seg.length for seg in group))
+        for seg, row in zip(group, logs):
+            row = row[:seg.length]
+            m = split_index(row, dec.log_sigma)
+            w.row(seg.start, seg.length, classify_logs(row, dec.log_sigma).value,
+                  m, seg.length - m)
     w.flush()
     return 0
 

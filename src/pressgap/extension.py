@@ -75,24 +75,44 @@ def extend(system, x, depth, policy="lex-min", rng=None, branches=None):
     """Build a backward orbit of the given depth starting at x.
 
     Policies: 'lex-min' always takes branch 0, 'random' draws branches from
-    `rng`, 'given' follows the explicit `branches` list.
+    `rng`, 'given' follows the explicit `branches` list.  A vector of starts
+    gives one ExtPoint per start, built together with one root solve per
+    (step, branch); 'random' then draws row by row, and 'given' takes one
+    row of `branches` per start.
     """
     if depth < 0:
         raise ValidationError("depth", "must be >= 0")
-    coords = [float(np.asarray(x) % 1.0)]
+    starts = np.asarray(x, dtype=float) % 1.0
+    rows = starts.size
+    if policy == "lex-min":
+        chosen = np.zeros((rows, depth), dtype=int)
+    elif policy == "random":
+        if rng is None:
+            raise ValidationError("rng", "random policy needs a generator")
+        chosen = np.array([[int(rng.integers(system.degree)) for _ in range(depth)]
+                           for _ in range(rows)], dtype=int).reshape(rows, depth)
+    elif policy == "given":
+        chosen = np.asarray(branches if depth else [], dtype=int)
+        chosen = chosen[..., :depth].reshape(rows, depth)
+    else:
+        raise ValidationError("policy", f"unknown policy {policy!r}")
+    # one contiguous row per depth, so every solve sees contiguous input
+    coords = np.empty((depth + 1, rows))
+    coords[0] = starts
     for i in range(depth):
-        if policy == "lex-min":
-            b = 0
-        elif policy == "random":
-            if rng is None:
-                raise ValidationError("rng", "random policy needs a generator")
-            b = int(rng.integers(system.degree))
-        elif policy == "given":
-            b = int(branches[i])
-        else:
-            raise ValidationError("policy", f"unknown policy {policy!r}")
-        coords.append(float(system.branch_solve(b, np.float64(coords[-1]))))
-    return ExtPoint(tuple(coords))
+        coords[i + 1] = _branch_step(system, coords[i], chosen[:, i])
+    points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
+    return points if starts.ndim else points[0]
+
+
+def _branch_step(system, y, branch):
+    """Preimages of the points `y` under their own `branch` ids."""
+    out = np.empty_like(y)
+    for b in range(system.degree):
+        rows = branch == b
+        if rows.any():
+            out[rows] = system.branch_solve(b, y[rows])
+    return out
 
 
 def hat_g(system, p):
@@ -264,24 +284,32 @@ class BowenReport:
         return self.empirical_max <= self.bound + self.truncation_slack
 
 
-def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
-    """A companion in the n-Bowen ball of x_hat: base pullback through the
-    segment's chain plus a fiber perturbation beyond the sync depth."""
-    from .decomposition import pullback_chain
-
-    end = system.orbit(x_hat.coords[0], n + 1)[0][-1]
-    target = (end + eps * (2.0 * rng.random() - 1.0)) % 1.0
-    chain = pullback_chain(system, x_hat.coords[0], n, target)
-    coords = [float(chain[0])]
-    for i in range(ext_cfg.depth):
-        if i < sync_depth and i < x_hat.depth:
-            ref = x_hat.coords[i + 1]
-            z = float(system.pullback(np.float64(ref), np.float64(coords[-1])))
-        else:
-            b = int(rng.integers(system.degree))
-            z = float(system.branch_solve(b, np.float64(coords[-1])))
-        coords.append(z)
-    return ExtPoint(tuple(coords))
+def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
+    """Companions in the n-Bowen balls of the `x_hats`: each segment's end
+    point, moved by eps (2u - 1) for its uniform draw u in `draws`, is
+    pulled back through the segment's chain, then along x_hat's own local
+    inverses down to the sync depth and through the given `branches` below
+    it."""
+    depth = x_hats[0].depth
+    cut = min(sync_depth, depth)
+    ref = np.array([p.coords for p in x_hats]).T.copy()   # one row per depth
+    ns = np.asarray(ns)
+    orbit = system.orbit(ref[0], int(ns.max()) + 1)
+    rows = np.arange(ns.size)
+    # the end point reduced twice, as the scalar pullback chain did
+    cur = ((orbit[rows, ns] + eps * (2.0 * np.asarray(draws) - 1.0)) % 1.0) % 1.0
+    # chains aligned at their end times; step j pulls back time n - 1 - j
+    for j in range(int(ns.max())):
+        act = np.flatnonzero(ns > j)
+        cur[act] = system.pullback(orbit[act, ns[act] - 1 - j], cur[act])
+    coords = np.empty((depth + 1, ns.size))
+    coords[0] = cur
+    for i in range(cut):
+        coords[i + 1] = system.pullback(ref[i + 1], coords[i])
+    tail = np.asarray(branches, dtype=int).reshape(ns.size, depth - cut)
+    for i in range(cut, depth):
+        coords[i + 1] = _branch_step(system, coords[i], tail[:, i - cut])
+    return [ExtPoint(tuple(col)) for col in coords.T.tolist()]
 
 
 def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
@@ -289,6 +317,8 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     """Empirical max of |S_n phi_hat(x) - S_n phi_hat(y)| over sampled good
     segments and constructed Bowen-ball companions.
 
+    Every random draw is made first, sample by sample; then the backward
+    orbits and companions of all accepted samples are built together.
     Returns a BowenReport carrying the closed-form bound plus the truncation
     slack for depth-K evaluation of the lifted potential.
     """
@@ -305,27 +335,37 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     bound = bowen_bound(ext_cfg, dec_cfg, phi_hat.holder_constant,
                         phi_hat.holder_exponent, eps)
     n_hi = min(n_range[1], ext_cfg.depth)
-    worst = 0.0
-    used = 0
+    depth = ext_cfg.depth
+
+    def draw_branches(count):
+        return [int(rng.integers(system.degree)) for _ in range(count)]
+
+    xs, ns, x_branches, draws, y_branches = [], [], [], [], []
     attempts = 0
-    while used < n_samples and attempts < 60 * n_samples:
+    while len(xs) < n_samples and attempts < 60 * n_samples:
         attempts += 1
         x = float(rng.random())
         n = int(rng.integers(n_range[0], n_hi + 1))
         if not good.contains(system, x, n):
             continue
-        x_hat = extend(system, x, ext_cfg.depth, policy="random", rng=rng)
-        y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync)
+        xs.append(x)
+        ns.append(n)
+        x_branches.append(draw_branches(depth))
+        draws.append(rng.random())
+        y_branches.append(draw_branches(depth - min(sync, depth)))
+    if not xs:
+        raise ValidationError("n_samples", "no good segments found to sample")
+    x_hats = extend(system, np.array(xs), depth, policy="given", branches=x_branches)
+    y_hats = _bowen_companions(system, x_hats, ns, draws, eps, sync, y_branches)
+    worst = 0.0
+    for x_hat, y_hat, n in zip(x_hats, y_hats, ns):
         diff = abs(birkhoff_hat(system, phi_hat, x_hat, n)
                    - birkhoff_hat(system, phi_hat, y_hat, n))
         worst = max(worst, diff)
-        used += 1
-    if used == 0:
-        raise ValidationError("n_samples", "no good segments found to sample")
     # the lifted potential is itself the truncated functional and the
     # truncated metric is dominated by the true one, so the closed-form
     # bound applies to truncated evaluation with no extra slack; the field
     # only absorbs root-solve noise
     slack = 1e-9 * n_hi
     return BowenReport(empirical_max=float(worst), bound=bound,
-                       truncation_slack=float(slack), samples=used)
+                       truncation_slack=float(slack), samples=len(xs))

@@ -58,8 +58,8 @@ def _forward_arc(system, arc):
 
 
 def _pullback_arc(system, x, arc):
-    lo = float(system.pullback(np.float64(x), np.float64(arc.lo % 1.0)))
-    width = (float(system.pullback(np.float64(x), np.float64(arc.hi % 1.0))) - lo) % 1.0
+    lo, hi = system.pullback(np.float64(x), np.array([arc.lo % 1.0, arc.hi % 1.0])).tolist()
+    width = (hi - lo) % 1.0
     if width > 0.5:
         width = 0.0  # collapsed arc: endpoints crossed by rounding noise
     return Arc(lo, width)
@@ -114,10 +114,10 @@ def _bridge(system, source_center, radius, target, cap):
         if hit is None:
             continue
         # pull the intersection back to the source ball, exactly on the lift
-        e_lo, e_hi = hit
+        ends = np.array(hit)
         for _ in range(t):
-            e_lo = float(system.lift_inverse(np.float64(e_lo)))
-            e_hi = float(system.lift_inverse(np.float64(e_hi)))
+            ends = system.lift_inverse(ends)
+        e_lo, e_hi = ends.tolist()
         hair = min(1e-12, 0.25 * (e_hi - e_lo))
         entry = Arc(e_lo + hair, max(e_hi - e_lo - 2.0 * hair, 0.0))
         transit = [entry]
@@ -305,6 +305,8 @@ def glue_extension(system, cfg, ext_segments, eps, a, depth):
     if not 0.0 < eps <= system.epsilon0:
         raise ValidationError("eps", f"must lie in (0, epsilon0={system.epsilon0}]")
     ext_segments = tuple((p, int(n)) for p, n in ext_segments)
+    if not ext_segments:
+        raise ValidationError("segments", "need at least one segment")
     good = GoodCollection(cfg)
     for p, n in ext_segments:
         if p.depth < depth:

@@ -3,7 +3,10 @@
 Everything here is deliberately brute force and shares no code path with the
 package: bisection on explicit functions, exhaustive subset search for
 separated sets, dense-point interval images for covering times, and direct
-window scans for segment classification.
+window scans for segment classification.  The one-point samplers at the
+end are the exception: they are the package's earlier scalar code for
+backward orbits and Bowen companions, kept so that the batched paths can be
+compared with it bit for bit.
 """
 
 import numpy as np
@@ -119,3 +122,80 @@ def greedy_separated_quadratic(orbits, order, eps):
         d = np.minimum(d, 1.0 - d)
         alive[cand[d.max(axis=1) < eps]] = False
     return keep
+
+
+def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
+    """Reference backward orbit: one single-point branch solve per step."""
+    from pressgap.extension import ExtPoint
+
+    coords = [float(np.asarray(x) % 1.0)]
+    for i in range(depth):
+        if policy == "lex-min":
+            b = 0
+        elif policy == "random":
+            b = int(rng.integers(system.degree))
+        elif policy == "given":
+            b = int(branches[i])
+        else:
+            raise ValueError(f"unknown policy {policy!r}")
+        coords.append(float(system.branch_solve(b, np.float64(coords[-1]))))
+    return ExtPoint(tuple(coords))
+
+
+def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
+    """A companion in the n-Bowen ball of x_hat: base pullback through the
+    segment's chain plus a fiber perturbation beyond the sync depth."""
+    from pressgap.decomposition import pullback_chain
+    from pressgap.extension import ExtPoint
+
+    end = system.orbit(x_hat.coords[0], n + 1)[0][-1]
+    target = (end + eps * (2.0 * rng.random() - 1.0)) % 1.0
+    chain = pullback_chain(system, x_hat.coords[0], n, target)
+    coords = [float(chain[0])]
+    for i in range(ext_cfg.depth):
+        if i < sync_depth and i < x_hat.depth:
+            ref = x_hat.coords[i + 1]
+            z = float(system.pullback(np.float64(ref), np.float64(coords[-1])))
+        else:
+            b = int(rng.integers(system.degree))
+            z = float(system.branch_solve(b, np.float64(coords[-1])))
+        coords.append(z)
+    return ExtPoint(tuple(coords))
+
+
+def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
+                        n_range=(5, 20), seed=0):
+    """Reference Bowen-property sampler: each accepted sample's backward
+    orbit and companion are built one point at a time, interleaved with
+    the random draws."""
+    import math
+
+    from pressgap.decomposition import GoodCollection
+    from pressgap.extension import BowenReport, birkhoff_hat, bowen_bound
+    from pressgap.maps import CIRCLE_DIAMETER
+
+    rng = np.random.default_rng(seed)
+    good = GoodCollection(dec_cfg)
+    sync = max(4, int(math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps)
+                                / math.log(ext_cfg.a))))
+    bound = bowen_bound(ext_cfg, dec_cfg, phi_hat.holder_constant,
+                        phi_hat.holder_exponent, eps)
+    n_hi = min(n_range[1], ext_cfg.depth)
+    worst = 0.0
+    used = 0
+    attempts = 0
+    while used < n_samples and attempts < 60 * n_samples:
+        attempts += 1
+        x = float(rng.random())
+        n = int(rng.integers(n_range[0], n_hi + 1))
+        if not good.contains(system, x, n):
+            continue
+        x_hat = extend_scalar(system, x, ext_cfg.depth, policy="random", rng=rng)
+        y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync)
+        diff = abs(birkhoff_hat(system, phi_hat, x_hat, n)
+                   - birkhoff_hat(system, phi_hat, y_hat, n))
+        worst = max(worst, diff)
+        used += 1
+    slack = 1e-9 * n_hi
+    return BowenReport(empirical_max=float(worst), bound=bound,
+                       truncation_slack=float(slack), samples=used)

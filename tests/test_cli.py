@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
+
 import pressgap as pg
 from pressgap import cli, orbits
 from pressgap.cli import fmt, main
+from pressgap.decomposition import DecompositionConfig, classify_segment, decompose
 
 
 def run(args):
@@ -252,3 +255,50 @@ def test_check_rejects_depth_before_gap_report(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gap_report", no_gap_report)
     assert run(["check", "--depth", "3", "--samples", "5"]) == 1
     assert "depth:" in capsys.readouterr().err
+
+
+def test_tabulated_fields_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    pot = {"kind": "tabulated", "xs": [0.0, 0.5], "values": [1.0, 2.0],
+           "holder_constant": 1.0, "holder_exponent": 1.0}
+    for doc, field in (({"map": {"kind": "tabulated"}}, "map.values"),
+                       ({"map": {"kind": "tabulated", "values": "abc"}}, "map.values"),
+                       ({"map": {"kind": "tabulated", "values": [0, "x"]}}, "map.values"),
+                       ({"potential": dict(pot, xs=None)}, "potential.xs"),
+                       ({"potential": dict(pot, values=3)}, "potential.values"),
+                       ({"potential": dict(pot, holder_constant="1")},
+                        "potential.holder_constant"),
+                       ({"potential": {k: v for k, v in pot.items()
+                                       if k != "holder_exponent"}},
+                        "potential.holder_exponent")):
+        cfg.write_text(json.dumps(doc))
+        assert run(["pressure", "--n-max", "4", "--config", str(cfg)]) == 1
+        assert f"validation error: {field}:" in capsys.readouterr().err
+    table = {"map": {"kind": "tabulated", "values": [2.0 * i / 16 for i in range(17)]},
+             "potential": pot}
+    cfg.write_text(json.dumps(table))
+    assert run(["pressure", "--n-max", "4", "--config", str(cfg),
+                "--out", str(tmp_path / "p.csv")]) == 0
+
+
+def test_decompose_rows_match_per_segment_calls(tmp_path, monkeypatch):
+    system = pg.manneville_pomeau(0.5)
+    dec = DecompositionConfig(0.9)
+    args = ["decompose", "--map", "manneville_pomeau", "--samples", "80",
+            "--length-min", "1", "--length-max", "24", "--seed", "11"]
+    out = tmp_path / "d.csv"
+    assert run(args + ["--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    rng = np.random.default_rng(11)
+    for row in rows:
+        seg = orbits.OrbitSegment(float(rng.random()), int(rng.integers(1, 25)))
+        d = decompose(system, dec, seg)
+        assert row == ",".join(fmt(v) for v in (
+            seg.start, seg.length, classify_segment(system, dec, seg).value,
+            d.g_len, d.s_len))
+    assert len(rows) == 80
+    # blocks of a few starts give the same bytes as one block
+    monkeypatch.setattr(cli, "_DECOMPOSE_POINTS", 50)
+    blocks = tmp_path / "b.csv"
+    assert run(args + ["--out", str(blocks)]) == 0
+    assert blocks.read_bytes() == out.read_bytes()

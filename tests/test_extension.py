@@ -11,8 +11,10 @@ from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
                                 extend, hat_distance, hat_g, hat_g_inverse,
                                 hat_orbit_coords, lift_fiber_averaged,
                                 lift_projection, verify_bowen)
-from pressgap.maps import circle_dist
+from pressgap.maps import CIRCLE_DIAMETER, circle_dist
 from pressgap.orbits import OrbitSegment
+
+from oracles import extend_scalar, verify_bowen_scalar
 
 
 def test_config_and_tail_bound():
@@ -222,3 +224,44 @@ def test_extension_pressure_of_bad_collection(mp_map, sin_potential):
                             1.0 / 32.0, 8)
     assert not est.is_empty
     assert np.isfinite(est.rate)
+
+
+def _tabulated_map():
+    grid = np.linspace(0.0, 1.0, 65)
+    return pg.tabulated_map(2.0 * grid + (0.5 / (2.0 * np.pi)) * np.sin(2.0 * np.pi * grid))
+
+
+def test_vector_extend_equals_scalar_rows(builtin_maps):
+    starts = np.random.default_rng(8).random(7)
+    starts[0] = 0.0
+    for system in builtin_maps + [_tabulated_map()]:
+        for depth in (0, 1, 9):
+            given = np.random.default_rng(9).integers(system.degree, size=(7, depth))
+            for policy in ("lex-min", "random", "given"):
+                vec = extend(system, starts, depth, policy, np.random.default_rng(4), given)
+                # 'random' draws row by row, as successive scalar calls do
+                rng_ref, rng_new = np.random.default_rng(4), np.random.default_rng(4)
+                for x, b, p in zip(starts, given, vec):
+                    assert p == extend_scalar(system, x, depth, policy, rng_ref, b)
+                    assert p == extend(system, x, depth, policy, rng_new, b)
+
+
+@pytest.mark.parametrize("system_name", ["doubling", "mp", "perturbed", "tabulated"])
+def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map,
+                                               perturbed_map, sin_potential):
+    system = {"doubling": doubling_map, "mp": mp_map, "perturbed": perturbed_map,
+              "tabulated": _tabulated_map()}[system_name]
+    dec = DecompositionConfig(0.9)
+    cases = 0
+    for a, lift in ((2.0, lift_projection(sin_potential)),
+                    (1.5, lift_fiber_averaged(sin_potential, 1.5))):
+        for eps in (1.0 / 16.0, 1.0 / 32.0):
+            sync = max(4, math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps) / math.log(a)))
+            # truncation depths below, at and above the companion's sync depth
+            for depth in (sync - 1, sync, sync + 3):
+                for seed in (cases, 100 + cases):
+                    args = (system, ExtensionConfig(a, depth), dec, lift, eps, 6)
+                    kwargs = {"n_range": (3, 12), "seed": seed}
+                    assert verify_bowen(*args, **kwargs) == \
+                        verify_bowen_scalar(*args, **kwargs), (a, eps, depth, seed)
+                cases += 1

@@ -1,13 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from pressgap.decomposition import DecompositionConfig, GoodCollection
 from pressgap.errors import GluingError, ValidationError
 from pressgap.extension import depth_for_tolerance, extend
 from pressgap.orbits import OrbitSegment
-from pressgap.specification import (glue_base, glue_extension, verify_shadow,
-                                    verify_shadow_extension)
+from pressgap.specification import (Arc, _pullback_arc, glue_base, glue_extension,
+                                    verify_shadow, verify_shadow_extension)
 
 
 def _good_segments(system, cfg, rng, count, lo=5, hi=20):
@@ -159,3 +160,19 @@ def test_glue_extension_depth_validation(doubling_map, rng):
     p = extend(doubling_map, 0.3, 5, policy="random", rng=rng)
     with pytest.raises(ValidationError):
         glue_extension(doubling_map, cfg, [(p, 5)], 1.0 / 8.0, 2.0, 20)
+
+
+def test_glue_extension_needs_a_segment(doubling_map):
+    with pytest.raises(ValidationError, match="segments: need at least one segment"):
+        glue_extension(doubling_map, DecompositionConfig(0.75), [], 1.0 / 8.0, 2.0, 20)
+
+
+def test_pullback_arc_matches_endpoint_pullbacks(builtin_maps, rng):
+    for system in builtin_maps:
+        for _ in range(40):
+            x, lo, width = rng.random(), 2.0 * rng.random() - 0.5, 0.05 * rng.random()
+            arc = _pullback_arc(system, x, Arc(lo, width))
+            ends = [float(system.pullback(np.float64(x), np.float64(v % 1.0)))
+                    for v in (lo, lo + width)]
+            width = (ends[1] - ends[0]) % 1.0
+            assert (arc.lo, arc.width) == (ends[0], width if width <= 0.5 else 0.0)
