@@ -85,17 +85,29 @@ def greedy_separated(orbits, order, eps):
 # ---------------------------------------------------------------------------
 
 def pairwise_bowen(orbits):
-    """Full matrix of Bowen distances between orbit rows."""
-    orbits = np.ascontiguousarray(orbits, dtype=np.float64)
+    """Full matrix of Bowen distances between orbit rows.
+
+    Built one time step at a time: the circle distances of one column, then
+    a running max, in row blocks that keep the two temporaries at most
+    8 MB each.  x - y is exactly -(y - x) and max, min and abs are exact,
+    so the matrix is exactly symmetric and does not depend on the order of
+    the columns.
+    """
+    orbits = np.asarray(orbits, dtype=np.float64)
     n = orbits.shape[0]
-    out = np.empty((n, n))
-    # row blocks keep the broadcast temporaries modest
-    block = max(1, (1 << 22) // max(1, n * orbits.shape[1]))
+    out = np.zeros((n, n))
+    block = max(1, (1 << 20) // max(1, n))
+    d_buf = np.empty((min(n, block), n))
+    wrap_buf = np.empty_like(d_buf)
     for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        d = np.abs(orbits[lo:hi, None, :] - orbits[None, :, :])
-        d = np.minimum(d, 1.0 - d)
-        out[lo:hi] = d.max(axis=2)
+        rows = out[lo:lo + block]
+        d, wrap = d_buf[:rows.shape[0]], wrap_buf[:rows.shape[0]]
+        for col in orbits.T:
+            np.subtract(col[lo:lo + block, None], col[None, :], out=d)
+            np.abs(d, out=d)
+            np.subtract(1.0, d, out=wrap)
+            np.minimum(d, wrap, out=d)
+            np.maximum(rows, d, out=rows)
     return out
 
 

@@ -216,32 +216,37 @@ def partition_sum_sep(system, phi, coll, n, eps, candidates=None,
     return log_sum if log else float(np.exp(log_sum))
 
 
-def greedy_cover(orbits, eps, masses, tie_weights, target_mass):
+def greedy_cover(orbits, eps, tie_weights, target):
     """Greedy max-coverage cover by closed Bowen balls of radius eps.
 
     Repeatedly selects the candidate whose ball covers the most uncovered
-    mass (ties: smaller tie weight, then smaller index) until the covered
-    mass reaches `target_mass`.  Returns selected indices in pick order.
+    points (ties: smaller tie weight, then smaller index) until at least
+    `target` points are covered.  Returns selected indices in pick order.
+
+    The counts are exact integers: they start as the ball sizes and lose
+    the newly covered points after each pick.  The cover matrix is exactly
+    symmetric, so the balls around the newly covered points hold the
+    candidates whose counts drop.
     """
     n_cand = orbits.shape[0]
     if n_cand == 0:
         raise CoverError("empty candidate pool")
     cover = kernels.pairwise_bowen(orbits) <= eps
+    gains = cover.sum(axis=1)
     uncovered = np.ones(n_cand, dtype=bool)
-    total = 0.0
+    covered = 0
     chosen = []
-    target = target_mass - 1e-12
-    while total < target:
-        gains = cover[:, uncovered] @ masses[uncovered]
-        best = float(np.max(gains))
-        if best <= 0.0:
-            raise CoverError(
-                f"cover stalled at mass {total:.6g} < target {target_mass:.6g}")
-        tied = np.flatnonzero(gains >= best)
+    while covered < target:
+        best = gains.max()
+        if best <= 0:
+            raise CoverError(f"cover stalled at {covered} < target {target} points")
+        tied = np.flatnonzero(gains == best)
         i = int(tied[np.lexsort((tied, tie_weights[tied]))[0]])
         chosen.append(i)
-        total += float(masses[uncovered & cover[i]].sum())
-        uncovered &= ~cover[i]
+        newly = np.flatnonzero(uncovered & cover[i])
+        covered += newly.size
+        uncovered[newly] = False
+        gains -= cover[newly].sum(axis=0)
     return np.asarray(chosen, dtype=int)
 
 
@@ -262,7 +267,7 @@ def partition_sum_span(system, phi, coll, n, eps, candidates=None,
         return -np.inf if log else 0.0
     if points.size ** 2 > node_cap * 64:
         raise NodeCapError("pool too large for pairwise cover matrix")
-    chosen = greedy_cover(orbits, eps, np.ones(points.size), weights, float(points.size))
+    chosen = greedy_cover(orbits, eps, weights, points.size)
     keep = kernels.greedy_separated(orbits, order, eps)
     log_sum = min(_log_sum_exp(weights[chosen]), _log_sum_exp(weights[keep]))
     return log_sum if log else float(np.exp(log_sum))

@@ -111,8 +111,10 @@ def katok_sn(system, phi, orbit_sample, delta, eta, n):
         raise ValidationError("orbit_sample", "must be nonempty")
     orbits = system.orbit(sample, n)
     weights = np.asarray(phi(orbits)).sum(axis=1)
-    masses = np.full(sample.size, 1.0 / sample.size)
-    chosen = greedy_cover(orbits, delta, masses, weights, eta)
+    # each point carries mass 1/N: cover the fewest points whose mass
+    # reaches eta, less a 1e-12 slack
+    chosen = greedy_cover(orbits, delta, weights,
+                          math.ceil((eta - 1e-12) * sample.size))
     return float(np.exp(weights[chosen]).sum() if chosen.size else 0.0)
 
 

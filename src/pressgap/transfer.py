@@ -25,6 +25,10 @@ class OperatorGrid:
     weights: np.ndarray        # (D, G), e^(phi(preimage))
     idx: np.ndarray            # (D, G) lower interpolation node
     frac: np.ndarray           # (D, G) interpolation fraction
+    # interpolation stencils, computed once per operator
+    one_minus_frac: np.ndarray  # (D, G)
+    stencil_idx: np.ndarray    # (2, D, G) idx and idx + 1 (mod G)
+    stencil_w: np.ndarray      # (2, D, G) weights*(1-frac) and weights*frac
 
 
 def build_operator(system, phi, grid_size):
@@ -39,24 +43,30 @@ def build_operator(system, phi, grid_size):
     pos = pre * grid_size
     idx = np.floor(pos).astype(np.int64) % grid_size
     frac = pos - np.floor(pos)
+    one_minus_frac = 1.0 - frac
     return OperatorGrid(system=system, phi=phi, size=grid_size, nodes=nodes,
-                        preimages=pre, weights=weights, idx=idx, frac=frac)
+                        preimages=pre, weights=weights, idx=idx, frac=frac,
+                        one_minus_frac=one_minus_frac,
+                        stencil_idx=np.stack((idx, (idx + 1) % grid_size)),
+                        stencil_w=np.stack((weights * one_minus_frac,
+                                            weights * frac)))
 
 
 def apply_operator(op, psi):
     """(L psi) at the grid nodes, psi linearly interpolated between nodes."""
-    nxt = (op.idx + 1) % op.size
-    vals = (1.0 - op.frac) * psi[op.idx] + op.frac * psi[nxt]
+    lo, hi = psi.take(op.stencil_idx)
+    vals = op.one_minus_frac * lo + op.frac * hi
     return (op.weights * vals).sum(axis=0)
 
 
 def apply_adjoint(op, m):
-    """(L^T m): scatter node masses onto the interpolation stencils."""
-    out = np.zeros(op.size)
-    nxt = (op.idx + 1) % op.size
-    np.add.at(out, op.idx.ravel(), (op.weights * (1.0 - op.frac) * m).ravel())
-    np.add.at(out, nxt.ravel(), (op.weights * op.frac * m).ravel())
-    return out
+    """(L^T m): scatter node masses onto the interpolation stencils.
+
+    bincount adds in input order, all lower nodes first, then all upper
+    nodes, starting from zero.
+    """
+    return np.bincount(op.stencil_idx.ravel(),
+                       weights=(op.stencil_w * m).ravel(), minlength=op.size)
 
 
 @dataclass

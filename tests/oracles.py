@@ -3,10 +3,11 @@
 Everything here is deliberately brute force and shares no code path with the
 package: bisection on explicit functions, exhaustive subset search for
 separated sets, dense-point interval images for covering times, and direct
-window scans for segment classification.  The one-point samplers at the
-end are the exception: they are the package's earlier scalar code for
-backward orbits and Bowen companions, kept so that the batched paths can be
-compared with it bit for bit.
+window scans for segment classification.  The exceptions are the package's
+earlier code, kept so that the faster paths can be compared with it bit for
+bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
+dense cover, and the one-point samplers for backward orbits and Bowen
+companions.
 """
 
 import numpy as np
@@ -122,6 +123,68 @@ def greedy_separated_quadratic(orbits, order, eps):
         d = np.minimum(d, 1.0 - d)
         alive[cand[d.max(axis=1) < eps]] = False
     return keep
+
+
+def pairwise_bowen_broadcast(orbits):
+    """Reference Bowen distance matrix: one broadcast over row blocks and
+    every time step at once."""
+    orbits = np.ascontiguousarray(orbits, dtype=np.float64)
+    n = orbits.shape[0]
+    out = np.empty((n, n))
+    # row blocks keep the broadcast temporaries modest
+    block = max(1, (1 << 22) // max(1, n * orbits.shape[1]))
+    for lo in range(0, n, block):
+        hi = min(n, lo + block)
+        d = np.abs(orbits[lo:hi, None, :] - orbits[None, :, :])
+        d = np.minimum(d, 1.0 - d)
+        out[lo:hi] = d.max(axis=2)
+    return out
+
+
+def greedy_cover_dense(orbits, eps, masses, tie_weights, target_mass):
+    """Reference greedy cover by mass: every pick recomputes every ball's
+    uncovered mass with one matrix-vector product."""
+    from pressgap.errors import CoverError
+
+    n_cand = orbits.shape[0]
+    if n_cand == 0:
+        raise CoverError("empty candidate pool")
+    cover = pairwise_bowen_broadcast(orbits) <= eps
+    uncovered = np.ones(n_cand, dtype=bool)
+    total = 0.0
+    chosen = []
+    target = target_mass - 1e-12
+    while total < target:
+        gains = cover[:, uncovered] @ masses[uncovered]
+        best = float(np.max(gains))
+        if best <= 0.0:
+            raise CoverError(
+                f"cover stalled at mass {total:.6g} < target {target_mass:.6g}")
+        tied = np.flatnonzero(gains >= best)
+        i = int(tied[np.lexsort((tied, tie_weights[tied]))[0]])
+        chosen.append(i)
+        total += float(masses[uncovered & cover[i]].sum())
+        uncovered &= ~cover[i]
+    return np.asarray(chosen, dtype=int)
+
+
+def greedy_cover_counts(dist, eps, tie_weights, fraction):
+    """Reference greedy cover in plain Python integers, from a Bowen
+    distance matrix: uncovered points per ball are recounted in full
+    at every pick, until the covered share of the pool reaches `fraction`
+    (less 1e-12)."""
+    n_cand = len(dist)
+    near = [[j for j in range(n_cand) if dist[i][j] <= eps]
+            for i in range(n_cand)]
+    uncovered = set(range(n_cand))
+    chosen = []
+    while (n_cand - len(uncovered)) / n_cand < fraction - 1e-12:
+        i = min(range(n_cand),
+                key=lambda c: (-sum(j in uncovered for j in near[c]),
+                               tie_weights[c], c))
+        chosen.append(i)
+        uncovered.difference_update(near[i])
+    return chosen
 
 
 def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):

@@ -169,11 +169,15 @@ def test_criterion_06_natural_extension():
     rng = np.random.default_rng(11)
     system = pg.manneville_pomeau(0.5)
     ext = ExtensionConfig(2.0, 24)
-    # (a) semiconjugacy exact and projection 1-Lipschitz on 10^4 samples
+    # (a) semiconjugacy exact and projection 1-Lipschitz on 10^4 samples;
+    # each start is drawn before its 8 branches, p before q
     lip_bad = semi_bad = 0
-    for _ in range(10_000):
-        p = extend(system, float(rng.random()), 8, policy="random", rng=rng)
-        q = extend(system, float(rng.random()), 8, policy="random", rng=rng)
+    starts, branches = [], []
+    for _ in range(20_000):
+        starts.append(float(rng.random()))
+        branches.append([int(rng.integers(system.degree)) for _ in range(8)])
+    pts = extend(system, starts, 8, policy="given", branches=branches)
+    for p, q in zip(pts[0::2], pts[1::2]):
         if hat_g(system, p).coords[0] != float(system.forward(p.coords[0])):
             semi_bad += 1
         trunc, _ = hat_distance(ExtensionConfig(2.0, 8), p, q)
@@ -184,12 +188,17 @@ def test_criterion_06_natural_extension():
     geo = pg.geometric_potential(system, 1.0)
     rep = verify_bowen(system, ext, dec, lift_projection(geo), EPS5, 1000,
                        seed=13)
-    # (c) fiber contraction for same-base pairs
+    # (c) fiber contraction for same-base pairs; each base is drawn before
+    # the 24 branches of p and then of q
     fiber_bad = 0
+    starts, branches = [], []
     for _ in range(500):
         x = float(rng.random())
-        p = extend(system, x, 24, policy="random", rng=rng)
-        q = extend(system, x, 24, policy="random", rng=rng)
+        for _ in range(2):
+            starts.append(x)
+            branches.append([int(rng.integers(system.degree)) for _ in range(24)])
+    pts = extend(system, starts, 24, policy="given", branches=branches)
+    for p, q in zip(pts[0::2], pts[1::2]):
         for k in (0, 3, 7, 12):
             pk, qk = p, q
             for _ in range(k):

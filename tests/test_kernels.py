@@ -1,11 +1,21 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pressgap as pg
 from pressgap import kernels
+from pressgap.orbits import greedy_cover
+from pressgap.pressure import katok_sn
 
-from oracles import greedy_separated_quadratic
+from oracles import (greedy_cover_counts, greedy_cover_dense,
+                     greedy_separated_quadratic, pairwise_bowen_broadcast)
 
 
 def _random_instance(seed, n_cand=60, n_steps=6):
@@ -119,3 +129,109 @@ def test_min_bowen_distance():
     orbits = np.array([[0.0, 0.0], [0.5, 0.5]])
     assert kernels.min_bowen_distance(orbits) == pytest.approx(0.5)
     assert kernels.min_bowen_distance(orbits[:1]) == np.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=pools())
+def test_pairwise_bowen_matches_broadcast_reference(pool):
+    orbits, _, _ = pool
+    d = kernels.pairwise_bowen(orbits)
+    assert np.array_equal(d, pairwise_bowen_broadcast(orbits))
+    assert np.array_equal(d, d.T)
+
+
+# ---------------------------------------------------------------------------
+# greedy covers
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cover_pools(draw):
+    """Nonempty pools with tie weights: the separated-set pools, or lattice
+    pools i/m under the doubling map, where every ball holds the same number
+    of points and the tie rule alone decides the first pick."""
+    if draw(st.booleans()):
+        orbits, _, eps = draw(pools().filter(lambda p: p[0].shape[0] > 0))
+    else:
+        m = draw(st.integers(1, 48))
+        x0 = np.arange(m) / m
+        orbits = np.stack([(x0 * 2**k) % 1.0
+                           for k in range(draw(st.integers(1, 3)))], axis=1)
+        eps = draw(st.integers(0, 4)) / m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cand = orbits.shape[0]
+    tie = draw(st.sampled_from(("zero", "random", "few")))
+    tie_weights = {"zero": np.zeros(n_cand),
+                   "random": rng.random(n_cand),
+                   "few": rng.integers(0, 3, n_cand).astype(float)}[tie]
+    return orbits, eps, tie_weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=cover_pools(), data=st.data())
+def test_cover_matches_dense_reference_with_unit_masses(pool, data):
+    # unit masses make the reference's matrix-vector gains exact integers
+    orbits, eps, tie_weights = pool
+    n_cand = orbits.shape[0]
+    target = data.draw(st.integers(1, n_cand))
+    picks = greedy_cover(orbits, eps, tie_weights, target)
+    ref = greedy_cover_dense(orbits, eps, np.ones(n_cand), tie_weights,
+                             float(target))
+    assert np.array_equal(picks, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=cover_pools(), eta=st.sampled_from((1e-6, 0.25, 0.5, 0.9, 0.999)))
+def test_cover_of_a_mass_fraction_matches_integer_reference(pool, eta):
+    # masses 1/N: katok_sn's point target for the fraction eta
+    orbits, eps, tie_weights = pool
+    target = math.ceil((eta - 1e-12) * orbits.shape[0])
+    picks = greedy_cover(orbits, eps, tie_weights, target)
+    ref = greedy_cover_counts(pairwise_bowen_broadcast(orbits), eps,
+                              tie_weights, eta)
+    assert picks.tolist() == ref
+
+
+@pytest.mark.parametrize("eta", (0.25, 0.5, 0.9))
+@pytest.mark.parametrize("geometric", (False, True))
+def test_katok_matches_integer_reference(mp_map, eta, geometric):
+    starts = np.random.default_rng(7).uniform(0.05, 0.95, size=10)
+    sample = mp_map.orbit(starts, 20).ravel()
+    phi = (pg.geometric_potential(mp_map, 1.0) if geometric
+           else pg.zero_potential())
+    orbits = mp_map.orbit(sample, 6)
+    weights = phi(orbits).sum(axis=1)
+    ref = greedy_cover_counts(pairwise_bowen_broadcast(orbits), 1.0 / 32.0,
+                              weights, eta)
+    value = katok_sn(mp_map, phi, sample, 1.0 / 32.0, eta, 6)
+    assert value == float(np.exp(weights[ref]).sum())
+
+
+# Katok inputs on which a cover that picked by float matrix-vector gains
+# gave 286 with OpenBLAS 0.3.31's Haswell kernel and 287 with its Prescott
+# kernel: 50 Manneville-Pomeau orbit pieces of length 20, n = 6.
+_KATOK_SCRIPT = """
+import numpy as np
+import pressgap as pg
+from pressgap.pressure import katok_sn
+mp = pg.manneville_pomeau(0.5)
+starts = np.random.default_rng(1420954724).uniform(0.05, 0.95, size=50)
+sample = mp.orbit(starts, 20).ravel()
+print(repr(katok_sn(mp, pg.zero_potential(), sample, 1.0 / 32.0, 0.9, 6)))
+"""
+
+
+def test_katok_does_not_depend_on_the_blas_kernel():
+    src = str(Path(pg.__file__).resolve().parents[1])
+    values = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _KATOK_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        values.append(out.stdout.strip())
+    assert values[0] == values[1] == "287.0"
