@@ -13,10 +13,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MixingCapError, ValidationError
+from .errors import BranchSolveError, MixingCapError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 CIRCLE_DIAMETER = 0.5
+
+# A root solve stops once its step or its bracket is within _STOP_ULPS ulp of
+# x.  It fails when it has not stopped after the cap, or when the lift at
+# _STOP_ULPS ulp either side of x, widened by _RESIDUAL_ULPS ulp of the
+# target, does not bracket the target.
+_STOP_ULPS = 2.0
+_RESIDUAL_ULPS = 4.0
+_SOLVE_CAP = 100
 
 
 def wrap(x):
@@ -33,6 +41,51 @@ def circle_dist(x, y):
 def circle_signed(origin, target):
     """Signed circular offset from origin to target, in [-1/2, 1/2)."""
     return (np.asarray(target, dtype=float) - np.asarray(origin, dtype=float) + 0.5) % 1.0 - 0.5
+
+
+def _bracketed_solve(lift, deriv, target, lo, hi, x):
+    """Roots of lift(x) = target on the bracket [lo, hi], elementwise.
+
+    `target` and the start `x` are 1-d arrays of one length, `lo` and `hi`
+    scalars, and `lift` is increasing on the bracket.  Every iteration
+    shrinks each point's bracket by the sign of lift(x) - target and takes
+    a Newton step; a step that lands outside the bracket, or back on the
+    previous iterate, is replaced by the bracket midpoint.
+    An element stops when its step is within _STOP_ULPS ulp of x.  That
+    covers lift(x) = target (a zero step) and a bracket that narrow (x is
+    an end of the shrunk bracket and the step stays inside it); a NaN step
+    stops it too, for the caller's root check to reject.  Later iterations
+    leave a stopped element unchanged, and every operation is elementwise,
+    so a root does not depend on the rest of the batch.
+    """
+    out = np.empty_like(x)
+    rows = np.arange(x.size)
+    prev = np.full_like(x, np.nan)
+    for _ in range(_SOLVE_CAP):
+        f = lift(x) - target
+        below = f < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        xn = x - f / deriv(x)
+        # every earlier iterate is outside the bracket or at one of its
+        # ends, so Newton can only cycle between the two ends, as it does
+        # between two pieces of a piecewise-linear lift; a step back onto
+        # the previous iterate breaks that cycle
+        xn = np.where((xn < lo) | (xn > hi) | (xn == prev), 0.5 * (lo + hi), xn)
+        done = ~(np.abs(xn - x) > _STOP_ULPS * np.spacing(x))
+        prev, x = x, xn
+        stopped = np.count_nonzero(done)
+        if stopped == x.size:
+            out[rows] = x
+            return out
+        if stopped:
+            out[rows[done]] = x[done]
+            keep = ~done
+            rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
+            prev, x = prev[keep], x[keep]
+    raise BranchSolveError(
+        f"root solve did not settle in {_SOLVE_CAP} iterations "
+        f"(first open target {target[0]!r})")
 
 
 @dataclass(frozen=True)
@@ -111,37 +164,55 @@ class MapSystem:
     # -- inverse branches ---------------------------------------------------
 
     def _solve_cuts(self):
-        cuts = [0.0]
-        for b in range(1, self.degree):
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if self._lift(np.float64(mid)) < b:
-                    lo = mid
-                else:
-                    hi = mid
-            cuts.append(0.5 * (lo + hi))
-        cuts.append(1.0)
-        return np.asarray(cuts)
+        targets = np.arange(1.0, self.degree)
+        inner = _bracketed_solve(self._lift, self._deriv, targets, 0.0, 1.0,
+                                 targets / self.degree)
+        self._check_root(inner, targets, "branch cuts")
+        return np.concatenate([[0.0], inner, [1.0]])
 
     def branch_solve(self, branch, y):
-        """Preimage of y under branch `branch`: x in branch domain, G(x) = branch + y."""
+        """Preimage of y under branch `branch`: x in branch domain, G(x) = branch + y.
+
+        The root is found by a safeguarded Newton iteration on the branch's
+        cut interval (see `_bracketed_solve`), then checked without the
+        derivative: the target branch + y must lie between G at 2 ulp either
+        side of x (within [0, 1]), widened by 4 ulp of the target for the
+        error of evaluating G.  So a root that passes is within 2 ulp, the
+        solver's stop rule, of a sign change of G - target, whatever
+        `lift_deriv` returns; a root next to a cut may sit on the cut's
+        other side.  A failed test (a non-finite y always fails it) or an
+        iteration that does not settle raises `BranchSolveError`, which the
+        CLI reports as a numerical failure (exit 2).  A map with a
+        closed-form solve skips the iteration and the test.
+        """
         y = np.asarray(y, dtype=float)
         if self._exact_solve is not None:
             return self._exact_solve(branch, y)
-        target = y + branch
-        lo = np.full_like(y, self.branch_cuts[branch])
-        hi = np.full_like(y, self.branch_cuts[branch + 1])
-        for _ in range(44):
-            mid = 0.5 * (lo + hi)
-            below = self._lift(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        x = 0.5 * (lo + hi)
-        for _ in range(3):  # Newton polish, clipped into the bracket
-            x = x - (self._lift(x) - target) / self._deriv(x)
-            x = np.clip(x, lo, hi)
-        return x
+        flat = y.reshape(-1)
+        target = flat + branch
+        lo, hi = self.branch_cuts[branch], self.branch_cuts[branch + 1]
+        # start at the linear interpolant of G across the cut interval
+        start = np.maximum(np.minimum(lo + flat * (hi - lo), hi), lo)
+        x = _bracketed_solve(self._lift, self._deriv, target, lo, hi, start)
+        self._check_root(x, target, f"branch {branch}")
+        return x.reshape(y.shape)
+
+    def _check_root(self, x, target, what):
+        """Raise BranchSolveError unless G - target changes sign within
+        _STOP_ULPS ulp of every x in [0, 1], up to _RESIDUAL_ULPS ulp of
+        the target."""
+        slack = _RESIDUAL_ULPS * np.spacing(np.abs(target))
+        near = _STOP_ULPS * np.spacing(x)
+        left = self._lift(np.maximum(x - near, 0.0))
+        right = self._lift(np.minimum(x + near, 1.0))
+        passed = (left - slack <= target) & (target <= right + slack)  # NaN fails
+        if not passed.all():
+            i = int(np.argmin(passed))
+            residual = abs(float(self._lift(x[i])) - float(target[i]))
+            raise BranchSolveError(
+                f"{self.name}: {what} solve at target {target[i]!r} left residual "
+                f"{residual:.3g}, and G over x +- {_STOP_ULPS:g} ulp spans "
+                f"[{left[i]!r}, {right[i]!r}]")
 
     def inverse_branches(self, y):
         """All degree preimages of y, indexed by branch id."""
@@ -294,7 +365,9 @@ def tabulated_map(values, epsilon0=0.125):
     """Map given by monotone lift samples on a uniform grid over [0, 1].
 
     `values` must start at 0, end at an integer degree >= 2, and increase
-    strictly; evaluation is by linear interpolation.
+    strictly; evaluation is by linear interpolation.  The ends are set to 0
+    and the degree exactly, so a table that misses them by rounding (up to
+    1e-12 at 0 and 1e-9 at the degree) still gives an exact cover.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 9:
@@ -304,6 +377,12 @@ def tabulated_map(values, epsilon0=0.125):
     degree = int(round(v[-1]))
     if degree < 2 or abs(v[-1] - degree) > 1e-9:
         raise ValidationError("values", "lift table must end at an integer degree >= 2")
+    # the lift must meet G(0) = 0 and G(1) = degree exactly, which the
+    # inverse branches' root check relies on
+    v = v.copy()
+    v[0], v[-1] = 0.0, float(degree)
+    if np.any(np.diff(v) <= 0):
+        raise ValidationError("values", "lift table must stay within [0, degree]")
     grid = np.linspace(0.0, 1.0, v.size)
     slopes = np.diff(v) / np.diff(grid)
 

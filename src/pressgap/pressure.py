@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .decomposition import BadCollection
-from .errors import CoverError, ValidationError
+from .errors import CoverError, NodeCapError, ValidationError
 from .orbits import (DEFAULT_NODE_CAP, CylinderTree, FullCollection,
                      greedy_cover, partition_sum_sep, tree_depth)
 
@@ -102,13 +102,18 @@ def katok_sn(system, phi, orbit_sample, delta, eta, n):
     orbit).  Closed Bowen balls of radius delta are added greedily by most
     uncovered mass (ties by smaller Birkhoff sum, then index) until a mass
     fraction eta is covered; the value is the weight sum over the chosen
-    centers.
+    centers.  The cover needs N x N matrices, so a sample of N points with
+    N^2 > 64 DEFAULT_NODE_CAP raises NodeCapError, the pool bound of
+    `partition_sum_span`.
     """
     if not 0.0 < eta < 1.0:
         raise CoverError(f"eta={eta} outside (0, 1): cover infeasible")
     sample = np.atleast_1d(np.asarray(orbit_sample, dtype=float)) % 1.0
     if sample.size == 0:
         raise ValidationError("orbit_sample", "must be nonempty")
+    if sample.size ** 2 > DEFAULT_NODE_CAP * 64:
+        raise NodeCapError(f"Katok pool of {sample.size} points too large for the "
+                           f"pairwise cover matrix at node cap {DEFAULT_NODE_CAP}")
     orbits = system.orbit(sample, n)
     weights = np.asarray(phi(orbits)).sum(axis=1)
     # each point carries mass 1/N: cover the fewest points whose mass

@@ -6,8 +6,8 @@ separated sets, dense-point interval images for covering times, and direct
 window scans for segment classification.  The exceptions are the package's
 earlier code, kept so that the faster paths can be compared with it bit for
 bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
-dense cover, and the one-point samplers for backward orbits and Bowen
-companions.
+dense cover, the one-point samplers for backward orbits and Bowen
+companions, and the fixed-step bisection inverse-branch solver.
 """
 
 import numpy as np
@@ -28,6 +28,25 @@ def bisect_root(f, lo, hi, iters=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def branch_solve_bisect(system, branch, y):
+    """Reference inverse-branch solve: 44 bisection steps on the branch's cut
+    interval, then 3 Newton steps clipped into the final bracket."""
+    y = np.asarray(y, dtype=float)
+    target = y + branch
+    lo = np.full_like(y, system.branch_cuts[branch])
+    hi = np.full_like(y, system.branch_cuts[branch + 1])
+    for _ in range(44):
+        mid = 0.5 * (lo + hi)
+        below = system.lift(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(3):  # Newton polish, clipped into the bracket
+        x = x - (system.lift(x) - target) / system.deriv(x)
+        x = np.clip(x, lo, hi)
+    return x
 
 
 def orbit_of(forward, x, n):

@@ -55,9 +55,13 @@ def test_shift_algebra(doubling_map, rng):
 def test_semiconjugacy_and_projection_lipschitz(builtin_maps, rng):
     for system in builtin_maps:
         cfg = ExtensionConfig(2.0, 12)
-        for _ in range(200):
-            p = extend(system, float(rng.random()), 12, policy="random", rng=rng)
-            q = extend(system, float(rng.random()), 12, policy="random", rng=rng)
+        # each start is drawn before its 12 branches, p before q
+        starts, branches = [], []
+        for _ in range(400):
+            starts.append(float(rng.random()))
+            branches.append([int(rng.integers(system.degree)) for _ in range(12)])
+        pts = extend(system, starts, 12, policy="given", branches=branches)
+        for p, q in zip(pts[0::2], pts[1::2]):
             # projection after the shift equals the map after projection
             assert hat_g(system, p).coords[0] == float(system.forward(p.coords[0]))
             trunc, _ = hat_distance(cfg, p, q)

@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pressgap as pg
-from pressgap.errors import MixingCapError, ValidationError
-from pressgap.maps import circle_dist, circle_signed
+from pressgap.errors import BranchSolveError, MixingCapError, ValidationError
+from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
-from oracles import bisect_root, covering_time_dense
+from oracles import bisect_root, branch_solve_bisect, covering_time_dense
 
 
 def test_circle_metric_basics():
@@ -167,3 +170,176 @@ def test_tabulated_potential_roundtrip():
     pot = pg.tabulated_potential(xs, np.cos(2 * np.pi * xs), 2 * np.pi, 1.0)
     assert pot(0.0) == pytest.approx(1.0)
     assert abs(pot(0.25)) < 1e-2
+
+
+# -- inverse-branch root solves ---------------------------------------------
+
+TAB_GRID = np.linspace(0.0, 1.0, 65)
+TAB_VALUES = 3.0 * TAB_GRID + (0.9 / TWO_PI) * np.sin(TWO_PI * TAB_GRID)
+PD_DELTA = 0.75
+
+SOLVE_MAPS = {"mp": pg.manneville_pomeau(0.5),
+              "perturbed": pg.perturbed_doubling(PD_DELTA),
+              "tabulated": pg.tabulated_map(TAB_VALUES)}
+
+
+def _tabulated_lift(x):
+    j = min(max(int(x * 64), 0), 63)
+    x0, v0, v1 = (mpmath.mpf(float(t)) for t in (TAB_GRID[j], TAB_VALUES[j],
+                                                 TAB_VALUES[j + 1]))
+    return v0 + (v1 - v0) * (x - x0) * 64
+
+
+# the lifts in mpmath arithmetic, with the maps' float constants
+MP_LIFTS = {
+    "mp": lambda x: x + abs(x) ** mpmath.mpf(1.5),
+    "perturbed": lambda x: 2 * x + (mpmath.mpf(PD_DELTA / TWO_PI)
+                                    * mpmath.sin(mpmath.mpf(TWO_PI) * x)),
+    "tabulated": _tabulated_lift,
+}
+
+Y_VALUES = st.one_of(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1e-300]),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
+def _ulps(a, b):
+    return abs(float(a) - float(b)) / np.spacing(abs(float(b)))
+
+
+def _sign_change_nearby(system, x, target):
+    """G at 2 ulp either side of x brackets the target, up to 4 ulp of it."""
+    slack = 4.0 * np.spacing(np.abs(target))
+    left = system.lift(np.maximum(x - 2.0 * np.spacing(x), 0.0))
+    right = system.lift(np.minimum(x + 2.0 * np.spacing(x), 1.0))
+    return bool(np.all((left - slack <= target) & (target <= right + slack)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SOLVE_MAPS)), data=st.data(),
+       ys=st.lists(Y_VALUES, min_size=1, max_size=12))
+def test_branch_solve_batch_single_and_scalar_agree(name, data, ys):
+    system = SOLVE_MAPS[name]
+    branch = data.draw(st.integers(0, system.degree - 1))
+    y = np.asarray(ys)
+    batch = system.branch_solve(branch, y)
+    for i in range(y.size):
+        single = system.branch_solve(branch, y[i:i + 1])
+        scalar = system.branch_solve(branch, np.float64(y[i]))
+        assert single.shape == (1,) and scalar.shape == ()
+        assert batch[i].tobytes() == single[0].tobytes() == scalar.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SOLVE_MAPS)), data=st.data(), y=Y_VALUES)
+def test_branch_solve_root_quality(name, data, y):
+    system = SOLVE_MAPS[name]
+    branch = data.draw(st.integers(0, system.degree - 1))
+    x = float(system.branch_solve(branch, np.float64(y)))
+    lo, hi = system.branch_cuts[branch], system.branch_cuts[branch + 1]
+    assert lo <= x <= hi
+    target = float(np.float64(y) + branch)
+    assert _sign_change_nearby(system, x, target)
+    # the bisection's clipped Newton polish ends at an absolute error near
+    # 1e-48 on roots below 1e-33, so it is compared in ulp of 1e-30 there
+    ref = float(branch_solve_bisect(system, branch, np.float64(y)))
+    assert abs(x - ref) <= 4.0 * np.spacing(max(abs(x), 1e-30))
+    # the 50-digit root of the same float target, refined from x
+    g = MP_LIFTS[name]
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda t: g(t) - target, mpmath.mpf(x),
+                               solver="newton", df=lambda t: mpmath.diff(g, t))
+    assert _ulps(x, float(root)) <= 4.0
+
+
+def test_solve_cuts_match_lift():
+    for system in SOLVE_MAPS.values():
+        cuts = system.branch_cuts
+        assert cuts[0] == 0.0 and cuts[-1] == 1.0 and np.all(np.diff(cuts) > 0)
+        assert _sign_change_nearby(system, cuts[1:-1],
+                                          np.arange(1.0, system.degree))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_branch_solve_rejects_non_finite_y(bad):
+    for system in SOLVE_MAPS.values():
+        with pytest.raises(BranchSolveError):
+            system.branch_solve(0, np.float64(bad))
+        with pytest.raises(BranchSolveError):
+            system.branch_solve(0, np.array([0.25, bad]))
+
+
+def _hand_built(lift, deriv):
+    return pg.MapSystem("hand-built", lift, deriv, degree=2, epsilon0=0.25)
+
+
+def test_branch_solve_rejects_nan_lift_inside_a_branch():
+    # the cut solve starts at 1/2 and meets G(1/2) = 1 at once
+    system = _hand_built(
+        lambda x: np.where((x > 0.3) & (x < 0.35), np.nan, 2.0 * x),
+        lambda x: np.full_like(x, 2.0))
+    assert system.branch_cuts.tolist() == [0.0, 0.5, 1.0]
+    assert float(system.branch_solve(0, np.float64(0.2))) == 0.1
+    with pytest.raises(BranchSolveError, match="residual nan"):
+        system.branch_solve(0, np.float64(0.65))
+    with pytest.raises(BranchSolveError):
+        system.branch_solve(0, np.array([0.2, 0.65, 0.9]))
+
+
+def test_branch_solve_rejects_a_wrong_derivative():
+    # lift_deriv 1e30 on [0, 1/2) makes every Newton step there vanish, so
+    # the solve stops at its start; the root check does not use lift_deriv
+    system = _hand_built(lambda x: x + x * x,
+                         lambda x: np.where(x < 0.5, 1e30, 1.0 + 2.0 * x))
+    with pytest.raises(BranchSolveError, match="residual"):
+        system.branch_solve(0, np.float64(0.3))
+
+
+def test_branch_solve_settles_on_a_lift_jump():
+    # G jumps from 0.475 to 0.575 at x = 1/4, so G(x) = 0.5 has no root;
+    # the bracket closes on the jump, where G - 0.5 changes sign
+    system = _hand_built(lambda x: 1.9 * x + np.where(x > 0.25, 0.1, 0.0),
+                         lambda x: np.full_like(x, 1.9))
+    assert float(system.branch_solve(0, np.float64(0.3))) == 0.3 / 1.9
+    x = float(system.branch_solve(0, np.float64(0.5)))
+    assert _ulps(x, 0.25) <= 2.0
+
+
+def test_branch_solve_on_a_rough_table():
+    # slopes from 1e-6 to 1 make plain bracketed Newton cycle between two
+    # pieces, each landing on the other's line root; the previous-iterate
+    # rule breaks the cycle.  (The bisection oracle's 44 steps leave it some 100
+    # ulp off on this table, so the sign change is the reference.)
+    rng = np.random.default_rng(3)
+    v = np.concatenate([[0.0], np.cumsum(rng.random(300) ** 3 + 1e-6)])
+    system = pg.tabulated_map(3.0 * v / v[-1])
+    y = np.concatenate([rng.random(2000), [0.0, 1.0 - 2.0 ** -53, 1e-300]])
+    for branch in range(system.degree):
+        x = system.branch_solve(branch, y)
+        assert _sign_change_nearby(system, x, y + branch)
+
+
+def test_tabulated_table_ends_are_exact():
+    # a table 5e-13 off 0 and 5e-10 short of its degree is accepted and
+    # solved as the exact cover it rounds to, down to the node at 0
+    v = 2.0 * np.linspace(0.0, 1.0, 33)
+    v[0], v[-1] = 5e-13, 2.0 - 5e-10
+    system = pg.tabulated_map(v)
+    assert float(system.lift(0.0)) == 0.0 and float(system.lift(1.0)) == 2.0
+    roots = system.inverse_branches(np.arange(8) / 8)
+    assert roots[0, 0] == 0.0 and roots[1, 0] == 0.5
+    assert float(system.lift_inverse(np.nextafter(2.0, 0.0))) <= 1.0
+    # a table that passes the degree before its last node is refused
+    v[-2], v[-1] = 2.0 + 1e-10, 2.0 + 5e-10
+    with pytest.raises(ValidationError, match="within"):
+        pg.tabulated_map(v)
+
+
+def test_branch_solve_iteration_cap():
+    # a derivative far too small turns every step of G(x) = x + x^2 into
+    # bisection, which from [0, 0.618] cannot come within 2 ulp of a root
+    # near 1e-300 by the cap; elsewhere bisection still settles
+    system = _hand_built(lambda x: x + x * x, lambda x: np.full_like(x, 1e-300))
+    root = (np.sqrt(7.0) - 1.0) / 2.0
+    assert abs(float(system.branch_solve(1, np.float64(0.5))) - root) < 1e-15
+    with pytest.raises(BranchSolveError, match="did not settle"):
+        system.branch_solve(0, np.float64(1e-300))

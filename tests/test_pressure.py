@@ -4,9 +4,9 @@ import pytest
 import pressgap as pg
 from pressgap.decomposition import (BadCollection, DecompositionConfig,
                                     GoodCollection, obstruction_sample)
-from pressgap.errors import CoverError, ValidationError
-from pressgap.orbits import (FullCollection, partition_sum_sep,
-                             partition_sum_span)
+from pressgap.errors import CoverError, NodeCapError, ValidationError
+from pressgap.orbits import (DEFAULT_NODE_CAP, FullCollection,
+                             partition_sum_sep, partition_sum_span)
 from pressgap.pressure import (GapReport, ct_hypothesis_check, gap_report,
                                growth_fit, katok_sn, pressure_at_scale)
 
@@ -75,6 +75,15 @@ def test_katok_infeasible_eta(doubling_map, rng):
     with pytest.raises(CoverError):
         katok_sn(doubling_map, pg.zero_potential(), rng.random(50),
                  1.0 / 16.0, 1.5, 4)
+
+
+def test_katok_pool_guard(doubling_map, rng):
+    # N^2 > 64 DEFAULT_NODE_CAP is refused before any orbit or N x N matrix
+    # is built
+    zero = pg.zero_potential()
+    over = int(np.sqrt(DEFAULT_NODE_CAP * 64)) + 1
+    with pytest.raises(NodeCapError, match=f"{over} points"):
+        katok_sn(doubling_map, zero, rng.random(over), 1.0 / 16.0, 0.4, 4)
 
 
 def test_chain_inequality(mp_map):
