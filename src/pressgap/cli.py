@@ -30,8 +30,8 @@ from .maps import (BUILTIN_MAPS, constant_potential, doubling,
 from .orbits import CylinderTree, FullCollection, OrbitSegment, tree_depth
 from .pressure import ct_hypothesis_check, gap_report, pressure_at_scale
 from .solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
-                       conjugacy_h, fiber_point, fiber_sample,
-                       metric_equivalence)
+                       check_fiber_depth, conjugacy_h, fiber_point,
+                       fiber_sample, metric_equivalence)
 from .specification import glue_base, verify_shadow
 from .transfer import build_operator, leading_eigen
 
@@ -177,6 +177,10 @@ def validate(cfg):
         raise ValidationError("depth", "must be >= 0")
     if cfg["length_min"] < 1 or cfg["length_max"] < cfg["length_min"]:
         raise ValidationError("length_min", "need 1 <= length_min <= length_max")
+    if cfg["cloud_depth"] < 0:
+        raise ValidationError("cloud_depth", "must be >= 0")
+    if cfg["cloud_depth"] > 0:
+        check_fiber_depth(cfg["cloud_depth"])   # over the fiber cap: exit 2
 
 
 class Writer:

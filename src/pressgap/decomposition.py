@@ -215,6 +215,23 @@ def pullback_chain(system, x, n, endpoint):
     return chain
 
 
+def pull_back_ends(system, orbit, ns, shifts):
+    """Time-0 ends of the chains of `pullback_chain`, one per row of `orbit`.
+
+    Row r's end point orbit[r, n_r] + shifts[r] is reduced mod 1 twice, as
+    the end point passed to `pullback_chain` was, and pulled back n_r steps
+    through the local inverses at orbit[r, n_r - 1], ..., orbit[r, 0].  The
+    chains are aligned at their end times: step j pulls back time n_r - 1 - j
+    of every row with n_r > j in one call.
+    """
+    ns = np.asarray(ns)
+    cur = ((orbit[np.arange(ns.size), ns] + shifts) % 1.0) % 1.0
+    for j in range(int(ns.max(initial=0))):
+        act = np.flatnonzero(ns > j)
+        cur[act] = system.pullback(orbit[act, ns[act] - 1 - j], cur[act])
+    return cur
+
+
 def contraction_profile(system, x, n, endpoint):
     """Distances d(g^k x, z_k) of the pullback chain to the reference orbit."""
     orbit = system.orbit(x, n + 1)[0]

@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .decomposition import pull_back_ends
 from .errors import ValidationError
 from .maps import CIRCLE_DIAMETER, circle_dist
 
@@ -295,15 +296,9 @@ def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
     ref = np.array([p.coords for p in x_hats]).T.copy()   # one row per depth
     ns = np.asarray(ns)
     orbit = system.orbit(ref[0], int(ns.max()) + 1)
-    rows = np.arange(ns.size)
-    # the end point reduced twice, as the scalar pullback chain did
-    cur = ((orbit[rows, ns] + eps * (2.0 * np.asarray(draws) - 1.0)) % 1.0) % 1.0
-    # chains aligned at their end times; step j pulls back time n - 1 - j
-    for j in range(int(ns.max())):
-        act = np.flatnonzero(ns > j)
-        cur[act] = system.pullback(orbit[act, ns[act] - 1 - j], cur[act])
     coords = np.empty((depth + 1, ns.size))
-    coords[0] = cur
+    coords[0] = pull_back_ends(system, orbit, ns,
+                               eps * (2.0 * np.asarray(draws) - 1.0))
     for i in range(cut):
         coords[i + 1] = system.pullback(ref[i + 1], coords[i])
     tail = np.asarray(branches, dtype=int).reshape(ns.size, depth - cut)

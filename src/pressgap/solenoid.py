@@ -13,9 +13,13 @@ from typing import Tuple
 
 import numpy as np
 
+from .decomposition import pull_back_ends
 from .errors import NodeCapError, ValidationError
-from .extension import ExtPoint
+from .extension import extend
 from .maps import TWO_PI, circle_dist, doubling
+
+# largest fiber sample (2^depth points) that fiber_sample builds by default
+FIBER_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,9 @@ class SolenoidSystem:
     """f(theta, v) = (2 theta mod 1, lam_s v + offset * e(theta)).
 
     lam_s must undercut every base inverse-branch contraction (1/2 for the
-    doubling base) and lam_s + offset <= 1 keeps the image in the torus.
+    doubling base), lam_s + offset <= 1 keeps the image in the torus, and
+    offset > lam_s keeps f injective: the two preimage fibers of a circle
+    point map to disks of radius lam_s whose centres are 2 offset apart.
     """
 
     lam_s: float = 0.25
@@ -34,6 +40,10 @@ class SolenoidSystem:
             raise ValidationError("lam_s", "fiber contraction must lie in (0, 1/2)")
         if self.lam_s + self.offset > 1.0 + 1e-12:
             raise ValidationError("offset", "need lam_s + offset <= 1")
+        if not self.offset > self.lam_s:
+            raise ValidationError(
+                "offset", f"need offset > lam_s = {self.lam_s!r}, or the images "
+                          "of the two preimage fibers overlap")
         object.__setattr__(self, "base", doubling())
 
 
@@ -55,59 +65,99 @@ class AttractorPoint:
         return len(self.itinerary)
 
 
-def _embed(theta):
-    return math.cos(TWO_PI * theta), math.sin(TWO_PI * theta)
+@dataclass(frozen=True)
+class AttractorBatch:
+    """Rows of depth-d approximants: `theta` (S,), `disk` (S, 2) and
+    `itinerary` (S, d), row i holding the fields of one AttractorPoint."""
+
+    theta: np.ndarray
+    disk: np.ndarray
+    itinerary: np.ndarray
+
+    @property
+    def depth(self):
+        return self.itinerary.shape[1]
+
+    def __len__(self):
+        return self.theta.size
+
+    def points(self):
+        """The rows as AttractorPoints."""
+        return [AttractorPoint(t, tuple(d), tuple(it)) for t, d, it in
+                zip(self.theta.tolist(), self.disk.tolist(), self.itinerary.tolist())]
+
+
+def _step(sys, theta, u, v):
+    """f on arrays: (g(theta), lam_s (u, v) + offset e(theta))."""
+    turn = TWO_PI * theta
+    return (sys.base.forward(theta), sys.lam_s * u + sys.offset * np.cos(turn),
+            sys.lam_s * v + sys.offset * np.sin(turn))
+
+
+def _branch(theta):
+    """Base branch of each theta: 0 below 1/2, else 1."""
+    return np.where(theta < 0.5, 0, 1)
 
 
 def apply_f(sys, p):
     """One forward step; the itinerary grows by the branch of theta."""
-    u, v = p.disk
-    e0, e1 = _embed(p.theta)
-    branch = 0 if p.theta < 0.5 else 1
-    return AttractorPoint(
-        theta=float(sys.base.forward(np.float64(p.theta))),
-        disk=(sys.lam_s * u + sys.offset * e0, sys.lam_s * v + sys.offset * e1),
-        itinerary=(branch,) + p.itinerary)
-
-
-def backward_bases(sys, theta, itinerary):
-    """Backward base orbit [x_0 .. x_d] determined by the itinerary."""
-    bases = [float(np.asarray(theta) % 1.0)]
-    for b in itinerary:
-        bases.append(float(sys.base.branch_solve(int(b), np.float64(bases[-1]))))
-    return bases
+    theta, u, v = _step(sys, np.float64(p.theta), *p.disk)
+    return AttractorPoint(float(theta), (float(u), float(v)),
+                          (int(_branch(p.theta)),) + p.itinerary)
 
 
 def fiber_point(sys, theta, itinerary):
-    """Canonical approximant over theta with the given itinerary: the fiber
-    center over the deep base preimage, pushed forward depth times."""
-    bases = backward_bases(sys, theta, itinerary)
-    p = AttractorPoint(theta=bases[-1], disk=(0.0, 0.0), itinerary=())
-    for _ in itinerary:
-        p = apply_f(sys, p)
-    return p
+    """Canonical approximants over theta with the given itineraries: the
+    fiber centre over the deep base preimage, pushed forward depth times.
+
+    A float theta and one itinerary give an AttractorPoint.  A vector of S
+    thetas and an (S, d) itinerary array give an AttractorBatch: the
+    backward bases take one root solve per (depth step, branch), and the
+    push forward is d steps over all rows.
+    """
+    thetas = np.asarray(theta, dtype=float)
+    itin = np.asarray(itinerary, dtype=int)
+    depth = itin.shape[-1]
+    itin = itin.reshape(thetas.size, depth)
+    bases = extend(sys.base, thetas.reshape(-1), depth, policy="given", branches=itin)
+    cur = np.array([b.coords[-1] for b in bases])
+    u = np.zeros_like(cur)
+    v = np.zeros_like(cur)
+    grown = np.empty_like(itin)
+    for k in range(depth):
+        grown[:, depth - 1 - k] = _branch(cur)
+        cur, u, v = _step(sys, cur, u, v)
+    if thetas.ndim:
+        return AttractorBatch(cur, np.column_stack([u, v]), grown)
+    return AttractorPoint(float(cur[0]), (float(u[0]), float(v[0])),
+                          tuple(grown[0].tolist()))
 
 
-def fiber_sample(sys, y, depth, cap=1 << 16):
-    """All 2^depth depth-approximant points of the fiber over y."""
+def check_fiber_depth(depth, cap=FIBER_CAP):
+    """Raise unless a fiber sample of 2^depth points is allowed."""
     if depth < 1:
         raise ValidationError("depth", "must be >= 1")
     if 2 ** depth > cap:
         raise NodeCapError(f"2^{depth} fiber points exceed cap {cap}")
-    out = []
-    for code in range(2 ** depth):
-        itin = tuple((code >> j) & 1 for j in range(depth))
-        out.append(fiber_point(sys, y, itin))
-    return out
+
+
+def fiber_sample(sys, y, depth, cap=FIBER_CAP):
+    """All 2^depth depth-approximant points of the fiber over y, in the
+    order of their itineraries read as binary codes, bit j at step j."""
+    check_fiber_depth(depth, cap)
+    codes = np.arange(2 ** depth)
+    bits = (codes[:, None] >> np.arange(depth)) & 1
+    return fiber_point(sys, np.full(codes.size, y, dtype=float), bits).points()
 
 
 def conjugacy_h(sys, p, j_depth):
-    """Conjugacy to the inverse limit: coordinate j is the base of f^-j(p)."""
+    """Conjugacy to the inverse limit: coordinate j is the base of f^-j(p);
+    one ExtPoint per row for a batch."""
     if j_depth > p.depth:
         raise ValidationError("J", "point lacks backward itinerary data "
                               f"(depth {p.depth} < J={j_depth})")
-    bases = backward_bases(sys, p.theta, p.itinerary[:j_depth])
-    return ExtPoint(tuple(bases))
+    branches = np.asarray(p.itinerary, dtype=int)[..., :j_depth]
+    return extend(sys.base, p.theta, j_depth, policy="given", branches=branches)
 
 
 def holonomy(sys, p, target_theta):
@@ -116,10 +166,19 @@ def holonomy(sys, p, target_theta):
 
 
 def d_attractor(p, q):
-    """Ambient product metric: circle distance plus planar fiber distance."""
-    du = p.disk[0] - q.disk[0]
-    dv = p.disk[1] - q.disk[1]
-    return float(circle_dist(p.theta, q.theta)) + math.hypot(du, dv)
+    """Ambient product metric: circle distance plus planar fiber distance,
+    row by row for batches."""
+    diff = np.subtract(p.disk, q.disk)
+    dist = _metric(p.theta, q.theta, diff[..., 0], diff[..., 1])
+    return dist if dist.ndim else float(dist)
+
+
+def _metric(theta_p, theta_q, du, dv):
+    """d_attractor from the thetas and the disk differences, elementwise.
+    The planar part is math.hypot of each pair, which np.hypot does not
+    round the same way on every pair."""
+    planar = list(map(math.hypot, np.ravel(du).tolist(), np.ravel(dv).tolist()))
+    return circle_dist(theta_p, theta_q) + np.reshape(planar, np.shape(du))
 
 
 def metric_equivalence(sys, samples=1000, depth=16, seed=0):
@@ -130,26 +189,23 @@ def metric_equivalence(sys, samples=1000, depth=16, seed=0):
     d_X(pi p, pi q) + d_M(h(p), q) with h the itinerary-matched holonomy;
     the bracket is (max over the first half, max over all) of
     max(ratio, 1/ratio), so stability under sample growth is visible.
+    All pairs are drawn first, pair by pair, and then built together.
     """
     if samples < 100:
         raise ValidationError("samples", "need at least 100 sample pairs")
     rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        itin_p = tuple(int(b) for b in rng.integers(0, 2, depth))
-        itin_q = tuple(int(b) for b in rng.integers(0, 2, depth))
-        th_p, th_q = rng.random(), rng.random()
-        p = fiber_point(sys, th_p, itin_p)
-        q = fiber_point(sys, th_q, itin_q)
-        moved = holonomy(sys, p, q.theta)
-        mid = float(circle_dist(p.theta, q.theta)) + d_attractor(moved, q)
-        dm = d_attractor(p, q)
-        if mid < 1e-15 or dm < 1e-15:
-            continue
-        r = dm / mid
-        ratios.append(max(r, 1.0 / r))
-    half = max(ratios[: len(ratios) // 2])
-    return float(half), float(max(ratios))
+    draws = [(rng.integers(0, 2, depth), rng.integers(0, 2, depth), rng.random(2))
+             for _ in range(samples)]
+    itin_p, itin_q, thetas = (np.array(col).reshape(samples, -1) for col in zip(*draws))
+    p = fiber_point(sys, thetas[:, 0], itin_p)
+    q = fiber_point(sys, thetas[:, 1], itin_q)
+    moved = holonomy(sys, p, q.theta)
+    mid = circle_dist(p.theta, q.theta) + d_attractor(moved, q)
+    dm = d_attractor(p, q)
+    keep = ~((mid < 1e-15) | (dm < 1e-15))
+    r = dm[keep] / mid[keep]
+    ratios = np.maximum(r, 1.0 / r)
+    return float(np.max(ratios[: ratios.size // 2])), float(np.max(ratios))
 
 
 @dataclass(frozen=True)
@@ -183,56 +239,116 @@ def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
     eps sigma^(n-i) + lam^i eps is reported as a max ratio: the constant it
     hides is the metric-equivalence factor, so ratios slightly above 1 near
     the segment end are expected and only the summed variation is gated.
-    """
-    from .decomposition import pullback_chain
 
+    Every attempt makes the same draws whatever its outcome, so attempts
+    are drawn in order, a chunk at a time, and each chunk is built together
+    (`_bowen_chunk`).  Samples are accepted in attempt order until
+    `n_samples` are in or 50 n_samples attempts are made, and `phi` sees
+    the accepted orbits only, point by point.
+    """
     rng = np.random.default_rng(seed)
     lam = sys.lam_s
     bound = attractor_bowen_bound(sys, dec_cfg, holder_constant,
                                   holder_exponent, eps)
+    cap = 50 * n_samples
     worst = 0.0
     ratio_max = 0.0
     used = 0
     attempts = 0
-    while used < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        depth = n + depth_pad
-        x = float(rng.random())
-        itin = tuple(int(b) for b in rng.integers(0, 2, depth))
-        p = fiber_point(sys, x, itin)
-        # base companion through the contracting chain, fiber offset on top
-        endpoint = (sys.base.orbit(x, n + 1)[0][-1]
-                    + eps * 0.35 * (2.0 * rng.random() - 1.0)) % 1.0
-        chain = pullback_chain(sys.base, x, n, endpoint)
-        q = fiber_point(sys, float(chain[0]), itin)
-        ang = TWO_PI * rng.random()
-        rad = eps * 0.5 * rng.random()
-        q = AttractorPoint(q.theta, (q.disk[0] + rad * math.cos(ang),
-                                     q.disk[1] + rad * math.sin(ang)), q.itinerary)
-        # forward distances; membership in the eps-Bowen ball is required
-        ps, qs = p, q
-        dists = []
-        ok = True
-        for i in range(n):
-            d = d_attractor(ps, qs)
-            dists.append(d)
-            if d > eps:
-                ok = False
-                break
-            ps, qs = apply_f(sys, ps), apply_f(sys, qs)
-        if not ok:
-            continue
-        var = 0.0
-        ps, qs = p, q
-        for i in range(n):
-            var += phi(ps) - phi(qs)
-            ratio_max = max(ratio_max, dists[i] /
-                            (eps * dec_cfg.sigma ** (n - i) + lam**i * eps))
-            ps, qs = apply_f(sys, ps), apply_f(sys, qs)
-        worst = max(worst, abs(var))
-        used += 1
+    while used < n_samples and attempts < cap:
+        # attempts for the samples still needed at the acceptance rate so
+        # far, doubling while none is accepted
+        need = n_samples - used
+        if not attempts:
+            size = need
+        elif not used:
+            size = attempts
+        else:
+            size = -(-need * attempts // used)
+        size = min(size, cap - attempts)
+        attempts += size
+        draws = [_bowen_draws(rng, n_range, depth_pad) for _ in range(size)]
+        for n, dists, ps, qs in _bowen_chunk(sys, eps, draws, need):
+            var = 0.0
+            for i in range(n):
+                var += phi(ps[i]) - phi(qs[i])
+                ratio_max = max(ratio_max, dists[i] /
+                                (eps * dec_cfg.sigma ** (n - i) + lam**i * eps))
+            worst = max(worst, abs(var))
+            used += 1
     if used == 0:
         raise ValidationError("n_samples", "no admissible Bowen companions found")
     return AttractorBowenReport(empirical_max=float(worst), bound=bound,
                                 two_term_max_ratio=float(ratio_max), samples=used)
+
+
+def _bowen_draws(rng, n_range, depth_pad):
+    """One attempt's draws: length n, base point x, the itinerary of depth
+    n + depth_pad, then the uniforms for the end-point shift, the fiber
+    offset angle and its radius."""
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    x = rng.random()
+    itin = rng.integers(0, 2, n + depth_pad)
+    return (n, x, itin, *rng.random(3))
+
+
+def _bowen_chunk(sys, eps, draws, limit):
+    """Yield the first `limit` admissible attempts among `draws`, in order:
+    for each, its length n, the n distances along the forward orbits of the
+    reference point p and its companion q, and those orbits as
+    AttractorPoints.
+
+    q sits over the time-0 end of the base chain that pulls g^n x, shifted
+    by eps 0.35 (2u - 1), back along the orbit of x, with p's itinerary, and
+    is then moved in the fiber by radius eps r / 2 at angle 2 pi a.
+    """
+    ns, xs, itins, shift, angle, radius = zip(*draws)
+    ns, xs, shift, angle, radius = map(np.array, (ns, xs, shift, angle, radius))
+    rows = ns.size
+    orbit = sys.base.orbit(xs, int(ns.max()) + 1)
+    starts = pull_back_ends(sys.base, orbit, ns, eps * 0.35 * (2.0 * shift - 1.0))
+    # p in rows [0, rows), q in rows [rows, 2 rows); one build per depth
+    theta = np.empty(2 * rows)
+    u = np.empty(2 * rows)
+    v = np.empty(2 * rows)
+    depths = np.array([len(it) for it in itins])
+    itin = np.empty((2 * rows, depths.max()), dtype=int)
+    for depth in np.unique(depths).tolist():
+        group = np.flatnonzero(depths == depth)
+        block = np.array([itins[i] for i in group]).reshape(group.size, depth)
+        pts = fiber_point(sys, np.concatenate([xs[group], starts[group]]),
+                          np.vstack([block, block]))
+        both = np.concatenate([group, group + rows])
+        theta[both], u[both], v[both] = pts.theta, pts.disk[:, 0], pts.disk[:, 1]
+        itin[both, :depth] = pts.itinerary
+    angle = TWO_PI * angle
+    radius = eps * 0.5 * radius
+    u[rows:] = u[rows:] + radius * np.cos(angle)
+    v[rows:] = v[rows:] + radius * np.sin(angle)
+    # forward orbits, one step over all rows at a time
+    steps = int(ns.max())
+    thetas, us, vs = (np.empty((steps, 2 * rows)) for _ in range(3))
+    branches = np.empty((steps, 2 * rows), dtype=int)
+    for i in range(steps):
+        thetas[i], us[i], vs[i] = theta, u, v
+        branches[i] = _branch(theta)
+        if i + 1 < steps:
+            theta, u, v = _step(sys, theta, u, v)
+    p, q = slice(0, rows), slice(rows, None)
+    dists = _metric(thetas[:, p], thetas[:, q], us[:, p] - us[:, q], vs[:, p] - vs[:, q])
+    # membership in the eps-Bowen ball is required up to each row's n
+    outside = (dists > eps) & (np.arange(steps)[:, None] < ns)
+
+    def orbit_points(col, n):
+        # at step i the itinerary is the branches of steps i-1, ..., 0,
+        # then the built point's own
+        hist = (branches[:max(n - 1, 0), col][::-1].tolist()
+                + itin[col, :depths[col % rows]].tolist())
+        return [AttractorPoint(t, (a, b), tuple(hist[n - 1 - i:])) for i, (t, a, b) in
+                enumerate(zip(thetas[:n, col].tolist(), us[:n, col].tolist(),
+                              vs[:n, col].tolist()))]
+
+    # one sample's points at a time, as they are used
+    for r in np.flatnonzero(~outside.any(axis=0))[:limit].tolist():
+        n = int(ns[r])
+        yield n, dists[:n, r].tolist(), orbit_points(r, n), orbit_points(r + rows, n)

@@ -124,6 +124,34 @@ def test_solenoid_csv(tmp_path):
     assert "cloud_0," in text
 
 
+def test_solenoid_rejects_overlapping_fibers(tmp_path, capsys):
+    assert run(["solenoid", "--lam-s", "0.3", "--offset", "0.2",
+                "--out", str(tmp_path / "s.csv")]) == 1
+    assert "offset" in capsys.readouterr().err
+
+
+def _no_solenoid_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solenoid work ran before validation")
+
+    for name in ("SolenoidSystem", "metric_equivalence", "attractor_bowen_check"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+def test_negative_cloud_depth_is_rejected_first(tmp_path, capsys, monkeypatch):
+    _no_solenoid_work(monkeypatch)
+    assert run(["solenoid", "--cloud-depth", "-1",
+                "--out", str(tmp_path / "s.csv")]) == 1
+    assert "cloud_depth" in capsys.readouterr().err
+
+
+def test_cloud_depth_over_the_fiber_cap_fails_first(tmp_path, capsys, monkeypatch):
+    _no_solenoid_work(monkeypatch)
+    assert run(["solenoid", "--cloud-depth", "17",
+                "--out", str(tmp_path / "s.csv")]) == 2
+    assert "2^17 fiber points exceed cap 65536" in capsys.readouterr().err
+
+
 def test_check_pass_and_exit_codes(tmp_path):
     out = tmp_path / "c.csv"
     code = run(["check", "--map", "doubling", "--sigma", "0.75",

@@ -1,15 +1,23 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from pressgap.cli import main
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
 from pressgap.extension import hat_g
-from pressgap.solenoid import (AttractorPoint, SolenoidSystem, apply_f,
-                               attractor_bowen_bound, attractor_bowen_check,
-                               conjugacy_h, d_attractor, fiber_point,
-                               fiber_sample, holonomy, metric_equivalence)
+from pressgap.solenoid import (AttractorBatch, AttractorPoint, SolenoidSystem,
+                               apply_f, attractor_bowen_bound,
+                               attractor_bowen_check, conjugacy_h, d_attractor,
+                               fiber_point, fiber_sample, holonomy,
+                               metric_equivalence)
+
+from oracles import (apply_f_scalar, attractor_bowen_check_scalar,
+                     conjugacy_h_scalar, d_attractor_scalar,
+                     fiber_point_scalar, fiber_sample_scalar, holonomy_scalar,
+                     metric_equivalence_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +30,15 @@ def test_parameter_validation():
         SolenoidSystem(0.6, 0.3)      # lam_s >= base contraction
     with pytest.raises(ValidationError):
         SolenoidSystem(0.4, 0.7)      # leaves the solid torus
+
+
+@pytest.mark.parametrize("lam_s, offset", [(0.3, 0.2), (0.3, 0.3), (0.45, 0.45)])
+def test_overlapping_preimage_fibers_are_rejected(lam_s, offset):
+    # the two preimage fibers map to radius-lam_s disks 2 offset apart
+    with pytest.raises(ValidationError) as info:
+        SolenoidSystem(lam_s, offset)
+    assert info.value.field == "offset"
+    SolenoidSystem(lam_s, np.nextafter(max(lam_s, offset), 1.0))
 
 
 def test_apply_f_example(sol):
@@ -158,3 +175,119 @@ def test_attractor_bowen_within_bound(sol):
                                 n_samples=150, seed=0)
     assert rep.within_bound
     assert rep.samples == 150
+
+
+# ---------------------------------------------------------------------------
+# batches against the one-point references, bit for bit
+# ---------------------------------------------------------------------------
+
+def _same_point(p, q):
+    return (p.theta == q.theta and p.disk == q.disk and p.itinerary == q.itinerary
+            and type(p.theta) is type(q.theta) is float)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 24])
+def test_fiber_point_rows_match_reference(sol, rng, depth):
+    thetas = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 0.5], rng.random(40)])
+    itins = rng.integers(0, 2, (thetas.size, depth))
+    itins[:2] = 1     # (1 - ulp + 1) / 2 rounds up to 1.0, the end of the circle
+    batch = fiber_point(sol, thetas, itins)
+    assert isinstance(batch, AttractorBatch) and len(batch) == thetas.size
+    for theta, itin, got in zip(thetas.tolist(), itins.tolist(), batch.points()):
+        ref = fiber_point_scalar(sol, theta, tuple(itin))
+        assert _same_point(got, ref)
+        assert _same_point(fiber_point(sol, theta, tuple(itin)), ref)
+
+
+def test_apply_f_matches_reference(sol, rng):
+    for _ in range(200):
+        p = AttractorPoint(float(rng.random()), tuple(rng.random(2) - 0.5), (1, 0))
+        assert _same_point(apply_f(sol, p), apply_f_scalar(sol, p))
+
+
+def test_fiber_sample_conjugacy_and_holonomy_match_reference(sol, rng):
+    for depth in (1, 2, 5):
+        for got, ref in zip(fiber_sample(sol, 0.77, depth),
+                            fiber_sample_scalar(sol, 0.77, depth), strict=True):
+            assert _same_point(got, ref)
+    thetas = rng.random(30)
+    batch = fiber_point(sol, thetas, rng.integers(0, 2, (30, 12)))
+    targets = rng.random(30)
+    moved = holonomy(sol, batch, targets)
+    rows = conjugacy_h(sol, batch, 9)
+    for i, p in enumerate(batch.points()):
+        assert conjugacy_h(sol, p, 9) == rows[i] == conjugacy_h_scalar(sol, p, 9)
+        ref = holonomy_scalar(sol, p, float(targets[i]))
+        assert _same_point(moved.points()[i], ref)
+        q = moved.points()[i]
+        assert d_attractor(p, q) == d_attractor_scalar(p, q) == \
+            d_attractor(batch, moved)[i]
+
+
+def test_batch_distances_match_reference(rng):
+    # about 0.6% of pairs would differ by an ulp with np.hypot
+    size = 20000
+    p = AttractorBatch(rng.random(size), rng.random((size, 2)) - 0.5,
+                       np.zeros((size, 0), dtype=int))
+    q = AttractorBatch(rng.random(size), rng.random((size, 2)) - 0.5,
+                       np.zeros((size, 0), dtype=int))
+    ref = [d_attractor_scalar(a, b) for a, b in zip(p.points(), q.points())]
+    assert d_attractor(p, q).tolist() == ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("depth", [0, 12])
+def test_metric_equivalence_matches_reference(sol, seed, depth):
+    assert (metric_equivalence(sol, samples=150, depth=depth, seed=seed)
+            == metric_equivalence_scalar(sol, samples=150, depth=depth, seed=seed))
+
+
+def _torus_phi(p):
+    return math.cos(2 * math.pi * p.theta) + 0.5 * p.disk[0] * p.itinerary[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("sigma", [0.6, 0.9])
+@pytest.mark.parametrize("eps", [1.0 / 32.0, 1.0 / 16.0])
+def test_attractor_bowen_check_matches_reference(sol, seed, sigma, eps):
+    args = (sol, DecompositionConfig(sigma), _torus_phi, 2 * math.pi, 1.0, eps)
+    got = attractor_bowen_check(*args, n_samples=60, seed=seed)
+    assert got == attractor_bowen_check_scalar(*args, n_samples=60, seed=seed)
+    assert got.samples == 60
+
+
+def test_attractor_bowen_check_stops_at_the_attempt_cap(sol):
+    # no segment of positive length stays in a ball of negative radius, so
+    # only the n = 0 attempts (1 in 60) are admissible; seed 1 finds 3 of
+    # 5 in the 250 attempts allowed, over several chunks
+    args = (sol, DecompositionConfig(0.6), _torus_phi, 1.0, 1.0, -1.0 / 16.0)
+    kw = dict(n_samples=5, n_range=(0, 59), seed=1)
+    got = attractor_bowen_check(*args, **kw)
+    assert got == attractor_bowen_check_scalar(*args, **kw)
+    assert got.samples == 3
+    for check in (attractor_bowen_check, attractor_bowen_check_scalar):
+        with pytest.raises(ValidationError, match="no admissible Bowen companions"):
+            check(*args, n_samples=2, seed=0)
+
+
+# sha256 of the `solenoid` CSV as the one-point implementation wrote it
+_GOLDEN_CSV = {
+    (0, 0): "735cb703efc6fbe69b13212646e0ce24b5b3aa15412e9e0ab17f0369e9fb7383",
+    (0, 3): "5fd63b1016faef90b16dcbf992cda936284372762b37fb47d3c9de39aa3f94d9",
+    (0, 8): "0a23a634185681ac311968ff9ee4fe240a5fdefe5c9f4605652948fdbbeb23fb",
+    (1, 0): "2cf449ced4b1ac1e02eb4aafa3093111f03d52dd12a9bea3c4bb5cd4fe14db46",
+    (1, 3): "9367c9f7d78bb16b37949f300d852bfcb22d6d6ba56e6a0c664c6a6d46a03ec1",
+    (1, 8): "d74afe833410076b0af80bf6e0eb613a84bd19feb1d809cf8c2e35290416a9a6",
+    (2, 0): "832aeaf327bb7a00b2de10950cd9fcf47fd5d4ac781bc11f4c0aff8b84e81267",
+    (2, 3): "a4314144e0c346d133412e85e938a73c89885309f609c8caccabaef90d43f769",
+    (2, 8): "8a698a1643890f6ed54c34843478d3f1b06e08272df2060b407c66255b5eab70",
+}
+
+
+@pytest.mark.parametrize("seed, cloud_depth", sorted(_GOLDEN_CSV))
+def test_solenoid_csv_is_unchanged(tmp_path, seed, cloud_depth):
+    out = tmp_path / "s.csv"
+    assert main(["solenoid", "--samples", "100", "--seed", str(seed),
+                 "--cloud-depth", str(cloud_depth), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _GOLDEN_CSV[seed, cloud_depth]
