@@ -81,6 +81,17 @@ def extend(system, x, depth, policy="lex-min", rng=None, branches=None):
     (step, branch); 'random' then draws row by row, and 'given' takes one
     row of `branches` per start.
     """
+    coords = extend_coords(system, x, depth, policy, rng, branches)
+    points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
+    return points if np.ndim(x) else points[0]
+
+
+def extend_coords(system, x, depth, policy="lex-min", rng=None, branches=None):
+    """The coordinates of `extend`'s backward orbits, as one array.
+
+    Row k of the (depth + 1, starts) result holds the k-th preimage of every
+    start; a scalar start gives one column.
+    """
     if depth < 0:
         raise ValidationError("depth", "must be >= 0")
     starts = np.asarray(x, dtype=float) % 1.0
@@ -102,8 +113,7 @@ def extend(system, x, depth, policy="lex-min", rng=None, branches=None):
     coords[0] = starts
     for i in range(depth):
         coords[i + 1] = _branch_step(system, coords[i], chosen[:, i])
-    points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
-    return points if starts.ndim else points[0]
+    return coords
 
 
 def _branch_step(system, y, branch):

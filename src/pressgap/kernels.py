@@ -18,64 +18,122 @@ def backend():
 
 
 # ---------------------------------------------------------------------------
-# greedy (n, eps)-separated selection
+# greedy (n, eps)-separated selection on a sparse conflict graph
 #
 # Processing follows `order`; a candidate is kept iff its Bowen distance to
-# every previously kept candidate is >= eps.  A Bowen distance below eps
-# implies circle distances below eps at every time, so with the pool sorted
-# on column 0 a kept row need only look at the rows in its circular time-0
-# window (found by binary search).  Those are screened on the last column,
-# where an expanding map has spread neighbours furthest apart, and the
-# survivors get the full test.  Each screen is the same elementwise test as
-# the full one, so the keep-mask is the same as comparing with every row.
+# every previously kept candidate is >= eps.  The conflicts (pairs of rows
+# at Bowen distance < eps) are found first, in one vectorised pass, and the
+# greedy walk then only reads them.  A Bowen distance below eps implies
+# circle distances below eps at every time, so with the pool sorted on
+# column 0 the conflicts of a row lie in its circular time-0 window.  The
+# window pairs are screened on the last column first, where an expanding
+# map has spread neighbours furthest apart, and the survivors on each
+# earlier column in turn.  Each screen is the elementwise test of the full
+# Bowen distance restricted to one column, and |x - y| is exactly |y - x|,
+# so the graph holds exactly the pairs the quadratic reference would find,
+# and the keep-mask is the same.
 # ---------------------------------------------------------------------------
 
+# Window pairs screened per vectorised step; bounds the temporaries of the
+# discovery pass at a few MB whatever the pool size.
+_PAIR_CHUNK = 1 << 16
+
+
+def _window_pairs(x0, half):
+    """Sorted-row pairs (i, j), i < j, whose time-0 values lie within `half`
+    of each other on the circle, in chunks of at most `_PAIR_CHUNK` pairs.
+
+    Row i's pairs are the rows after it up to x0[i] + half and the rows from
+    x0[i] + 1 - half on (the wrap at 0/1); a circle distance below `half`
+    puts a row in one of the two, and the two never overlap.
+    """
+    n = x0.size
+    below = np.arange(1, n + 1)
+    if 2.0 * half >= 1.0:
+        ahead = wrap = np.full(n, n)
+    else:
+        ahead = np.maximum(np.searchsorted(x0, x0 + half), below)
+        wrap = np.maximum(np.searchsorted(x0, x0 + 1.0 - half), ahead)
+    # one segment of consecutive sorted rows per (row, window part)
+    owner = np.concatenate((below - 1, below - 1))
+    first = np.concatenate((below, wrap))
+    count = np.concatenate((ahead - below, n - wrap))
+    ends = np.cumsum(count)
+    # pair p of segment s is (owner[s], p + shift[s])
+    shift = first - (ends - count)
+    total = int(ends[-1])
+    for lo in range(0, total, _PAIR_CHUNK):
+        hi = min(total, lo + _PAIR_CHUNK)
+        s0, s1 = np.searchsorted(ends, (lo, hi - 1), side="right").tolist()
+        per_seg = count[s0:s1 + 1].copy()
+        per_seg[0] -= lo - (ends[s0] - count[s0])
+        per_seg[-1] -= ends[s1] - hi
+        yield (np.repeat(owner[s0:s1 + 1], per_seg),
+               np.arange(lo, hi) + np.repeat(shift[s0:s1 + 1], per_seg))
+
+
+def _conflict_graph(cols, eps):
+    """CSR adjacency (indptr, neighbours) of the rows at Bowen distance
+    < eps from each other.  `cols` holds one time step per row, last time
+    first, with the pool sorted on time 0 (so `cols[-1]` is sorted)."""
+    n = cols.shape[1]
+    found_i, found_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, j in _window_pairs(cols[-1], eps + _WINDOW_PAD):
+        for col in cols:
+            dist = np.abs(col[i] - col[j])
+            near = np.flatnonzero(np.minimum(dist, 1.0 - dist) < eps)
+            i, j = i[near], j[near]
+            if near.size == 0:
+                break
+        found_i.append(i)
+        found_j.append(j)
+    src = np.concatenate(found_i + found_j)
+    dst = np.concatenate(found_j + found_i)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
 def greedy_separated(orbits, order, eps):
-    """Boolean keep-mask of the greedy maximal (n, eps)-separated subset."""
-    orbits = np.ascontiguousarray(orbits, dtype=np.float64)
-    order = np.ascontiguousarray(order, dtype=np.int64)
+    """Boolean keep-mask of the greedy maximal (n, eps)-separated subset.
+
+    Builds the conflict graph of the pool, then walks `order` keeping each
+    row still alive and marking its neighbours dead.  Time is O(time-0
+    window pairs + conflicts) and memory O(conflicts), with the window pairs
+    screened `_PAIR_CHUNK` at a time.  The pools built inside the package
+    are cylinder-tree pools: at most degree**refine representatives per
+    n-cylinder, so few rows conflict and the graph is sparse.  A dense pool,
+    where most rows conflict (e.g. thousands of uniform points passed as
+    `candidates=` at n = 1 and a large eps), costs time and memory in the
+    number of conflicting pairs, which grows with the square of the pool.
+    """
+    orbits = np.asarray(orbits, dtype=np.float64)
+    order = np.asarray(order, dtype=np.int64)
     eps = float(eps)
     n_cand = orbits.shape[0]
     keep = np.zeros(n_cand, dtype=bool)
     if n_cand == 0:
         return keep
     by_x0 = np.argsort(orbits[:, 0], kind="stable")
-    rows = orbits[by_x0]
-    x0, last = rows[:, 0], np.ascontiguousarray(rows[:, -1])
     rank = np.empty(n_cand, dtype=np.int64)
     rank[by_x0] = np.arange(n_cand)
-    # windows[r] = (a, b, c, d): sorted rows [0, a), [b, c) and [d, n_cand)
-    # hold every time-0 neighbour of sorted row r; the outer two are the
-    # wrap at 0/1
-    half = eps + _WINDOW_PAD
-    if 2.0 * half >= 1.0:
-        windows = np.tile([0, 0, n_cand, n_cand], (n_cand, 1))
-    else:
-        windows = np.searchsorted(x0, np.stack(
-            (x0 - 1.0 + half, x0 - half, x0 + half, x0 + 1.0 - half), axis=1))
-    windows = windows.tolist()
-    # alive[r] == True while sorted row r is >= eps away from every kept row
-    alive = np.ones(n_cand, dtype=bool)
+    # last time first: the last column screens out the most window pairs
+    cols = np.ascontiguousarray(orbits[by_x0, ::-1].T)
+    indptr, neighbours = _conflict_graph(cols, eps)
+    indptr = indptr.tolist()
+    # dead[r] is set once sorted row r is kept or conflicts with a kept row;
+    # the array shares its bytes, for marking a neighbour list in one call
+    dead = bytearray(n_cand)
+    dead_arr = np.frombuffer(dead, dtype=bool)
     kept = []
     for r in rank[order].tolist():
-        if not alive[r]:
+        if dead[r]:
             continue
         kept.append(r)
-        alive[r] = False
-        row = rows[r]
-        a, b, c, d = windows[r]
-        for lo, hi in ((0, a), (b, c), (d, n_cand)):
-            if lo >= hi:
-                continue
-            dist = np.abs(last[lo:hi] - row[-1])
-            near = np.minimum(dist, 1.0 - dist) < eps
-            near &= alive[lo:hi]
-            cand = lo + np.flatnonzero(near)
-            if cand.size == 0:
-                continue
-            dist = np.abs(rows[cand] - row)
-            dist = np.minimum(dist, 1.0 - dist)
-            alive[cand[dist.max(axis=1) < eps]] = False
+        dead[r] = 1
+        lo, hi = indptr[r], indptr[r + 1]
+        if lo < hi:
+            dead_arr[neighbours[lo:hi]] = True
     keep[by_x0[kept]] = True
     return keep
 
@@ -110,11 +168,3 @@ def pairwise_bowen(orbits):
             np.maximum(rows, d, out=rows)
     return out
 
-
-def min_bowen_distance(orbits):
-    """Smallest pairwise Bowen distance among orbit rows (inf for < 2 rows)."""
-    if orbits.shape[0] < 2:
-        return np.inf
-    d = pairwise_bowen(orbits)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())

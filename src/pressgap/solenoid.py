@@ -15,7 +15,7 @@ import numpy as np
 
 from .decomposition import pull_back_ends
 from .errors import NodeCapError, ValidationError
-from .extension import extend
+from .extension import extend, extend_coords
 from .maps import TWO_PI, circle_dist, doubling
 
 # largest fiber sample (2^depth points) that fiber_sample builds by default
@@ -119,8 +119,8 @@ def fiber_point(sys, theta, itinerary):
     itin = np.asarray(itinerary, dtype=int)
     depth = itin.shape[-1]
     itin = itin.reshape(thetas.size, depth)
-    bases = extend(sys.base, thetas.reshape(-1), depth, policy="given", branches=itin)
-    cur = np.array([b.coords[-1] for b in bases])
+    cur = extend_coords(sys.base, thetas.reshape(-1), depth, policy="given",
+                        branches=itin)[-1]
     u = np.zeros_like(cur)
     v = np.zeros_like(cur)
     grown = np.empty_like(itin)

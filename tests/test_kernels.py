@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import pressgap as pg
 from pressgap import kernels
-from pressgap.orbits import greedy_cover
+from pressgap.decomposition import BadCollection, DecompositionConfig
+from pressgap.orbits import (DEFAULT_ANCHOR, DEFAULT_NODE_CAP, FullCollection,
+                             _candidate_pool, greedy_cover)
 from pressgap.pressure import katok_sn
 
 from oracles import (greedy_cover_counts, greedy_cover_dense,
@@ -53,6 +56,19 @@ def test_greedy_separated_semantics(seed):
 
 ONE_MINUS_ULP = float(np.nextafter(1.0, 0.0))
 EPS_VALUES = (1e-3, 1.0 / 32.0, 0.3, 0.5, 0.75)
+# the default window-pair budget, and one so small that every pool's
+# window pairs cross chunk boundaries
+PAIR_CHUNKS = (kernels._PAIR_CHUNK, 3)
+
+
+def greedy_at_each_chunk(orbits, order, eps):
+    """The kernel's keep-masks under each budget in PAIR_CHUNKS."""
+    masks = []
+    for chunk in PAIR_CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_PAIR_CHUNK", chunk)
+            masks.append(kernels.greedy_separated(orbits, order, eps))
+    return masks
 
 
 @st.composite
@@ -92,9 +108,10 @@ def pools(draw):
 @given(pool=pools())
 def test_sweep_matches_quadratic_reference(pool):
     orbits, order, eps = pool
-    keep = kernels.greedy_separated(orbits, order, eps)
-    assert keep.dtype == bool and keep.shape == (orbits.shape[0],)
-    assert np.array_equal(keep, greedy_separated_quadratic(orbits, order, eps))
+    ref = greedy_separated_quadratic(orbits, order, eps)
+    for keep in greedy_at_each_chunk(orbits, order, eps):
+        assert keep.dtype == bool and keep.shape == (orbits.shape[0],)
+        assert np.array_equal(keep, ref)
 
 
 @pytest.mark.parametrize("eps", EPS_VALUES)
@@ -107,8 +124,43 @@ def test_sweep_matches_quadratic_reference(pool):
 def test_sweep_edge_pools(rows, eps):
     orbits = np.array(rows, dtype=float).reshape(len(rows), 2)
     for order in (np.arange(len(rows)), np.arange(len(rows))[::-1]):
-        keep = kernels.greedy_separated(orbits, order, eps)
-        assert np.array_equal(keep, greedy_separated_quadratic(orbits, order, eps))
+        ref = greedy_separated_quadratic(orbits, order, eps)
+        for keep in greedy_at_each_chunk(orbits, order, eps):
+            assert np.array_equal(keep, ref)
+
+
+@pytest.mark.parametrize("coll", [FullCollection(),
+                                  BadCollection(DecompositionConfig(0.6))],
+                         ids=["full", "bad"])
+@pytest.mark.parametrize("map_name", ["doubling_map", "mp_map", "perturbed_map"])
+def test_tree_pools_match_quadratic_reference(request, map_name, coll):
+    # the pools the package builds: depth-n cylinder representatives, or
+    # refine-4 representatives filtered to the bad collection (empty for
+    # the doubling map, whose every segment is good)
+    system = request.getfixturevalue(map_name)
+    phi = pg.geometric_potential(system, 1.0)
+    for n in (1, 5, 9):
+        for eps in (1.0 / 16.0, 1.0 / 32.0):
+            _, orbits, _, by_weight = _candidate_pool(
+                system, coll, n, eps, phi, None, DEFAULT_ANCHOR, DEFAULT_NODE_CAP)
+            for order in (np.arange(orbits.shape[0]), by_weight):
+                keep = kernels.greedy_separated(orbits, order, eps)
+                assert np.array_equal(
+                    keep, greedy_separated_quadratic(orbits, order, eps))
+
+
+def test_greedy_memory_stays_bounded(doubling_map):
+    # a depth-14 pool has millions of time-0 window pairs; they are screened
+    # a chunk at a time, so the peak stays a few MB
+    orbits = pg.CylinderTree(doubling_map, 14).orbit_matrix(14)
+    order = np.arange(orbits.shape[0])
+    tracemalloc.start()
+    try:
+        kernels.greedy_separated(orbits, order, 1.0 / 32.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_backend_is_numpy():
@@ -123,12 +175,6 @@ def test_pairwise_bowen_values():
     assert d[1, 2] == pytest.approx(0.35)
     assert np.all(d == d.T)
     assert np.all(np.diag(d) == 0.0)
-
-
-def test_min_bowen_distance():
-    orbits = np.array([[0.0, 0.0], [0.5, 0.5]])
-    assert kernels.min_bowen_distance(orbits) == pytest.approx(0.5)
-    assert kernels.min_bowen_distance(orbits[:1]) == np.inf
 
 
 @settings(max_examples=200, deadline=None)
