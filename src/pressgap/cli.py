@@ -63,6 +63,9 @@ DEFAULTS = {
 # holds 33 samples of each, so this bounds the call's memory
 _DECOMPOSE_POINTS = 1 << 12
 
+# transfer CSV rows formatted per chunk
+_ROW_CHUNK = 1 << 10
+
 _FLOAT_FIELDS = ("sigma", "eps", "a", "lam_s", "offset")
 _INT_FIELDS = ("n_max", "grid_size", "depth", "seed", "workers", "samples",
                "length_min", "length_max", "group_size", "k_max", "cloud_depth")
@@ -195,12 +198,17 @@ class Writer:
         self.lines.append(",".join(fmt(v) for v in values))
 
     def flush(self):
-        text = "\n".join(self.lines) + "\n"
         if self.path:
             with open(self.path, "w") as fh:
-                fh.write(text)
+                self._write(fh)
         else:
-            sys.stdout.write(text)
+            self._write(sys.stdout)
+
+    def _write(self, fh):
+        # line by line: the file never exists as one string in memory
+        for line in self.lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _eps_values(cfg):
@@ -314,9 +322,15 @@ def cmd_transfer(cfg):
     w = Writer(cfg["out"], cfg, ["node", "x", "h", "nu", "density"])
     w.lines[0] += (f" lambda={fmt(eigen.lam)} log_lambda={fmt(eigen.log_lam)}"
                    f" iterations={eigen.iterations} residual={fmt(eigen.residual)}")
-    for i in range(op.size):
-        w.row(i, op.nodes[i], eigen.eigenfunction[i], eigen.eigenmeasure[i],
-              eigen.equilibrium_density[i])
+    cols = (op.nodes, eigen.eigenfunction, eigen.eigenmeasure,
+            eigen.equilibrium_density)
+    # "%.17g" gives the bytes of fmt; each chunk of rows becomes one string,
+    # so the Python floats and row strings alive at a time stay few
+    for lo in range(0, op.size, _ROW_CHUNK):
+        chunk = [c[lo:lo + _ROW_CHUNK].tolist() for c in cols]
+        w.lines.append("\n".join(
+            "%d,%.17g,%.17g,%.17g,%.17g" % row
+            for row in zip(range(lo, lo + len(chunk[0])), *chunk)))
     w.flush()
     return 0
 

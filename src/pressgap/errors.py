@@ -30,7 +30,7 @@ class GluingError(PressgapError):
 
 
 class ConvergenceError(PressgapError):
-    """Power iteration on the transfer operator did not converge."""
+    """The transfer-operator eigensolver did not converge."""
 
 
 class CoverError(PressgapError):

@@ -2,12 +2,15 @@
 
 The operator (L psi)(x) = sum over branches of e^(phi(y_b)) psi(y_b), with
 y_b the branch preimages of x, is tabulated on a uniform circle grid with
-linear interpolation between nodes.  Power iteration gives the leading
-eigenvalue lambda (pressure = log lambda), the eigenfunction, and -- through
-the adjoint -- the eigenmeasure; their renormalized product is the
+linear interpolation between nodes.  Its leading eigenvalue lambda
+(pressure = log lambda), the eigenfunction, and -- through the adjoint --
+the eigenmeasure come from a restarted Arnoldi start finished by a few power
+steps; the renormalized product of eigenfunction and eigenmeasure is the
 equilibrium density.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,49 +79,160 @@ class EigenData:
     eigenfunction: np.ndarray       # normalized to max = 1
     eigenmeasure: np.ndarray        # nonnegative, sums to 1
     equilibrium_density: np.ndarray  # h * nu, renormalized
-    iterations: int
+    iterations: int                 # operator applications, both sides
     residual: float
-    converged: bool
 
 
-def _power_iterate(apply_fn, size, tol, max_iters):
-    psi = np.ones(size)
-    rq_prev = np.inf
+# Arnoldi basis dimension between restarts
+_KRYLOV_DIM = 10
+# a new basis vector this small against the applied vector's norm means
+# the Krylov subspace is invariant (lucky breakdown)
+_BREAKDOWN = 1e-14
+
+
+# Sums of products avoid BLAS: a threaded BLAS splits long dot products and
+# matrix-vector products between threads and so rounds them differently for
+# different thread counts.  The scalars the stopping tests read use numpy's
+# pairwise summation; the Arnoldi basis uses einsum, which is faster but
+# sums term by term.
+
+def _dot(a, b):
+    return float(np.sum(a * b))
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+def _basis_norm(a):
+    return math.sqrt(np.einsum("i,i->", a, a))
+
+
+def _krylov_start(apply, basis, tol, budget):
+    """Unit vector near the leading eigenvector, by restarted Arnoldi.
+
+    Starts from the normalized constant vector.  Each cycle applies the
+    operator to its unit start vector x, which is both the stopping test,
+    ||L x - theta x||_2 <= tol * theta with theta = x . L x, and the first
+    Arnoldi step.  It fills up to _KRYLOV_DIM rows of `basis` by classical
+    Gram-Schmidt applied twice and restarts from the real part of the Ritz
+    vector of the rightmost Ritz value, its sign chosen so that its entries
+    sum to a positive number.  Returns the vector and the number of
+    applications made.
+    """
+    size = basis.shape[1]
+    x = np.full(size, 1.0 / math.sqrt(size))
+    hess = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))
+    used = 0
+    while True:
+        if used >= budget:
+            raise ConvergenceError(
+                f"no convergence in {budget} operator applications (last "
+                f"Krylov residual {res:.3g}); spectral gap may be absent "
+                f"at this scale")
+        w = apply(x)
+        used += 1
+        theta = _dot(w, x)
+        res = _norm(w - theta * x) / abs(theta)
+        if res <= tol:
+            return x, used
+        basis[0] = x
+        hess[:] = 0.0
+        dim = _KRYLOV_DIM
+        for j in range(_KRYLOV_DIM):
+            if j > 0:
+                if used >= budget:
+                    dim = j
+                    break
+                w = apply(basis[j])
+                used += 1
+            w_norm = _basis_norm(w)
+            v = basis[:j + 1]
+            c = np.einsum("ij,j->i", v, w)
+            w -= np.einsum("i,ij->j", c, v)
+            c2 = np.einsum("ij,j->i", v, w)
+            w -= np.einsum("i,ij->j", c2, v)
+            hess[:j + 1, j] = c + c2
+            beta = _basis_norm(w)
+            if beta <= _BREAKDOWN * w_norm:
+                dim = j + 1
+                break
+            if j + 1 < _KRYLOV_DIM:
+                hess[j + 1, j] = beta
+                np.divide(w, beta, out=basis[j + 1])
+        vals, vecs = np.linalg.eig(hess[:dim, :dim])
+        x = np.einsum("i,ij->j", vecs[:, np.argmax(vals.real)].real,
+                      basis[:dim])
+        x /= math.copysign(_norm(x), x.sum())
+
+
+def _power_finish(apply, psi, tol, max_iters):
+    """Power steps from a nonnegative start until successive Rayleigh
+    quotients differ by less than `tol`.  Returns the vector the last step
+    was applied to, its image under the operator, the Rayleigh quotient and
+    the number of steps."""
+    rq_prev = step = math.inf
     for it in range(1, max_iters + 1):
-        nxt = apply_fn(psi)
+        nxt = apply(psi)
         if np.any(nxt <= 0.0):
             raise ConvergenceError("power iteration lost positivity")
-        rq = float(nxt @ psi / (psi @ psi))
-        psi = nxt / np.linalg.norm(nxt)
-        if abs(rq - rq_prev) < tol:
-            return psi, rq, it
+        rq = _dot(nxt, psi) / _dot(psi, psi)
+        step = abs(rq - rq_prev)
+        if step < tol:
+            return psi, nxt, rq, it
         rq_prev = rq
+        psi = nxt / _norm(nxt)
     raise ConvergenceError(
-        f"no convergence in {max_iters} iterations (last Rayleigh step "
-        f"{abs(rq - rq_prev):.3g}); spectral gap may be absent at this scale")
+        f"power steps did not settle within the {max_iters} operator "
+        f"applications left (last Rayleigh step {step:.3g}); spectral gap "
+        f"may be absent at this scale")
+
+
+def _leading_vector(apply, basis, tol, max_iters):
+    x, used = _krylov_start(apply, basis, tol, max_iters)
+    psi, image, rq, steps = _power_finish(apply, np.abs(x), tol,
+                                          max_iters - used)
+    return psi, image, rq, used + steps
 
 
 def leading_eigen(op, tol=1e-13, max_iters=20000):
-    """Leading eigendata of the operator by forward and adjoint power iteration.
+    """Leading eigendata of the operator, forward and adjoint.
 
-    Raises ConvergenceError when successive Rayleigh quotients fail to settle
-    within `max_iters` -- surfaced, not hidden, since intermittent regimes
-    can lack a spectral gap.
+    Each side starts with restarted Arnoldi (`_krylov_start`) until the
+    relative residual of a unit vector is at most `tol`, then finishes with
+    power steps from the entrywise absolute value of that vector until
+    successive Rayleigh quotients differ by less than `tol`.  Power steps
+    with the nonnegative operator keep every entry of h and nu positive,
+    which Arnoldi alone guarantees only in norm.  h and nu are the vectors
+    the last power step of each side was applied to, so the residual
+    max |L h - lambda h| needs no further application.  `max_iters` bounds
+    the operator applications of each side over both phases, and
+    `EigenData.iterations` counts the applications made on both sides.
+
+    Raises ValidationError for a `tol` that is not a positive finite number
+    or a `max_iters` that is not an integer >= 1, and ConvergenceError when
+    a side runs out of applications or a power step loses positivity --
+    surfaced, not hidden, since intermittent regimes can lack a spectral
+    gap.
     """
-    if tol <= 0:
-        raise ValidationError("tol", "must be positive")
-    h, lam, it_f = _power_iterate(lambda v: apply_operator(op, v), op.size,
-                                  tol, max_iters)
-    nu, lam_adj, it_a = _power_iterate(lambda v: apply_adjoint(op, v), op.size,
-                                       tol, max_iters)
-    h = h / h.max()
+    if not 0.0 < tol < math.inf:
+        raise ValidationError("tol", "must be a positive finite number")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValidationError("max_iters", "must be an integer >= 1")
+    basis = np.empty((_KRYLOV_DIM, op.size))
+    h, image, lam, it_f = _leading_vector(lambda v: apply_operator(op, v),
+                                          basis, tol, max_iters)
+    nu, _, _, it_a = _leading_vector(lambda v: apply_adjoint(op, v),
+                                     basis, tol, max_iters)
+    scale = h.max()
+    residual = float(np.max(np.abs(image - lam * h))) / scale
+    h = h / scale
     nu = nu / nu.sum()
     dens = h * nu
     dens = dens / dens.sum()
-    residual = float(np.max(np.abs(apply_operator(op, h) - lam * h)))
     return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
                      eigenmeasure=nu, equilibrium_density=dens,
-                     iterations=it_f + it_a, residual=residual, converged=True)
+                     iterations=it_f + it_a, residual=residual)
 
 
 @dataclass(frozen=True)

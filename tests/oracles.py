@@ -8,10 +8,14 @@ earlier code, kept so that the faster paths can be compared with it bit for
 bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
 dense cover, the one-point samplers for backward orbits and Bowen
 companions, the one-point solenoid fibers, metric-equivalence sampler and
-attractor Bowen check, and the fixed-step bisection inverse-branch solver.
+attractor Bowen check, the fixed-step bisection inverse-branch solver, and
+the plain forward/adjoint power iteration for transfer-operator eigendata.
 """
 
 import numpy as np
+
+from pressgap.errors import ConvergenceError, ValidationError
+from pressgap.transfer import EigenData, apply_adjoint, apply_operator
 
 
 def circ(x, y):
@@ -468,3 +472,40 @@ def attractor_bowen_check_scalar(sys, dec_cfg, phi, holder_constant,
         raise ValidationError("n_samples", "no admissible Bowen companions found")
     return AttractorBowenReport(empirical_max=float(worst), bound=bound,
                                 two_term_max_ratio=float(ratio_max), samples=used)
+
+
+def _power_iterate(apply_fn, size, tol, max_iters):
+    psi = np.ones(size)
+    rq_prev = np.inf
+    for it in range(1, max_iters + 1):
+        nxt = apply_fn(psi)
+        if np.any(nxt <= 0.0):
+            raise ConvergenceError("power iteration lost positivity")
+        rq = float(nxt @ psi / (psi @ psi))
+        psi = nxt / np.linalg.norm(nxt)
+        if abs(rq - rq_prev) < tol:
+            return psi, rq, it
+        rq_prev = rq
+    raise ConvergenceError(
+        f"no convergence in {max_iters} iterations (last Rayleigh step "
+        f"{abs(rq - rq_prev):.3g}); spectral gap may be absent at this scale")
+
+
+def leading_eigen_power(op, tol=1e-13, max_iters=20000):
+    """Leading eigendata of the operator by forward and adjoint power
+    iteration from the constant vector, stopping when successive Rayleigh
+    quotients differ by less than `tol`."""
+    if tol <= 0:
+        raise ValidationError("tol", "must be positive")
+    h, lam, it_f = _power_iterate(lambda v: apply_operator(op, v), op.size,
+                                  tol, max_iters)
+    nu, lam_adj, it_a = _power_iterate(lambda v: apply_adjoint(op, v), op.size,
+                                       tol, max_iters)
+    h = h / h.max()
+    nu = nu / nu.sum()
+    dens = h * nu
+    dens = dens / dens.sum()
+    residual = float(np.max(np.abs(apply_operator(op, h) - lam * h)))
+    return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
+                     eigenmeasure=nu, equilibrium_density=dens,
+                     iterations=it_f + it_a, residual=residual)

@@ -93,6 +93,21 @@ def test_transfer_csv(tmp_path):
     assert len(lines) == 66
 
 
+def test_transfer_rows_match_fmt(tmp_path):
+    # 2500 rows cross the row-chunk boundaries and end inside a chunk
+    out = tmp_path / "t.csv"
+    assert run(["transfer", "--map", "manneville_pomeau", "--potential",
+                "geometric", "--grid-size", "2500", "--out", str(out)]) == 0
+    system = pg.manneville_pomeau(0.5)
+    op = pg.build_operator(system, pg.geometric_potential(system, 1.0), 2500)
+    eigen = pg.leading_eigen(op)
+    expected = [",".join(fmt(v) for v in (i, op.nodes[i], eigen.eigenfunction[i],
+                                          eigen.eigenmeasure[i],
+                                          eigen.equilibrium_density[i]))
+                for i in range(op.size)]
+    assert read(out).split("\n")[2:] == expected + [""]
+
+
 def test_gap_report_csv(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["gap-report", "--map", "manneville_pomeau",

@@ -1,14 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import pressgap as pg
+from pressgap import transfer
 from pressgap.errors import ConvergenceError, ValidationError
 from pressgap.orbits import FullCollection
 from pressgap.pressure import pressure_at_scale
 from pressgap.transfer import (apply_operator, build_operator,
                                check_equilibrium, leading_eigen)
+
+from oracles import leading_eigen_power
 
 
 def test_operator_action_examples(doubling_map):
@@ -37,10 +43,13 @@ def test_doubling_leading_eigen(doubling_map):
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_constant_weight_family(doubling_map, t):
-    phi = pg.constant_potential(-t * math.log(2.0))
-    op = build_operator(doubling_map, phi, 1024)
+    # the constant vector is an eigenvector, so lambda comes out exact
+    c = -t * math.log(2.0)
+    op = build_operator(doubling_map, pg.constant_potential(c), 1024)
     eigen = leading_eigen(op)
     assert abs(eigen.lam - 2.0 ** (1.0 - t)) < 1e-10
+    assert abs(eigen.lam - 2.0 * math.exp(c)) <= 1e-15 * eigen.lam
+    assert np.all(eigen.eigenfunction == 1.0)
 
 
 def test_lambda_scaling_under_constant_shift(perturbed_map):
@@ -93,3 +102,105 @@ def test_mp_pressure_cross_check(mp_map):
     est = pressure_at_scale(mp_map, pg.zero_potential(), FullCollection(),
                             1.0 / 32.0, 10)
     assert abs(eigen.log_lam - est.rate) <= 0.1
+
+
+def _scipy_eigen(op):
+    """lambda, h (max 1) and nu (max 1) from ARPACK on the sparse matrix of
+    the operator's interpolation stencils."""
+    rows = np.broadcast_to(np.arange(op.size), op.stencil_idx.shape)
+    matrix = scipy.sparse.csr_matrix(
+        (op.stencil_w.ravel(), (rows.ravel(), op.stencil_idx.ravel())),
+        shape=(op.size, op.size))
+    out = []
+    for m in (matrix, matrix.T.tocsr()):
+        vals, vecs = scipy.sparse.linalg.eigs(m, k=1, which="LR",
+                                              v0=np.ones(op.size), tol=0)
+        vec = np.abs(vecs[:, 0].real)
+        out.append((vals[0].real, vec / vec.max()))
+    (lam, h), (_, nu) = out
+    return lam, h, nu
+
+
+@pytest.mark.parametrize("system, grid", [
+    (pg.manneville_pomeau(0.5), 2048),
+    (pg.perturbed_doubling(0.75), 4096),
+])
+def test_eigendata_matches_scipy(system, grid):
+    op = build_operator(system, pg.geometric_potential(system, 1.0), grid)
+    lam, h, nu = _scipy_eigen(op)
+    eigen = leading_eigen(op)
+    assert abs(eigen.lam - lam) <= 1e-12 * lam
+    assert np.max(np.abs(eigen.eigenfunction - h)) <= 1e-9
+    assert np.max(np.abs(eigen.eigenmeasure / eigen.eigenmeasure.max() - nu)) <= 1e-9
+    assert eigen.residual < 1e-12
+
+
+def test_krylov_beats_power_reference(mp_map):
+    op = build_operator(mp_map, pg.geometric_potential(mp_map, 1.0), 2048)
+    lam, h, nu = _scipy_eigen(op)
+    fast, slow = leading_eigen(op), leading_eigen_power(op)
+    assert fast.iterations < slow.iterations
+    assert abs(fast.lam - lam) <= abs(slow.lam - lam)
+    assert (np.max(np.abs(fast.eigenfunction - h))
+            <= np.max(np.abs(slow.eigenfunction - h)))
+    assert fast.residual <= slow.residual
+
+
+def test_positivity_where_arnoldi_alone_goes_negative():
+    # plain Arnoldi leaves an eigenmeasure entry of about -3e-20 here
+    system = pg.manneville_pomeau(0.8)
+    eigen = leading_eigen(build_operator(system, pg.zero_potential(), 2048))
+    assert np.all(eigen.eigenfunction > 0.0)
+    assert np.all(eigen.eigenmeasure > 0.0)
+    assert np.all(eigen.equilibrium_density > 0.0)
+
+
+def test_lucky_breakdown_on_rank_two_operator(monkeypatch):
+    # the Krylov space of the constant vector is 3-dimensional, so Arnoldi
+    # breaks down at its third step and the Ritz pair is exact
+    rng = np.random.default_rng(3)
+    size = 64
+    u, w = rng.uniform(0.5, 1.5, (2, 2, size))
+    matrix = np.outer(u[0], w[0]) + np.outer(u[1], w[1])
+    monkeypatch.setattr(transfer, "apply_operator", lambda op, v: matrix @ v)
+    monkeypatch.setattr(transfer, "apply_adjoint", lambda op, m: matrix.T @ m)
+    eigen = leading_eigen(SimpleNamespace(size=size))
+    vals, vecs = np.linalg.eig(matrix)
+    top = np.argmax(vals.real)
+    h = np.abs(vecs[:, top].real)
+    assert eigen.lam == pytest.approx(vals[top].real, rel=1e-13)
+    assert np.allclose(eigen.eigenfunction, h / h.max(), rtol=0, atol=1e-12)
+    assert eigen.iterations <= 2 * (3 + 1 + 2)
+
+
+def test_iterations_count_operator_applications(monkeypatch, mp_map):
+    op = build_operator(mp_map, pg.geometric_potential(mp_map, 0.5), 512)
+    calls = {"forward": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(transfer, "apply_operator",
+                        counted("forward", transfer.apply_operator))
+    monkeypatch.setattr(transfer, "apply_adjoint",
+                        counted("adjoint", transfer.apply_adjoint))
+    eigen = leading_eigen(op)
+    assert calls["forward"] > 0 and calls["adjoint"] > 0
+    assert eigen.iterations == calls["forward"] + calls["adjoint"]
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": float("inf")}, "tol"),
+    ({"max_iters": 0}, "max_iters"),
+    ({"max_iters": 2.5}, "max_iters"),
+])
+def test_bad_solver_settings_are_rejected(doubling_map, kwargs, field):
+    op = build_operator(doubling_map, pg.zero_potential(), 64)
+    with pytest.raises(ValidationError) as info:
+        leading_eigen(op, **kwargs)
+    assert info.value.field == field
