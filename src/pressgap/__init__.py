@@ -20,10 +20,10 @@ from .extension import (ExtensionConfig, ExtPoint, as_base_potential,
                         bowen_bound, depth_for_tolerance, extend, hat_distance,
                         hat_g, hat_g_inverse, lift_fiber_averaged,
                         lift_projection, verify_bowen)
-from .maps import (MapSystem, Potential, StateSpace, circle_dist,
-                   constant_potential, doubling, geometric_potential,
-                   manneville_pomeau, perturbed_doubling, tabulated_map,
-                   tabulated_potential, zero_potential)
+from .maps import (MapSystem, Potential, circle_dist, constant_potential,
+                   doubling, geometric_potential, manneville_pomeau,
+                   perturbed_doubling, tabulated_map, tabulated_potential,
+                   zero_potential)
 from .orbits import (CylinderTree, FullCollection, OrbitSegment, birkhoff_sum,
                      bowen_distance, partition_sum_sep, partition_sum_span,
                      separated_set)

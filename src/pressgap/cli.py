@@ -12,9 +12,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -47,7 +45,6 @@ DEFAULTS = {
     "a": 2.0,
     "depth": 24,
     "seed": 0,
-    "workers": 1,
     "out": None,
     "samples": 200,
     "length_min": 5,
@@ -67,8 +64,8 @@ _DECOMPOSE_POINTS = 1 << 12
 _ROW_CHUNK = 1 << 10
 
 _FLOAT_FIELDS = ("sigma", "eps", "a", "lam_s", "offset")
-_INT_FIELDS = ("n_max", "grid_size", "depth", "seed", "workers", "samples",
-               "length_min", "length_max", "group_size", "k_max", "cloud_depth")
+_INT_FIELDS = ("n_max", "grid_size", "depth", "seed", "samples", "length_min",
+               "length_max", "group_size", "k_max", "cloud_depth")
 
 
 def fmt(x):
@@ -117,7 +114,9 @@ def build_potential(cfg, system):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number: NaN and the infinities are rejected."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)))
 
 
 def _table_field(cfg, key, name, kind):
@@ -136,8 +135,9 @@ def _table_field(cfg, key, name, kind):
 
 
 def _check_type(field, value, default):
-    """Reject a value of another JSON type than the field's; nothing is
-    coerced, so a valid config keeps its config_hash."""
+    """Reject a value of another JSON type than the field's, or a number
+    that is not finite; nothing is coerced, so a valid config keeps its
+    config_hash."""
     if value is None and default is None:
         return
     name = field.rsplit(".", 1)[-1]
@@ -178,6 +178,8 @@ def validate(cfg):
         raise ValidationError("n_max", "need n_max >= 4")
     if cfg["depth"] < 0:
         raise ValidationError("depth", "must be >= 0")
+    if cfg["seed"] < 0:
+        raise ValidationError("seed", "must be >= 0")
     if cfg["length_min"] < 1 or cfg["length_max"] < cfg["length_min"]:
         raise ValidationError("length_min", "need 1 <= length_min <= length_max")
     if cfg["cloud_depth"] < 0:
@@ -397,50 +399,10 @@ def cmd_solenoid(cfg):
     return 0 if ok else 2
 
 
-_worker_fn = None  # set in each forked pool worker by _init_worker
-
-
-def _init_worker(fn):
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker_fn(arg):
-    return _worker_fn(arg)
-
-
-def _pool_map(workers):
-    """A `map` that forks a pool of `workers` when it is called.  A forked
-    worker inherits `fn` and all it refers to, so only the items and the
-    results are pickled."""
-    def pool_map(fn, items):
-        with get_context("fork").Pool(workers, initializer=_init_worker,
-                                      initargs=(fn,)) as pool:
-            return pool.map(_call_worker_fn, items)
-    return pool_map
-
-
-def _workers(cfg):
-    """`workers`, unless PRESSGAP_WORKERS overrides it; the variable stays
-    out of the config and so out of config_hash."""
-    text = os.environ.get("PRESSGAP_WORKERS")
-    if text is None:
-        return cfg["workers"]
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError("workers", f"PRESSGAP_WORKERS={text!r} is not "
-                                         "an integer") from None
-
-
 def cmd_gap_report(cfg):
     system = build_map(cfg)
     phi = build_potential(cfg, system)
-    sigmas = _sigma_values(cfg)
-    workers = _workers(cfg)
-    mapper = _pool_map(workers) if workers > 1 and len(sigmas) > 1 else map
-    reports = gap_report(system, phi, sigmas, cfg["eps"], cfg["n_max"],
-                         mapper=mapper)
+    reports = gap_report(system, phi, _sigma_values(cfg), cfg["eps"], cfg["n_max"])
     w = Writer(cfg["out"], cfg, ["sigma", "eps", "n_max", "p_full", "p_bad",
                                  "gap", "holds"])
     for rep in reports:
@@ -533,7 +495,6 @@ def build_parser():
     ap.add_argument("--a", type=float, help="extension metric base")
     ap.add_argument("--depth", type=int, help="extension truncation depth")
     ap.add_argument("--seed", type=int)
-    ap.add_argument("--workers", type=int)
     ap.add_argument("--samples", type=int)
     ap.add_argument("--length-min", type=int)
     ap.add_argument("--length-max", type=int)

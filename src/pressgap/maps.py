@@ -26,6 +26,11 @@ _STOP_ULPS = 2.0
 _RESIDUAL_ULPS = 4.0
 _SOLVE_CAP = 100
 
+# 1/g' is sampled on this many grid points for `sigma_sup`, and on this many
+# points of each pulled-back ball by `branch_lipschitz`
+_SIGMA_SUP_GRID = 8193
+_LIPSCHITZ_SAMPLES = 33
+
 
 def wrap(x):
     """Reduce to the fundamental domain [0, 1)."""
@@ -88,15 +93,6 @@ def _bracketed_solve(lift, deriv, target, lo, hi, x):
         f"(first open target {target[0]!r})")
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    kind: str = "circle"
-    diameter: float = CIRCLE_DIAMETER
-
-    def distance(self, x, y):
-        return circle_dist(x, y)
-
-
 class MapSystem:
     """A topologically exact degree-D monotone circle cover.
 
@@ -117,7 +113,7 @@ class MapSystem:
     """
 
     def __init__(self, name, lift, lift_deriv, degree, epsilon0,
-                 exact_branch_solve=None, sigma_grid=8193):
+                 exact_branch_solve=None):
         if degree < 2:
             raise ValidationError("degree", "need at least two branches")
         if not 0.0 < epsilon0 <= 0.25:
@@ -125,12 +121,11 @@ class MapSystem:
         self.name = name
         self.degree = int(degree)
         self.epsilon0 = float(epsilon0)
-        self.space = StateSpace()
         self._lift = lift
         self._deriv = lift_deriv
         self._exact_solve = exact_branch_solve
         self.branch_cuts = self._solve_cuts()
-        grid = np.linspace(0.0, 1.0, sigma_grid, endpoint=False)
+        grid = np.linspace(0.0, 1.0, _SIGMA_SUP_GRID, endpoint=False)
         self._sigma_sup = float(np.max(1.0 / self._deriv(grid)))
 
     # -- basic evaluation ---------------------------------------------------
@@ -251,7 +246,7 @@ class MapSystem:
         """Global supremum of the inverse-derivative field."""
         return self._sigma_sup
 
-    def branch_lipschitz(self, x, n_samples=33):
+    def branch_lipschitz(self, x):
         """Upper bound sigma(x) for the Lipschitz constant of the inverse
         branch through x on the ball of radius epsilon0 about g(x).
 
@@ -263,7 +258,7 @@ class MapSystem:
         v = self._lift(x)
         zlo = self.lift_inverse(v - self.epsilon0)
         zhi = self.lift_inverse(v + self.epsilon0)
-        t = np.linspace(0.0, 1.0, n_samples)
+        t = np.linspace(0.0, 1.0, _LIPSCHITZ_SAMPLES)
         samples = zlo[..., None] + (zhi - zlo)[..., None] * t
         inv = 1.0 / self._deriv(samples % 1.0)
         raw = np.maximum(inv.max(axis=-1), 1.0 / self._deriv(x))

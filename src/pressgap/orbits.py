@@ -38,11 +38,6 @@ def birkhoff_sum(system, phi, seg):
     return float(np.sum(phi(orbit)))
 
 
-def birkhoff_sums(phi, orbit_matrix):
-    """Birkhoff sums for many segments given as orbit rows."""
-    return phi(orbit_matrix).sum(axis=1)
-
-
 def bowen_distance(system, x, y, n):
     """max over 0 <= k < n of d(g^k x, g^k y)."""
     if n < 1:
@@ -75,10 +70,10 @@ class CylinderTree:
     address digit is one application of the map.
     """
 
-    def __init__(self, system, depth, anchor=DEFAULT_ANCHOR, node_cap=DEFAULT_NODE_CAP):
-        if system.degree ** depth > node_cap:
-            raise NodeCapError(
-                f"degree^{depth} = {system.degree ** depth} exceeds node cap {node_cap}")
+    def __init__(self, system, depth, anchor=DEFAULT_ANCHOR):
+        if system.degree ** depth > DEFAULT_NODE_CAP:
+            raise NodeCapError(f"degree^{depth} = {system.degree ** depth} "
+                               f"exceeds node cap {DEFAULT_NODE_CAP}")
         self.system = system
         self.depth = depth
         self.anchor = float(anchor)
@@ -136,25 +131,25 @@ class CylinderTree:
         return out
 
 
-def tree_depth(system, n, refine=0, cap=DEFAULT_NODE_CAP):
+def tree_depth(system, n, refine=0):
     """Depth of the tree behind length-n pools refined by `refine` levels:
-    n + refine, cut to fit degree^depth within `cap`, but never below n."""
+    n + refine, cut to fit degree^depth within DEFAULT_NODE_CAP, but never
+    below n."""
     depth = n + refine
-    while system.degree ** depth > cap and depth > n:
+    while system.degree ** depth > DEFAULT_NODE_CAP and depth > n:
         depth -= 1
     return depth
 
 
-def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, node_cap,
-                    tree=None):
-    if eps <= 0:
-        raise ValidationError("eps", "must be positive")
+def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, tree=None):
+    if not 0 < eps < np.inf:
+        raise ValidationError("eps", "must be positive and finite")
     if candidates is None:
         # membership-filtered collections may refine the enumerator with
         # deeper-tree representatives (finer resolution, same cylinders)
-        depth = tree_depth(system, n, getattr(coll, "refine_depth", 0), node_cap)
+        depth = tree_depth(system, n, getattr(coll, "refine_depth", 0))
         if tree is None or tree.depth < depth or tree.anchor != float(anchor):
-            tree = CylinderTree(system, depth, anchor=anchor, node_cap=node_cap)
+            tree = CylinderTree(system, depth, anchor=anchor)
         points = tree.representatives(depth)
         orbits = tree.orbit_matrix(n, depth=depth)
         if hasattr(coll, "mask_from_log_sigma"):
@@ -175,7 +170,7 @@ def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, node_cap,
 
 
 def separated_set(system, coll, n, eps, phi=None, candidates=None,
-                  anchor=DEFAULT_ANCHOR, node_cap=DEFAULT_NODE_CAP, tree=None):
+                  anchor=DEFAULT_ANCHOR, tree=None):
     """Greedy maximal (n, eps)-separated subset of the collection's pool.
 
     Returns the selected points in selection order.  The pool is the depth-n
@@ -184,7 +179,7 @@ def separated_set(system, coll, n, eps, phi=None, candidates=None,
     ordered by descending Birkhoff weight (ties by address).
     """
     points, orbits, _, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
+        system, coll, n, eps, phi, candidates, anchor, tree=tree)
     if points.size == 0:
         return np.empty(0)
     keep = kernels.greedy_separated(orbits, order, eps)
@@ -199,8 +194,7 @@ def _log_sum_exp(values):
 
 
 def partition_sum_sep(system, phi, coll, n, eps, candidates=None,
-                      anchor=DEFAULT_ANCHOR, node_cap=DEFAULT_NODE_CAP,
-                      log=False, tree=None):
+                      anchor=DEFAULT_ANCHOR, log=False, tree=None):
     """Greedy estimate of the separated-set partition sum.
 
     Sum of exp(S_n phi) over the greedy maximal (n, eps)-separated subset;
@@ -208,7 +202,7 @@ def partition_sum_sep(system, phi, coll, n, eps, candidates=None,
     With ``log=True`` the stable log-sum is returned (-inf for empty pools).
     """
     points, orbits, weights, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
+        system, coll, n, eps, phi, candidates, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
     keep = kernels.greedy_separated(orbits, order, eps)
@@ -251,8 +245,7 @@ def greedy_cover(orbits, eps, tie_weights, target):
 
 
 def partition_sum_span(system, phi, coll, n, eps, candidates=None,
-                       anchor=DEFAULT_ANCHOR, node_cap=DEFAULT_NODE_CAP,
-                       log=False, tree=None):
+                       anchor=DEFAULT_ANCHOR, log=False, tree=None):
     """Greedy estimate of the spanning partition sum.
 
     Two spanning sets of the pool are constructed -- the max-coverage greedy
@@ -262,10 +255,10 @@ def partition_sum_span(system, phi, coll, n, eps, candidates=None,
     constructed covers and guarantees span <= sep on identical inputs.
     """
     points, orbits, weights, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, node_cap, tree=tree)
+        system, coll, n, eps, phi, candidates, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
-    if points.size ** 2 > node_cap * 64:
+    if points.size ** 2 > DEFAULT_NODE_CAP * 64:
         raise NodeCapError("pool too large for pairwise cover matrix")
     chosen = greedy_cover(orbits, eps, weights, points.size)
     keep = kernels.greedy_separated(orbits, order, eps)

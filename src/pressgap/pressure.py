@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .decomposition import BadCollection
+from .decomposition import BadCollection, DecompositionConfig
 from .errors import CoverError, NodeCapError, ValidationError
 from .orbits import (DEFAULT_NODE_CAP, CylinderTree, FullCollection,
                      greedy_cover, partition_sum_sep, tree_depth)
@@ -69,8 +69,7 @@ def growth_fit(n_values, log_sums):
     return rate, unc, proxy, False
 
 
-def pressure_at_scale(system, phi, coll, eps, n_max, node_cap=DEFAULT_NODE_CAP,
-                      tree=None):
+def pressure_at_scale(system, phi, coll, eps, n_max, tree=None):
     """Estimate the pressure of phi on the collection at scale eps.
 
     Log partition sums are computed for n = 1..n_max over greedy separated
@@ -78,14 +77,13 @@ def pressure_at_scale(system, phi, coll, eps, n_max, node_cap=DEFAULT_NODE_CAP,
     """
     if n_max < 4:
         raise ValidationError("n_max", "need n_max >= 4 for a rate fit")
-    if eps <= 0:
-        raise ValidationError("eps", "must be positive")
+    if not 0 < eps < np.inf:
+        raise ValidationError("eps", "must be positive and finite")
     ns = list(range(1, n_max + 1))
     if tree is None:
-        depth = tree_depth(system, n_max, getattr(coll, "refine_depth", 0), node_cap)
-        tree = CylinderTree(system, depth, node_cap=node_cap)
-    logs = [partition_sum_sep(system, phi, coll, n, eps,
-                              node_cap=node_cap, log=True, tree=tree)
+        depth = tree_depth(system, n_max, getattr(coll, "refine_depth", 0))
+        tree = CylinderTree(system, depth)
+    logs = [partition_sum_sep(system, phi, coll, n, eps, log=True, tree=tree)
             for n in ns]
     rate, unc, proxy, empty = growth_fit(ns, logs)
     return PressureEstimate(
@@ -145,35 +143,29 @@ class GapReport:
                    gap=gap, hypothesis_holds=bool(gap > combined))
 
 
-def gap_report(system, phi, sigma_grid, eps, n_max, node_cap=DEFAULT_NODE_CAP,
-               mapper=map):
-    """Gap reports over a sigma grid; the tree and full estimate are shared.
+def gap_report(system, phi, sigma_grid, eps, n_max):
+    """Gap reports over a sigma grid, one per sigma in grid order.
 
-    The bad-collection estimates, one per sigma, run through
-    ``mapper(fn, sigmas)``, which may be a process pool's ``map``; it is
-    called after the shared tree and the full estimate exist.
+    One cylinder tree serves the full estimate and every bad-collection
+    estimate, so the tree's sigma field is computed once for the grid.
 
     Raising sigma strengthens the full-window failure condition, so the bad
     collection shrinks and its rate is nonincreasing along an increasing
     grid; the gap widens with sigma.
     """
-    from .decomposition import DecompositionConfig
-
     sigmas = [float(s) for s in sigma_grid]
     for s in sigmas:
         if not 0.0 < s < 1.0:
             raise ValidationError("sigma", f"{s} outside (0, 1)")
-    depth = tree_depth(system, n_max, BadCollection.refine_depth, node_cap)
-    tree = CylinderTree(system, depth, node_cap=node_cap)
-    p_full = pressure_at_scale(system, phi, FullCollection(), eps, n_max,
-                               node_cap=node_cap, tree=tree)
-
-    def p_bad(s):
-        return pressure_at_scale(system, phi, BadCollection(DecompositionConfig(s)),
-                                 eps, n_max, node_cap=node_cap, tree=tree)
-
-    return [GapReport.build(s, p_full, bad)
-            for s, bad in zip(sigmas, mapper(p_bad, sigmas))]
+    depth = tree_depth(system, n_max, BadCollection.refine_depth)
+    tree = CylinderTree(system, depth)
+    p_full = pressure_at_scale(system, phi, FullCollection(), eps, n_max, tree=tree)
+    reports = []
+    for s in sigmas:
+        p_bad = pressure_at_scale(system, phi, BadCollection(DecompositionConfig(s)),
+                                  eps, n_max, tree=tree)
+        reports.append(GapReport.build(s, p_full, p_bad))
+    return reports
 
 
 @dataclass(frozen=True)

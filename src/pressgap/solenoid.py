@@ -18,7 +18,7 @@ from .errors import NodeCapError, ValidationError
 from .extension import extend, extend_coords
 from .maps import TWO_PI, circle_dist, doubling
 
-# largest fiber sample (2^depth points) that fiber_sample builds by default
+# largest fiber sample (2^depth points) that fiber_sample builds
 FIBER_CAP = 1 << 16
 
 
@@ -133,18 +133,18 @@ def fiber_point(sys, theta, itinerary):
                           tuple(grown[0].tolist()))
 
 
-def check_fiber_depth(depth, cap=FIBER_CAP):
+def check_fiber_depth(depth):
     """Raise unless a fiber sample of 2^depth points is allowed."""
     if depth < 1:
         raise ValidationError("depth", "must be >= 1")
-    if 2 ** depth > cap:
-        raise NodeCapError(f"2^{depth} fiber points exceed cap {cap}")
+    if 2 ** depth > FIBER_CAP:
+        raise NodeCapError(f"2^{depth} fiber points exceed cap {FIBER_CAP}")
 
 
-def fiber_sample(sys, y, depth, cap=FIBER_CAP):
+def fiber_sample(sys, y, depth):
     """All 2^depth depth-approximant points of the fiber over y, in the
     order of their itineraries read as binary codes, bit j at step j."""
-    check_fiber_depth(depth, cap)
+    check_fiber_depth(depth)
     codes = np.arange(2 ** depth)
     bits = (codes[:, None] >> np.arange(depth)) & 1
     return fiber_point(sys, np.full(codes.size, y, dtype=float), bits).points()

@@ -1,6 +1,9 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pressgap as pg
 from pressgap import cli, orbits
@@ -176,16 +179,6 @@ def test_check_pass_and_exit_codes(tmp_path):
     assert ",1,1,1,1," in read(out).splitlines()[2]
 
 
-def test_gap_report_worker_pool_deterministic(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["gap-report", "--map", "manneville_pomeau",
-            "--sigma-grid", "0.7,0.8,0.9", "--n-max", "6", "--seed", "2"]
-    assert run(args + ["--workers", "1", "--out", str(a)]) == 0
-    monkeypatch.setenv("PRESSGAP_WORKERS", "3")
-    assert run(args + ["--workers", "1", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_node_cap_overflow_exit_code(capsys):
     assert run(["pressure", "--n-max", "40"]) == 2
     assert "node cap" in capsys.readouterr().err
@@ -259,10 +252,58 @@ def test_usage_errors_exit_1_naming_the_flag(capsys):
     assert "validation error: command:" in capsys.readouterr().err
 
 
-def test_unparsable_workers_variable(monkeypatch, capsys):
-    monkeypatch.setenv("PRESSGAP_WORKERS", "abc")
-    assert run(["gap-report", "--n-max", "4"]) == 1
-    assert "validation error: workers:" in capsys.readouterr().err
+def test_workers_is_not_a_setting(tmp_path, capsys):
+    assert run(["gap-report", "--workers", "2"]) == 1
+    assert "--workers" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert run(["gap-report", "--config", str(cfg)]) == 1
+    assert ("validation error: workers: unknown configuration field"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("args, field", [
+    (["pressure", "--eps", "nan"], "eps"),
+    (["gap-report", "--eps", "nan"], "eps"),
+    (["check", "--eps", "nan"], "eps"),
+    (["extension", "--a", "nan"], "a"),
+    (["extension", "--a", "inf"], "a"),
+    (["pressure", "--eps-list", "inf"], "eps_list"),
+    (["gap-report", "--sigma-grid", "0.5,nan"], "sigma_grid"),
+    (["pressure", "--potential-t", "nan"], "potential.t"),
+    (["pressure", "--potential-c", "nan"], "potential.c"),
+    (["decompose", "--seed", "-1"], "seed"),
+])
+def test_bad_numbers_exit_1_naming_the_field(args, field, capsys):
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {field}:" in err
+    assert "Traceback" not in err
+
+
+def _literal_reads(tree):
+    """String keys read as a subscript, or as the first argument of .get."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            yield key.value
+
+
+def test_every_config_field_is_read():
+    # a field that only DEFAULTS and the flag tables name is dead
+    # configuration; k_max waits on the expansivity hypothesis, which
+    # ROADMAP item 2 either wires to it or deletes with it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set(_literal_reads(tree))
+    fields = set(cli.DEFAULTS)
+    fields |= {sub for v in cli.DEFAULTS.values() if isinstance(v, dict) for sub in v}
+    assert fields - read == {"k_max"}
 
 
 def test_config_field_types(tmp_path, capsys):
@@ -272,7 +313,12 @@ def test_config_field_types(tmp_path, capsys):
                        ({"eps_list": [0.1, "x"]}, "eps_list"), ({"out": 3}, "out"),
                        ({"map": {"alpha": "x"}}, "map.alpha"),
                        ({"potential": {"kind": 1}}, "potential.kind"),
-                       ({"map": "doubling"}, "map")):
+                       ({"map": "doubling"}, "map"),
+                       ({"eps": float("nan")}, "eps"),
+                       ({"sigma": float("inf")}, "sigma"),
+                       ({"eps_list": [0.1, -float("inf")]}, "eps_list"),
+                       ({"map": {"alpha": float("nan")}}, "map.alpha"),
+                       ({"seed": -3}, "seed")):
         cfg.write_text(json.dumps(doc))
         assert run(["pressure", "--config", str(cfg)]) == 1
         assert f"validation error: {field}:" in capsys.readouterr().err

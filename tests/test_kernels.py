@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import pressgap as pg
 from pressgap import kernels
 from pressgap.decomposition import BadCollection, DecompositionConfig
-from pressgap.orbits import (DEFAULT_ANCHOR, DEFAULT_NODE_CAP, FullCollection,
-                             _candidate_pool, greedy_cover)
+from pressgap.orbits import (DEFAULT_ANCHOR, FullCollection, _candidate_pool,
+                             greedy_cover)
 from pressgap.pressure import katok_sn
 
 from oracles import (greedy_cover_counts, greedy_cover_dense,
@@ -142,7 +142,7 @@ def test_tree_pools_match_quadratic_reference(request, map_name, coll):
     for n in (1, 5, 9):
         for eps in (1.0 / 16.0, 1.0 / 32.0):
             _, orbits, _, by_weight = _candidate_pool(
-                system, coll, n, eps, phi, None, DEFAULT_ANCHOR, DEFAULT_NODE_CAP)
+                system, coll, n, eps, phi, None, DEFAULT_ANCHOR)
             for order in (np.arange(orbits.shape[0]), by_weight):
                 keep = kernels.greedy_separated(orbits, order, eps)
                 assert np.array_equal(

@@ -76,7 +76,7 @@ def test_cylinder_orbit_matrix_is_exact(builtin_maps):
 
 def test_node_cap():
     with pytest.raises(NodeCapError):
-        CylinderTree(pg.doubling(), 10, node_cap=100)
+        CylinderTree(pg.doubling(), 19)
 
 
 def test_separated_examples(doubling_map):
