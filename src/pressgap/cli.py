@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (BadCollection, DecompositionConfig,
-                            GoodCollection, classify_logs, segment_log_sigma,
-                            split_index)
+                            GoodCollection, classify_logs, draw_good_segments,
+                            segment_log_sigma, split_index)
 from .errors import PressgapError, ValidationError
 from .extension import ExtensionConfig, lift_projection, verify_bowen
 from .maps import (BUILTIN_MAPS, constant_potential, doubling,
@@ -180,6 +180,9 @@ def validate(cfg):
         raise ValidationError("depth", "must be >= 0")
     if cfg["seed"] < 0:
         raise ValidationError("seed", "must be >= 0")
+    for field in ("samples", "group_size"):
+        if cfg[field] < 1:
+            raise ValidationError(field, "must be >= 1")
     if cfg["length_min"] < 1 or cfg["length_max"] < cfg["length_min"]:
         raise ValidationError("length_min", "need 1 <= length_min <= length_max")
     if cfg["cloud_depth"] < 0:
@@ -270,15 +273,7 @@ def cmd_decompose(cfg):
 
 
 def _random_good_segments(system, dec, rng, count, length_range, attempts=4000):
-    good = GoodCollection(dec)
-    out = []
-    for _ in range(attempts):
-        if len(out) == count:
-            break
-        seg = OrbitSegment(float(rng.random()),
-                           int(rng.integers(length_range[0], length_range[1] + 1)))
-        if good.contains(system, seg.start, seg.length):
-            out.append(seg)
+    out, _ = draw_good_segments(system, dec, rng, count, length_range, attempts)
     if len(out) < count:
         raise ValidationError("sigma", "could not sample enough good segments")
     return out

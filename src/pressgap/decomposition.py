@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .maps import circle_dist
+from .orbits import OrbitSegment
+
+# `draw_good_segments` classifies 2 count + 2 candidates in its first block
+# and doubles the block while acceptances fall short, up to this many
+# candidates; a block of 256 segments of length 20 holds 169k lift samples
+_DRAW_BLOCK_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,44 @@ class BadCollection:
 
     def contains(self, system, x, n):
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
+
+
+def draw_good_segments(system, cfg, rng, count, length_range, max_attempts):
+    """Draw good segments by rejection until `count` are found or
+    `max_attempts` candidates have been drawn.
+
+    Each candidate is drawn as the one-at-a-time loop draws it: x =
+    rng.random(), then n = rng.integers(lo, hi + 1) for length_range
+    (lo, hi).  The candidates are drawn and classified in blocks, each with
+    one `segment_log_sigma` call at the block's longest length and each
+    candidate on its own prefix, as `decompose` does; once `count` are
+    found the generator state is set back to just after the last candidate
+    used.  So the segments, the attempt count and the generator state are
+    those of the loop that classifies one candidate per draw.  Returns
+    (segments, attempts); fewer than `count` segments mean the attempts
+    ran out.
+    """
+    lo, hi = length_range
+    found = []
+    attempts = 0
+    block = min(2 * count + 2, _DRAW_BLOCK_CAP)
+    while len(found) < count and attempts < max_attempts:
+        size = min(block, max_attempts - attempts)
+        xs, ns, states = [], [], []
+        for _ in range(size):
+            xs.append(float(rng.random()))
+            ns.append(int(rng.integers(lo, hi + 1)))
+            states.append(rng.bit_generator.state)
+        logs = segment_log_sigma(system, np.array(xs), max(ns))
+        for i, (x, n, row) in enumerate(zip(xs, ns, logs)):
+            if good_mask(row[:n], cfg.log_sigma):
+                found.append(OrbitSegment(x, n))
+                if len(found) == count:
+                    rng.bit_generator.state = states[i]
+                    return found, attempts + i + 1
+        attempts += size
+        block = min(2 * block, _DRAW_BLOCK_CAP)
+    return found, attempts
 
 
 def obstruction_sample(system, cfg, points, k_max):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .decomposition import pull_back_ends
+from .decomposition import draw_good_segments, pull_back_ends
 from .errors import ValidationError
 from .maps import CIRCLE_DIAMETER, circle_dist
 
@@ -78,8 +79,8 @@ def extend(system, x, depth, policy="lex-min", rng=None, branches=None):
     Policies: 'lex-min' always takes branch 0, 'random' draws branches from
     `rng`, 'given' follows the explicit `branches` list.  A vector of starts
     gives one ExtPoint per start, built together with one root solve per
-    (step, branch); 'random' then draws row by row, and 'given' takes one
-    row of `branches` per start.
+    step; 'random' then draws row by row, and 'given' takes one row of
+    `branches` per start.
     """
     coords = extend_coords(system, x, depth, policy, rng, branches)
     points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
@@ -112,18 +113,8 @@ def extend_coords(system, x, depth, policy="lex-min", rng=None, branches=None):
     coords = np.empty((depth + 1, rows))
     coords[0] = starts
     for i in range(depth):
-        coords[i + 1] = _branch_step(system, coords[i], chosen[:, i])
+        coords[i + 1] = system.branch_solve(chosen[:, i], coords[i])
     return coords
-
-
-def _branch_step(system, y, branch):
-    """Preimages of the points `y` under their own `branch` ids."""
-    out = np.empty_like(y)
-    for b in range(system.degree):
-        rows = branch == b
-        if rows.any():
-            out[rows] = system.branch_solve(b, y[rows])
-    return out
 
 
 def hat_g(system, p):
@@ -146,22 +137,6 @@ def hat_g_inverse(system, p, policy="lex-min", rng=None, branch=None):
     return ExtPoint(p.coords[1:] + (tail,))
 
 
-def hat_orbit_coords(system, p, steps):
-    """Coordinate arrays of p, hat_g(p), ..., hat_g^steps(p).
-
-    Forward shifts only prepend base iterates, so the whole forward orbit is
-    assembled from one base orbit plus the stored history.
-    """
-    fwd = system.orbit(p.coords[0], steps + 1)[0]
-    k1 = len(p.coords)
-    out = []
-    for i in range(steps + 1):
-        coords = tuple(fwd[i - j] for j in range(min(i, k1 - 1) + 1))
-        coords = coords + p.coords[1:k1 - (len(coords) - 1)]
-        out.append(coords[:k1])
-    return out
-
-
 def hat_distance(cfg, p, q):
     """Truncated metric sum and its rigorous tail bound.
 
@@ -181,7 +156,12 @@ def hat_distance(cfg, p, q):
 
 @dataclass(frozen=True)
 class ExtensionPotential:
-    """A potential on extension points with derived Hoelder data."""
+    """A potential on extension points with derived Hoelder data.
+
+    `evaluate` maps an array of coordinate rows (x_0, ..., x_K) along its
+    last axis to one value per row; calling the potential on an ExtPoint
+    gives that value as a float.
+    """
 
     mode: str
     evaluate: callable
@@ -193,14 +173,14 @@ class ExtensionPotential:
     name: str = "lifted"
 
     def __call__(self, p):
-        return self.evaluate(p)
+        return float(self.evaluate(np.asarray(p.coords)))
 
 
 def lift_projection(phi):
     """phi composed with the base projection; Hoelder data is inherited
     because the projection is 1-Lipschitz."""
-    def evaluate(p):
-        return float(phi(np.float64(p.coords[0])))
+    def evaluate(rows):
+        return phi(rows[..., 0])
 
     xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
     sup = float(np.max(np.abs(phi(xs))))
@@ -216,9 +196,8 @@ def lift_fiber_averaged(psi, a):
     if a <= 1.0:
         raise ValidationError("a", "metric base must exceed 1")
 
-    def evaluate(p):
-        coords = np.asarray(p.coords)
-        return float(np.sum(a ** -np.arange(coords.size) * psi(coords)))
+    def evaluate(rows):
+        return np.sum(a ** -np.arange(rows.shape[-1]) * psi(rows), axis=-1)
 
     xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
     sup = float(np.max(np.abs(psi(xs)))) * a / (a - 1.0)
@@ -255,12 +234,35 @@ def as_base_potential(system, phi_hat, depth):
                      name=f"{phi_hat.name}@lex-min")
 
 
-def birkhoff_hat(system, phi_hat, p, n):
-    """Sum of the lifted potential along n forward shifts of p."""
-    total = 0.0
-    for coords in hat_orbit_coords(system, p, n - 1):
-        total += phi_hat(ExtPoint(coords))
-    return total
+def birkhoff_hat(system, phi_hat, points, ns):
+    """Sums of the lifted potential along n forward shifts of each point.
+
+    One ExtPoint and its length n give a float; a list of ExtPoints of one
+    depth and a length for each give an array, the way `extend` takes a
+    vector of starts.  Shift i of (x_0, ..., x_K) has the coordinates
+    (g^i x_0, ..., g x_0, x_0, x_1, ...) cut to K + 1, so the shifts of a
+    point come from one forward base orbit and its stored history, and the
+    potential is evaluated on every shift of every point in one call.
+    Each sum adds its n values left to right, starting from 0.0.
+    """
+    single = isinstance(points, ExtPoint)
+    if single:
+        points, ns = [points], [ns]
+    ns = np.asarray(ns, dtype=int)
+    totals = np.zeros(ns.size)
+    steps = int(ns.max(initial=0))
+    if steps > 0:
+        hist = np.array([p.coords for p in points])
+        fwd = system.orbit(hist[:, 0], steps)
+        # row r is g^(steps-1) x_0, ..., g x_0, x_0, x_1, ..., x_K; shift i
+        # is its window of K + 1 starting at steps - 1 - i
+        aug = np.concatenate([fwd[:, ::-1], hist[:, 1:]], axis=1)
+        shifts = sliding_window_view(aug, hist.shape[1], axis=1)[:, ::-1]
+        values = phi_hat.evaluate(shifts)
+        for i in range(steps):
+            rows = ns > i
+            totals[rows] += values[rows, i]
+    return float(totals[0]) if single else totals
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,7 @@ def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
         coords[i + 1] = system.pullback(ref[i + 1], coords[i])
     tail = np.asarray(branches, dtype=int).reshape(ns.size, depth - cut)
     for i in range(cut, depth):
-        coords[i + 1] = _branch_step(system, coords[i], tail[:, i - cut])
+        coords[i + 1] = system.branch_solve(tail[:, i - cut], coords[i])
     return [ExtPoint(tuple(col)) for col in coords.T.tolist()]
 
 
@@ -322,19 +324,20 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     """Empirical max of |S_n phi_hat(x) - S_n phi_hat(y)| over sampled good
     segments and constructed Bowen-ball companions.
 
-    Every random draw is made first, sample by sample; then the backward
-    orbits and companions of all accepted samples are built together.
+    Every random draw is made first, sample by sample: each good segment
+    comes from one `draw_good_segments` call, which classifies its
+    candidates in blocks but leaves the generator as a one-at-a-time draw
+    does, and the segment's branches and companion draw follow it.  Then
+    the backward orbits and companions of all accepted samples are built
+    together, and their Birkhoff sums taken in two `birkhoff_hat` calls.
     Returns a BowenReport carrying the closed-form bound plus the truncation
     slack for depth-K evaluation of the lifted potential.
     """
-    from .decomposition import GoodCollection
-
     if ext_cfg.depth < n_range[0]:
         raise ValidationError(
             "depth", f"truncation depth {ext_cfg.depth} is below the shortest "
                      f"sampled segment length {n_range[0]}")
     rng = np.random.default_rng(seed)
-    good = GoodCollection(dec_cfg)
     sync = max(4, int(math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps)
                                 / math.log(ext_cfg.a))))
     bound = bowen_bound(ext_cfg, dec_cfg, phi_hat.holder_constant,
@@ -346,15 +349,15 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
         return [int(rng.integers(system.degree)) for _ in range(count)]
 
     xs, ns, x_branches, draws, y_branches = [], [], [], [], []
-    attempts = 0
-    while len(xs) < n_samples and attempts < 60 * n_samples:
-        attempts += 1
-        x = float(rng.random())
-        n = int(rng.integers(n_range[0], n_hi + 1))
-        if not good.contains(system, x, n):
-            continue
-        xs.append(x)
-        ns.append(n)
+    budget = 60 * n_samples
+    while len(xs) < n_samples:
+        found, used = draw_good_segments(system, dec_cfg, rng, 1,
+                                         (n_range[0], n_hi), budget)
+        if not found:
+            break
+        budget -= used
+        xs.append(found[0].start)
+        ns.append(found[0].length)
         x_branches.append(draw_branches(depth))
         draws.append(rng.random())
         y_branches.append(draw_branches(depth - min(sync, depth)))
@@ -362,11 +365,9 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
         raise ValidationError("n_samples", "no good segments found to sample")
     x_hats = extend(system, np.array(xs), depth, policy="given", branches=x_branches)
     y_hats = _bowen_companions(system, x_hats, ns, draws, eps, sync, y_branches)
-    worst = 0.0
-    for x_hat, y_hat, n in zip(x_hats, y_hats, ns):
-        diff = abs(birkhoff_hat(system, phi_hat, x_hat, n)
-                   - birkhoff_hat(system, phi_hat, y_hat, n))
-        worst = max(worst, diff)
+    diffs = np.abs(birkhoff_hat(system, phi_hat, x_hats, ns)
+                   - birkhoff_hat(system, phi_hat, y_hats, ns))
+    worst = max([0.0, *diffs.tolist()])
     # the lifted potential is itself the truncated functional and the
     # truncated metric is dominated by the true one, so the closed-form
     # bound applies to truncated evaluation with no extra slack; the field

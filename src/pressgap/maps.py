@@ -52,7 +52,8 @@ def _bracketed_solve(lift, deriv, target, lo, hi, x):
     """Roots of lift(x) = target on the bracket [lo, hi], elementwise.
 
     `target` and the start `x` are 1-d arrays of one length, `lo` and `hi`
-    scalars, and `lift` is increasing on the bracket.  Every iteration
+    scalars or arrays of that length, and `lift` is increasing on each
+    bracket.  Every iteration
     shrinks each point's bracket by the sign of lift(x) - target and takes
     a Newton step; a step that lands outside the bracket, or back on the
     previous iterate, is replaced by the bracket midpoint.
@@ -162,40 +163,49 @@ class MapSystem:
         targets = np.arange(1.0, self.degree)
         inner = _bracketed_solve(self._lift, self._deriv, targets, 0.0, 1.0,
                                  targets / self.degree)
-        self._check_root(inner, targets, "branch cuts")
+        self._check_root(inner, targets)
         return np.concatenate([[0.0], inner, [1.0]])
 
     def branch_solve(self, branch, y):
         """Preimage of y under branch `branch`: x in branch domain, G(x) = branch + y.
 
-        The root is found by a safeguarded Newton iteration on the branch's
-        cut interval (see `_bracketed_solve`), then checked without the
-        derivative: the target branch + y must lie between G at 2 ulp either
-        side of x (within [0, 1]), widened by 4 ulp of the target for the
-        error of evaluating G.  So a root that passes is within 2 ulp, the
-        solver's stop rule, of a sign change of G - target, whatever
-        `lift_deriv` returns; a root next to a cut may sit on the cut's
-        other side.  A failed test (a non-finite y always fails it) or an
-        iteration that does not settle raises `BranchSolveError`, which the
-        CLI reports as a numerical failure (exit 2).  A map with a
+        `branch` is one branch id for every point, or an integer array of
+        per-point ids shaped like y; either way every point is solved in
+        one call.  The root is found by a safeguarded Newton iteration on
+        the point's branch cut interval (see `_bracketed_solve`), then
+        checked without the derivative: the target branch + y must lie
+        between G at 2 ulp either side of x (within [0, 1]), widened by
+        4 ulp of the target for the error of evaluating G.  So a root that
+        passes is within 2 ulp, the solver's stop rule, of a sign change of
+        G - target, whatever `lift_deriv` returns; a root next to a cut may
+        sit on the cut's other side.  A failed test (a non-finite y always
+        fails it) or an iteration that does not settle raises
+        `BranchSolveError`, which names the failing point's branch and
+        which the CLI reports as a numerical failure (exit 2).  Every
+        operation is elementwise, so a root does not depend on the other
+        points or on how their branches are grouped.  A map with a
         closed-form solve skips the iteration and the test.
         """
         y = np.asarray(y, dtype=float)
         if self._exact_solve is not None:
             return self._exact_solve(branch, y)
         flat = y.reshape(-1)
+        branch = np.asarray(branch)
+        if branch.ndim:
+            branch = branch.reshape(-1)
         target = flat + branch
         lo, hi = self.branch_cuts[branch], self.branch_cuts[branch + 1]
         # start at the linear interpolant of G across the cut interval
         start = np.maximum(np.minimum(lo + flat * (hi - lo), hi), lo)
         x = _bracketed_solve(self._lift, self._deriv, target, lo, hi, start)
-        self._check_root(x, target, f"branch {branch}")
+        self._check_root(x, target, branch)
         return x.reshape(y.shape)
 
-    def _check_root(self, x, target, what):
+    def _check_root(self, x, target, branch=None):
         """Raise BranchSolveError unless G - target changes sign within
         _STOP_ULPS ulp of every x in [0, 1], up to _RESIDUAL_ULPS ulp of
-        the target."""
+        the target; `branch` holds the points' branch ids (None for the
+        branch cuts)."""
         slack = _RESIDUAL_ULPS * np.spacing(np.abs(target))
         near = _STOP_ULPS * np.spacing(x)
         left = self._lift(np.maximum(x - near, 0.0))
@@ -203,6 +213,8 @@ class MapSystem:
         passed = (left - slack <= target) & (target <= right + slack)  # NaN fails
         if not passed.all():
             i = int(np.argmin(passed))
+            what = ("branch cuts" if branch is None
+                    else f"branch {int(np.broadcast_to(branch, x.shape)[i])}")
             residual = abs(float(self._lift(x[i])) - float(target[i]))
             raise BranchSolveError(
                 f"{self.name}: {what} solve at target {target[i]!r} left residual "
@@ -215,18 +227,17 @@ class MapSystem:
         return np.stack([self.branch_solve(b, y) for b in range(self.degree)])
 
     def lift_inverse(self, v):
-        """F^{-1}(v) for real v; monotone, used for exact arc pullbacks."""
+        """F^{-1}(v) for real v; monotone, used for exact arc pullbacks.
+
+        Each v is reduced to a branch id and a point of [0, 1), and all of
+        them are solved in one `branch_solve` call.
+        """
         v = np.asarray(v, dtype=float)
         k = np.floor(v / self.degree)
         w = v - self.degree * k
         w = np.clip(w, 0.0, np.nextafter(float(self.degree), 0.0))
         b = np.minimum(np.floor(w).astype(int), self.degree - 1)
-        out = np.empty_like(v)
-        for branch in range(self.degree):
-            m = b == branch
-            if np.any(m):
-                out[m] = self.branch_solve(branch, w[m] - branch)
-        return out + k
+        return self.branch_solve(b, w - b) + k
 
     def pullback(self, x, y):
         """Local inverse through x, evaluated at y near g(x).
@@ -256,8 +267,7 @@ class MapSystem:
         """
         x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
         v = self._lift(x)
-        zlo = self.lift_inverse(v - self.epsilon0)
-        zhi = self.lift_inverse(v + self.epsilon0)
+        zlo, zhi = self.lift_inverse(np.stack([v - self.epsilon0, v + self.epsilon0]))
         t = np.linspace(0.0, 1.0, _LIPSCHITZ_SAMPLES)
         samples = zlo[..., None] + (zhi - zlo)[..., None] * t
         inv = 1.0 / self._deriv(samples % 1.0)

@@ -112,7 +112,7 @@ def fiber_point(sys, theta, itinerary):
 
     A float theta and one itinerary give an AttractorPoint.  A vector of S
     thetas and an (S, d) itinerary array give an AttractorBatch: the
-    backward bases take one root solve per (depth step, branch), and the
+    backward bases take one root solve per depth step, and the
     push forward is d steps over all rows.
     """
     thetas = np.asarray(theta, dtype=float)

@@ -6,8 +6,9 @@ separated sets, dense-point interval images for covering times, and direct
 window scans for segment classification.  The exceptions are the package's
 earlier code, kept so that the faster paths can be compared with it bit for
 bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
-dense cover, the one-point samplers for backward orbits and Bowen
-companions, the one-point solenoid fibers, metric-equivalence sampler and
+dense cover, the one-point samplers for good segments, backward orbits
+and Bowen companions, the per-point extension Birkhoff sum, the one-point
+solenoid fibers, metric-equivalence sampler and
 attractor Bowen check, the fixed-step bisection inverse-branch solver, and
 the plain forward/adjoint power iteration for transfer-operator eigendata.
 """
@@ -235,6 +236,63 @@ def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
     return ExtPoint(tuple(coords))
 
 
+def random_good_segments_scalar(system, dec, rng, count, length_range,
+                                attempts=4000):
+    """Reference good-segment sampler: each attempt draws x, then n, and
+    classifies (x, n) on its own.  Returns (segments, attempts made) and
+    raises as the CLI does when the attempts run out first."""
+    from pressgap.decomposition import GoodCollection
+    from pressgap.orbits import OrbitSegment
+
+    good = GoodCollection(dec)
+    out = []
+    made = 0
+    for _ in range(attempts):
+        if len(out) == count:
+            break
+        made += 1
+        seg = OrbitSegment(float(rng.random()),
+                           int(rng.integers(length_range[0], length_range[1] + 1)))
+        if good.contains(system, seg.start, seg.length):
+            out.append(seg)
+    if len(out) < count:
+        raise ValidationError("sigma", "could not sample enough good segments")
+    return out, made
+
+
+def hat_orbit_coords(system, p, steps):
+    """Coordinate tuples of p, hat_g(p), ..., hat_g^steps(p).
+
+    Forward shifts only prepend base iterates, so the whole forward orbit is
+    assembled from one base orbit plus the stored history.
+    """
+    fwd = system.orbit(p.coords[0], steps + 1)[0]
+    k1 = len(p.coords)
+    out = []
+    for i in range(steps + 1):
+        coords = tuple(fwd[i - j] for j in range(min(i, k1 - 1) + 1))
+        coords = coords + p.coords[1:k1 - (len(coords) - 1)]
+        out.append(coords[:k1])
+    return out
+
+
+def lifted_value_scalar(phi_hat, coords):
+    """A projection or fiber-averaged lift at one coordinate tuple."""
+    if phi_hat.mode == "projection":
+        return float(phi_hat.base(np.float64(coords[0])))
+    c = np.asarray(coords)
+    return float(np.sum(phi_hat.a ** -np.arange(c.size) * phi_hat.base(c)))
+
+
+def birkhoff_hat_scalar(system, phi_hat, p, n):
+    """Reference extension Birkhoff sum: the lift at each of the n forward
+    shifts of p, added one at a time to a total that starts at 0.0."""
+    total = 0.0
+    for coords in hat_orbit_coords(system, p, n - 1):
+        total += lifted_value_scalar(phi_hat, coords)
+    return total
+
+
 def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
     """A companion in the n-Bowen ball of x_hat: base pullback through the
     segment's chain plus a fiber perturbation beyond the sync depth."""
@@ -264,7 +322,7 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     import math
 
     from pressgap.decomposition import GoodCollection
-    from pressgap.extension import BowenReport, birkhoff_hat, bowen_bound
+    from pressgap.extension import BowenReport, bowen_bound
     from pressgap.maps import CIRCLE_DIAMETER
 
     rng = np.random.default_rng(seed)
@@ -285,8 +343,8 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
             continue
         x_hat = extend_scalar(system, x, ext_cfg.depth, policy="random", rng=rng)
         y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync)
-        diff = abs(birkhoff_hat(system, phi_hat, x_hat, n)
-                   - birkhoff_hat(system, phi_hat, y_hat, n))
+        diff = abs(birkhoff_hat_scalar(system, phi_hat, x_hat, n)
+                   - birkhoff_hat_scalar(system, phi_hat, y_hat, n))
         worst = max(worst, diff)
         used += 1
     slack = 1e-9 * n_hi

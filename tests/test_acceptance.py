@@ -10,13 +10,13 @@ import numpy as np
 
 import pressgap as pg
 from pressgap.decomposition import (DecompositionConfig, GoodCollection,
-                                    segment_log_sigma, split_index)
+                                    draw_good_segments, segment_log_sigma,
+                                    split_index)
 from pressgap.errors import ConvergenceError
 from pressgap.extension import (ExtensionConfig, extend, hat_distance,
                                 hat_g, lift_projection, verify_bowen)
 from pressgap.maps import circle_dist
-from pressgap.orbits import (CylinderTree, FullCollection, OrbitSegment,
-                             separated_set)
+from pressgap.orbits import CylinderTree, FullCollection, separated_set
 from pressgap.pressure import gap_report, pressure_at_scale
 from pressgap.solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                                conjugacy_h, d_attractor, fiber_point,
@@ -145,16 +145,12 @@ def test_criterion_05_specification():
                    pg.perturbed_doubling(0.75)):
         sigma = 0.9 if "manneville" in system.name else 0.75
         cfg = DecompositionConfig(sigma)
-        good = GoodCollection(cfg)
         for eps in (2.0 ** -4, 2.0 ** -5):
             tau = system.mixing_time(eps)
             for _ in range(100):
-                segs = []
-                while len(segs) < 3:
-                    s = OrbitSegment(float(rng.random()),
-                                     int(rng.integers(5, 21)))
-                    if good.contains(system, s.start, s.length):
-                        segs.append(s)
+                # the draws of a one-at-a-time rejection loop, in its order
+                segs, _ = draw_good_segments(system, cfg, rng, 3, (5, 20), 4000)
+                assert len(segs) == 3
                 plan = glue_base(system, cfg, segs, eps)
                 shadow = verify_shadow(system, plan)
                 checked += 1

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 from pathlib import Path
 
@@ -170,6 +171,51 @@ def test_cloud_depth_over_the_fiber_cap_fails_first(tmp_path, capsys, monkeypatc
     assert "2^17 fiber points exceed cap 65536" in capsys.readouterr().err
 
 
+def _no_sampling_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("sampling work ran before validation")
+
+    for name in ("draw_good_segments", "segment_log_sigma", "glue_base",
+                 "verify_bowen", "gap_report"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+@pytest.mark.parametrize("args, field", [
+    (["glue", "--group-size", "-2"], "group_size"),
+    (["check", "--group-size", "0"], "group_size"),
+    (["decompose", "--samples", "-3"], "samples"),
+    (["extension", "--samples", "0"], "samples"),
+    (["check", "--samples", "0"], "samples"),
+])
+def test_sample_counts_are_rejected_first(args, field, tmp_path, capsys, monkeypatch):
+    _no_sampling_work(monkeypatch)
+    assert run(args + ["--out", str(tmp_path / "o.csv")]) == 1
+    assert f"validation error: {field}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+# sha256 of one benchmark-size Manneville-Pomeau run of each sampling
+# subcommand, as written by the one-at-a-time samplers and per-point
+# Birkhoff sums that the block samplers replaced
+_MP = ["--map", "manneville_pomeau", "--alpha", "0.5", "--seed", "3"]
+_GOLDEN = {
+    "glue.json": (["glue", "--sigma", "0.9", "--eps", "0.03125", "--samples", "6"],
+                  "2dcfddfb56b6bf15d74597020421801ae165f38c370b4317c80c0498553b1c69"),
+    "extension.csv": (["extension", "--potential", "geometric", "--samples", "25"],
+                      "740aaecfda853c271b3ed54013ec3cd39884199417ac821add352376d4ed924f"),
+    "check.csv": (["check", "--sigma", "0.9", "--n-max", "8"],
+                  "a4b5cee5ae2fdc381216bf10404c904ab9fab388c012ba2c329df18718ff6afe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_sampling_outputs_are_unchanged(name, tmp_path):
+    args, digest = _GOLDEN[name]
+    out = tmp_path / name
+    assert run(args + _MP + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_check_pass_and_exit_codes(tmp_path):
     out = tmp_path / "c.csv"
     code = run(["check", "--map", "doubling", "--sigma", "0.75",
@@ -273,6 +319,13 @@ def test_workers_is_not_a_setting(tmp_path, capsys):
     (["pressure", "--potential-t", "nan"], "potential.t"),
     (["pressure", "--potential-c", "nan"], "potential.c"),
     (["decompose", "--seed", "-1"], "seed"),
+    (["glue", "--group-size", "-2"], "group_size"),
+    (["glue", "--group-size", "0"], "group_size"),
+    (["glue", "--samples", "0"], "samples"),
+    (["decompose", "--samples", "-3"], "samples"),
+    (["extension", "--samples", "0"], "samples"),
+    (["solenoid", "--samples", "0"], "samples"),
+    (["check", "--group-size", "0"], "group_size"),
 ])
 def test_bad_numbers_exit_1_naming_the_field(args, field, capsys):
     assert run(args) == 1

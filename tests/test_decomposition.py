@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
 
+import pressgap as pg
+from pressgap import cli
 from pressgap.decomposition import (BadCollection, Classification,
                                     DecompositionConfig, GoodCollection,
                                     classify_segment, contraction_profile,
-                                    decompose, in_sigma_window,
-                                    obstruction_sample, segment_log_sigma,
-                                    split_index)
+                                    decompose, draw_good_segments,
+                                    in_sigma_window, obstruction_sample,
+                                    segment_log_sigma, split_index)
 from pressgap.errors import ValidationError
+from pressgap.maps import TWO_PI
 from pressgap.orbits import OrbitSegment
 
-from oracles import brute_split, is_bad, is_good
+from oracles import brute_split, is_bad, is_good, random_good_segments_scalar
+
+_GRID = np.linspace(0.0, 1.0, 65)
+DRAW_MAPS = {
+    "mp": pg.manneville_pomeau(0.5),
+    "perturbed": pg.perturbed_doubling(0.75),
+    "degree-3 table": pg.tabulated_map(3.0 * _GRID
+                                       + (0.9 / TWO_PI) * np.sin(TWO_PI * _GRID)),
+}
 
 
 def test_config_validation():
@@ -183,3 +194,49 @@ def test_obstruction_k_is_minimal(mp_map):
         assert np.all(means[k - 1:] >= cfg.log_sigma)
         if k > 1:
             assert means[k - 2] < cfg.log_sigma
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_MAPS))
+@pytest.mark.parametrize("sigma", [0.4, 0.6, 0.75, 0.9])
+def test_block_draws_match_one_at_a_time_draws(name, sigma):
+    system = DRAW_MAPS[name]
+    dec = DecompositionConfig(sigma)
+    for seed in range(3):
+        for count, lengths in ((1, (5, 20)), (3, (5, 20)), (7, (2, 9))):
+            rng_ref, rng_new = (np.random.default_rng(seed) for _ in range(2))
+            try:
+                ref = random_good_segments_scalar(system, dec, rng_ref, count,
+                                                  lengths, attempts=200)
+            except ValidationError:
+                ref = None
+            segs, attempts = draw_good_segments(system, dec, rng_new, count,
+                                                lengths, 200)
+            if ref is None:
+                assert len(segs) < count and attempts == 200
+            else:
+                assert (segs, attempts) == ref
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_block_draws_hit_the_attempt_cap_as_one_at_a_time_draws_do():
+    # perturbed doubling accepts about 1 candidate in 250 at sigma 0.5
+    system, dec = DRAW_MAPS["perturbed"], DecompositionConfig(0.5)
+    rng_ref, rng_new = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(ValidationError) as ref:
+        random_good_segments_scalar(system, dec, rng_ref, 3, (5, 20), attempts=400)
+    with pytest.raises(ValidationError) as new:
+        cli._random_good_segments(system, dec, rng_new, 3, (5, 20), attempts=400)
+    assert str(new.value) == str(ref.value)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    segs, attempts = draw_good_segments(system, dec, np.random.default_rng(1), 3,
+                                        (5, 20), 400)
+    assert len(segs) < 3 and attempts == 400
+
+
+def test_block_draws_of_nothing_draw_nothing(mp_map):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    dec = DecompositionConfig(0.9)
+    assert draw_good_segments(mp_map, dec, rng, 0, (5, 20), 100) == ([], 0)
+    assert draw_good_segments(mp_map, dec, rng, 2, (5, 20), 0) == ([], 0)
+    assert rng.bit_generator.state == state

@@ -9,12 +9,13 @@ from pressgap.errors import ValidationError
 from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
                                 birkhoff_hat, bowen_bound, depth_for_tolerance,
                                 extend, hat_distance, hat_g, hat_g_inverse,
-                                hat_orbit_coords, lift_fiber_averaged,
-                                lift_projection, verify_bowen)
+                                lift_fiber_averaged, lift_projection,
+                                verify_bowen)
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist
 from pressgap.orbits import OrbitSegment
 
-from oracles import extend_scalar, verify_bowen_scalar
+from oracles import (birkhoff_hat_scalar, extend_scalar, hat_orbit_coords,
+                     verify_bowen_scalar)
 
 
 def test_config_and_tail_bound():
@@ -138,6 +139,33 @@ def test_birkhoff_hat_projection_matches_base(doubling_map, sin_potential, rng):
     lifted = lift_projection(sin_potential)
     base = pg.birkhoff_sum(doubling_map, sin_potential, OrbitSegment(0.61, 7))
     assert birkhoff_hat(doubling_map, lifted, p, 7) == pytest.approx(base)
+
+
+@pytest.mark.parametrize("lift_kind", ["projection", "fiber"])
+def test_birkhoff_hat_batch_matches_per_point_sums(lift_kind, builtin_maps,
+                                                   sin_potential):
+    for system in builtin_maps + [_tabulated_map()]:
+        for phi in (sin_potential, pg.geometric_potential(system, 1.0)):
+            lift = (lift_projection(phi) if lift_kind == "projection"
+                    else lift_fiber_averaged(phi, 1.5))
+            rng = np.random.default_rng(2)
+            # a start at 0.0 summed once: MP's geometric potential is -0.0
+            # there, and a sum from 0.0 makes it +0.0
+            starts = np.concatenate([[0.0, 0.0], rng.random(18)])
+            ns = np.concatenate([[1, 0], rng.integers(1, 25, size=18)])
+            for depth in (0, 3, 12):
+                points = extend(system, starts, depth, policy="random", rng=rng)
+                sums = birkhoff_hat(system, lift, points, ns)
+                assert sums.shape == (20,)
+                for p, n, total in zip(points, ns.tolist(), sums):
+                    ref = np.float64(birkhoff_hat_scalar(system, lift, p, n))
+                    assert total.tobytes() == ref.tobytes(), (system, phi, n)
+                    one = birkhoff_hat(system, lift, p, n)
+                    assert isinstance(one, float)
+                    assert np.float64(one).tobytes() == ref.tobytes()
+    mp = builtin_maps[1]
+    geo = lift_projection(pg.geometric_potential(mp, 1.0))
+    assert math.copysign(1.0, birkhoff_hat(mp, geo, extend(mp, 0.0, 4), 1)) == 1.0
 
 
 def test_bowen_bound_examples():

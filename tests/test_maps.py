@@ -230,6 +230,37 @@ def test_branch_solve_batch_single_and_scalar_agree(name, data, ys):
 
 
 @settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SOLVE_MAPS) + ["doubling"]), data=st.data(),
+       ys=st.lists(Y_VALUES, min_size=1, max_size=12))
+def test_branch_solve_branch_array_matches_per_branch_calls(name, data, ys):
+    # "doubling" is the closed form, "tabulated" a degree-3 table
+    system = pg.doubling() if name == "doubling" else SOLVE_MAPS[name]
+    y = np.asarray(ys)
+    branch = np.asarray(data.draw(st.lists(st.integers(0, system.degree - 1),
+                                           min_size=y.size, max_size=y.size)))
+    mixed = system.branch_solve(branch, y)
+    for b in range(system.degree):
+        rows = branch == b
+        assert mixed[rows].tobytes() == system.branch_solve(b, y[rows]).tobytes()
+    square = system.branch_solve(branch.reshape(1, -1), y.reshape(1, -1))
+    assert square.shape == (1, y.size)
+    assert square.tobytes() == mixed.tobytes()
+
+
+def test_lift_inverse_matches_per_branch_solves():
+    v = np.concatenate([np.linspace(-3.0, 6.0, 997), [0.0, 1.0, 2.0, 3.0 - 2.0 ** -51]])
+    for system in list(SOLVE_MAPS.values()) + [pg.doubling()]:
+        k = np.floor(v / system.degree)
+        w = np.clip(v - system.degree * k, 0.0, np.nextafter(float(system.degree), 0.0))
+        b = np.minimum(np.floor(w).astype(int), system.degree - 1)
+        ref = np.empty_like(v)
+        for branch in range(system.degree):
+            ref[b == branch] = system.branch_solve(branch, w[b == branch] - branch)
+        assert system.lift_inverse(v).tobytes() == (ref + k).tobytes()
+        assert float(system.lift_inverse(v[3])) == ref[3] + k[3]
+
+
+@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SOLVE_MAPS)), data=st.data(), y=Y_VALUES)
 def test_branch_solve_root_quality(name, data, y):
     system = SOLVE_MAPS[name]
@@ -283,6 +314,23 @@ def test_branch_solve_rejects_nan_lift_inside_a_branch():
         system.branch_solve(0, np.float64(0.65))
     with pytest.raises(BranchSolveError):
         system.branch_solve(0, np.array([0.2, 0.65, 0.9]))
+
+
+def test_branch_solve_error_names_the_failing_points_branch():
+    # G is NaN on (0.3, 0.35) in branch 0 and on (0.8, 0.85) in branch 1
+    system = _hand_built(
+        lambda x: np.where(((x > 0.3) & (x < 0.35)) | ((x > 0.8) & (x < 0.85)),
+                           np.nan, 2.0 * x),
+        lambda x: np.full_like(x, 2.0))
+    y = np.array([0.2, 0.65, 0.65, 0.2])
+    assert system.branch_solve(np.array([0, 1, 1, 1]), y[[0, 0, 3, 3]]).tolist() \
+        == [0.1, 0.6, 0.6, 0.6]
+    # both calls fail on a point of each branch; the first failing point's
+    # branch is named
+    with pytest.raises(BranchSolveError, match=r"branch 1 solve at target \S*1\.65"):
+        system.branch_solve(np.array([0, 1, 0, 1]), y)
+    with pytest.raises(BranchSolveError, match=r"branch 0 solve at target \S*0\.65"):
+        system.branch_solve(np.array([1, 0, 1, 1]), y)
 
 
 def test_branch_solve_rejects_a_wrong_derivative():
