@@ -9,24 +9,21 @@ cross-checks pressure against an independent transfer-operator computation.
 
 __version__ = "0.1.0"
 
-from .decomposition import (BadCollection, Classification, Decomposition,
+from .decomposition import (BadCollection, Classification,
                             DecompositionConfig, GoodCollection,
-                            ObstructionSample, classify_segment, decompose,
-                            in_sigma_window, obstruction_sample)
+                            ObstructionSample, obstruction_sample)
 from .errors import (BranchSolveError, ConvergenceError, CoverError,
                      GluingError, MixingCapError, NodeCapError, PressgapError,
                      ValidationError)
 from .extension import (ExtensionConfig, ExtPoint, as_base_potential,
-                        bowen_bound, depth_for_tolerance, extend, hat_distance,
-                        hat_g, hat_g_inverse, lift_fiber_averaged,
-                        lift_projection, verify_bowen)
+                        bowen_bound, depth_for_tolerance, extend,
+                        lift_fiber_averaged, lift_projection, verify_bowen)
 from .maps import (MapSystem, Potential, circle_dist, constant_potential,
                    doubling, geometric_potential, manneville_pomeau,
                    perturbed_doubling, tabulated_map, tabulated_potential,
                    zero_potential)
-from .orbits import (CylinderTree, FullCollection, OrbitSegment, birkhoff_sum,
-                     bowen_distance, partition_sum_sep, partition_sum_span,
-                     separated_set)
+from .orbits import (CylinderTree, FullCollection, OrbitSegment,
+                     partition_sum_sep, partition_sum_span)
 from .pressure import (GapReport, HypothesisReport, PressureEstimate,
                        ct_hypothesis_check, gap_report, katok_sn,
                        pressure_at_scale)

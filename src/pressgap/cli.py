@@ -166,14 +166,14 @@ def validate(cfg):
         raise ValidationError("sigma", f"{cfg['sigma']} outside (0, 1)")
     for s in cfg["sigma_grid"] or []:
         if not 0.0 < s < 1.0:
-            raise ValidationError("sigma", f"{s} outside (0, 1)")
+            raise ValidationError("sigma_grid", f"{s} outside (0, 1)")
     if cfg["a"] <= 1.0:
         raise ValidationError("a", "metric base must exceed 1")
     if cfg["eps"] <= 0.0:
         raise ValidationError("eps", "must be positive")
     for e in cfg["eps_list"] or []:
         if e <= 0.0:
-            raise ValidationError("eps", f"{e} must be positive")
+            raise ValidationError("eps_list", f"{e} must be positive")
     if cfg["n_max"] < 4:
         raise ValidationError("n_max", "need n_max >= 4")
     if cfg["depth"] < 0:

@@ -15,12 +15,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .maps import circle_dist
 from .orbits import OrbitSegment
 
-# `draw_good_segments` classifies 2 count + 2 candidates in its first block
-# and doubles the block while acceptances fall short, up to this many
-# candidates; a block of 256 segments of length 20 holds 169k lift samples
+# `draw_good_segments` classifies a first block of 2 count + 2 draws and
+# doubles the block while acceptances fall short, up to this many draws;
+# a block of 256 segments of length 20 holds 169k lift samples
 _DRAW_BLOCK_CAP = 256
 
 
@@ -43,19 +42,6 @@ class Classification(enum.Enum):
     GOOD = "good"
     BAD = "bad"
     NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Lengths of the (prefix, good, bad) split; the prefix is trivial here."""
-
-    g_len: int
-    s_len: int
-    p_len: int = 0
-
-    @property
-    def total(self):
-        return self.p_len + self.g_len + self.s_len
 
 
 @dataclass(frozen=True)
@@ -93,14 +79,6 @@ def suffix_means(logs):
     return tail_sums / np.arange(n, 0, -1)
 
 
-def in_sigma_window(system, cfg, x, j, n):
-    """True iff the trailing average over [j, n) beats log sigma."""
-    if not 0 <= j <= n - 1:
-        raise ValidationError("j", "window index must satisfy 0 <= j <= n-1")
-    logs = segment_log_sigma(system, x, n)[0]
-    return bool(np.mean(logs[j:]) < cfg.log_sigma)
-
-
 def classify_logs(logs, log_sigma):
     means = suffix_means(logs)
     if np.all(means < log_sigma):
@@ -110,25 +88,11 @@ def classify_logs(logs, log_sigma):
     return Classification.NEITHER
 
 
-def classify_segment(system, cfg, seg):
-    """Good / bad / neither status of one segment (mutually exclusive)."""
-    logs = segment_log_sigma(system, seg.start, seg.length)[0]
-    return classify_logs(logs, cfg.log_sigma)
-
-
 def split_index(logs, log_sigma):
     """Smallest m whose suffix is bad; len(logs) when no suffix is bad."""
     means = suffix_means(logs)
     bad = np.flatnonzero(means >= log_sigma)
     return int(bad[0]) if bad.size else len(logs)
-
-
-def decompose(system, cfg, seg):
-    """Split (x, n) into a good prefix and bad suffix at the first bad-suffix
-    index; either part may be empty."""
-    logs = segment_log_sigma(system, seg.start, seg.length)[0]
-    m = split_index(logs, cfg.log_sigma)
-    return Decomposition(g_len=m, s_len=seg.length - m)
 
 
 def good_mask(logs, log_sigma):
@@ -154,8 +118,9 @@ class GoodCollection:
         logs = segment_log_sigma(system, np.asarray(points), n)
         return good_mask(logs, self.cfg.log_sigma)
 
-    def mask_from_log_sigma(self, logs):
-        return good_mask(logs, self.cfg.log_sigma)
+    def pool_mask(self, tree, n, depth):
+        """Member mask of the depth-`depth` representatives of `tree`."""
+        return good_mask(tree.log_sigma_matrix(n, depth=depth), self.cfg.log_sigma)
 
     def contains(self, system, x, n):
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
@@ -179,8 +144,9 @@ class BadCollection:
         logs = segment_log_sigma(system, np.asarray(points), n)
         return bad_mask(logs, self.cfg.log_sigma)
 
-    def mask_from_log_sigma(self, logs):
-        return bad_mask(logs, self.cfg.log_sigma)
+    def pool_mask(self, tree, n, depth):
+        """Member mask of the depth-`depth` representatives of `tree`."""
+        return bad_mask(tree.log_sigma_matrix(n, depth=depth), self.cfg.log_sigma)
 
     def contains(self, system, x, n):
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
@@ -188,16 +154,16 @@ class BadCollection:
 
 def draw_good_segments(system, cfg, rng, count, length_range, max_attempts):
     """Draw good segments by rejection until `count` are found or
-    `max_attempts` candidates have been drawn.
+    `max_attempts` segments have been drawn.
 
     Each candidate is drawn as the one-at-a-time loop draws it: x =
     rng.random(), then n = rng.integers(lo, hi + 1) for length_range
-    (lo, hi).  The candidates are drawn and classified in blocks, each with
-    one `segment_log_sigma` call at the block's longest length and each
-    candidate on its own prefix, as `decompose` does; once `count` are
-    found the generator state is set back to just after the last candidate
-    used.  So the segments, the attempt count and the generator state are
-    those of the loop that classifies one candidate per draw.  Returns
+    (lo, hi).  Draws are made and classified in blocks, each with one
+    `segment_log_sigma` call at the block's longest length and each
+    candidate on its own prefix, as `cli.cmd_decompose` does; once `count`
+    are found the generator state is set back to just after the last
+    candidate used.  So the segments, the attempt count and the generator
+    state are those of the loop that classifies one candidate per draw.  Returns
     (segments, attempts); fewer than `count` segments mean the attempts
     ran out.
     """
@@ -248,23 +214,15 @@ def obstruction_sample(system, cfg, points, k_max):
 # backward contraction along good segments
 # ---------------------------------------------------------------------------
 
-def pullback_chain(system, x, n, endpoint):
-    """Pull `endpoint` (near g^n x) back along the inverse-branch chain
-    through the orbit of x; returns z_0..z_n with g(z_k) = z_{k+1}."""
-    orbit = system.orbit(x, n + 1)[0]
-    chain = np.empty(n + 1)
-    chain[n] = endpoint % 1.0
-    for k in range(n - 1, -1, -1):
-        chain[k] = system.pullback(orbit[k], chain[k + 1])
-    return chain
-
-
 def pull_back_ends(system, orbit, ns, shifts):
-    """Time-0 ends of the chains of `pullback_chain`, one per row of `orbit`.
+    """Time-0 ends of pullback chains along good segments, one per row of
+    `orbit`.
 
-    Row r's end point orbit[r, n_r] + shifts[r] is reduced mod 1 twice, as
-    the end point passed to `pullback_chain` was, and pulled back n_r steps
-    through the local inverses at orbit[r, n_r - 1], ..., orbit[r, 0].  The
+    Row r's end point orbit[r, n_r] + shifts[r] is reduced mod 1 twice, so
+    that a negative end within rounding of 0 lands on 0.0 rather than 1.0,
+    and pulled back n_r steps through the local inverses at
+    orbit[r, n_r - 1], ..., orbit[r, 0], each step continuing the inverse
+    branch through the reference point at that time.  The
     chains are aligned at their end times: step j pulls back time n_r - 1 - j
     of every row with n_r > j in one call.
     """
@@ -274,10 +232,3 @@ def pull_back_ends(system, orbit, ns, shifts):
         act = np.flatnonzero(ns > j)
         cur[act] = system.pullback(orbit[act, ns[act] - 1 - j], cur[act])
     return cur
-
-
-def contraction_profile(system, x, n, endpoint):
-    """Distances d(g^k x, z_k) of the pullback chain to the reference orbit."""
-    orbit = system.orbit(x, n + 1)[0]
-    chain = pullback_chain(system, x, n, endpoint)
-    return circle_dist(orbit, chain)

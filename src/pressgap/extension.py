@@ -1,10 +1,10 @@
-"""The inverse-limit extension: truncated backward orbits, the weighted
-metric, lifted potentials, and the uniform Bowen-variation bound.
+"""The inverse-limit extension: truncated backward orbits, lifted
+potentials, and the uniform Bowen-variation bound.
 
 Points of the extension are truncated backward orbits (x_0, ..., x_K); the
 metric weights coordinate distances by a^-n for a base a > 1.  Truncation at
-depth K is rigorous through an explicit tail bound, reported alongside every
-truncated distance.
+depth K is rigorous through an explicit tail bound on what the dropped
+coordinates can add to a distance.
 """
 
 import math
@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .decomposition import draw_good_segments, pull_back_ends
 from .errors import ValidationError
-from .maps import CIRCLE_DIAMETER, circle_dist
+from .maps import CIRCLE_DIAMETER
 
 
 @dataclass(frozen=True)
@@ -117,39 +117,6 @@ def extend_coords(system, x, depth, policy="lex-min", rng=None, branches=None):
     return coords
 
 
-def hat_g(system, p):
-    """Forward shift: prepend g(x_0), drop the deepest coordinate."""
-    new0 = float(system.forward(np.float64(p.coords[0])))
-    return ExtPoint((new0,) + p.coords[:-1])
-
-
-def hat_g_inverse(system, p, policy="lex-min", rng=None, branch=None):
-    """Inverse shift: drop x_0, extend the tail by one coordinate."""
-    if branch is not None:
-        tail = float(system.branch_solve(int(branch), np.float64(p.coords[-1])))
-    elif policy == "lex-min":
-        tail = float(system.branch_solve(0, np.float64(p.coords[-1])))
-    elif policy == "random":
-        tail = float(system.branch_solve(int(rng.integers(system.degree)),
-                                         np.float64(p.coords[-1])))
-    else:
-        raise ValidationError("policy", f"unknown policy {policy!r}")
-    return ExtPoint(p.coords[1:] + (tail,))
-
-
-def hat_distance(cfg, p, q):
-    """Truncated metric sum and its rigorous tail bound.
-
-    The true distance lies in [truncated, truncated + tail_bound].
-    """
-    if p.depth != q.depth:
-        raise ValidationError("depth", "extension points must share depth")
-    weights = cfg.a ** -np.arange(p.depth + 1)
-    trunc = float(np.sum(weights * circle_dist(np.asarray(p.coords),
-                                               np.asarray(q.coords))))
-    return trunc, tail_bound(cfg.a, p.depth)
-
-
 # ---------------------------------------------------------------------------
 # lifted potentials
 # ---------------------------------------------------------------------------
@@ -167,7 +134,6 @@ class ExtensionPotential:
     evaluate: callable
     holder_constant: float
     holder_exponent: float
-    sup_norm: float
     base: object = None      # the circle potential the lift was built from
     a: float = 0.0           # coordinate weight base for fiber-averaged lifts
     name: str = "lifted"
@@ -182,12 +148,10 @@ def lift_projection(phi):
     def evaluate(rows):
         return phi(rows[..., 0])
 
-    xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
-    sup = float(np.max(np.abs(phi(xs))))
     return ExtensionPotential(mode="projection", evaluate=evaluate,
                               holder_constant=phi.holder_constant,
                               holder_exponent=phi.holder_exponent,
-                              sup_norm=sup, base=phi, name=f"proj[{phi.name}]")
+                              base=phi, name=f"proj[{phi.name}]")
 
 
 def lift_fiber_averaged(psi, a):
@@ -199,12 +163,10 @@ def lift_fiber_averaged(psi, a):
     def evaluate(rows):
         return np.sum(a ** -np.arange(rows.shape[-1]) * psi(rows), axis=-1)
 
-    xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
-    sup = float(np.max(np.abs(psi(xs)))) * a / (a - 1.0)
     return ExtensionPotential(mode="fiber-averaged", evaluate=evaluate,
                               holder_constant=psi.holder_constant * a / (a - 1.0),
                               holder_exponent=min(psi.holder_exponent, 1.0),
-                              sup_norm=sup, base=psi, a=float(a),
+                              base=psi, a=float(a),
                               name=f"fiber[{psi.name}]")
 
 
@@ -326,7 +288,7 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
 
     Every random draw is made first, sample by sample: each good segment
     comes from one `draw_good_segments` call, which classifies its
-    candidates in blocks but leaves the generator as a one-at-a-time draw
+    draws in blocks but leaves the generator as a one-at-a-time draw
     does, and the segment's branches and companion draw follow it.  Then
     the backward orbits and companions of all accepted samples are built
     together, and their Birkhoff sums taken in two `birkhoff_hat` calls.

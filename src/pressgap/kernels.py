@@ -100,12 +100,12 @@ def greedy_separated(orbits, order, eps):
     Builds the conflict graph of the pool, then walks `order` keeping each
     row still alive and marking its neighbours dead.  Time is O(time-0
     window pairs + conflicts) and memory O(conflicts), with the window pairs
-    screened `_PAIR_CHUNK` at a time.  The pools built inside the package
-    are cylinder-tree pools: at most degree**refine representatives per
-    n-cylinder, so few rows conflict and the graph is sparse.  A dense pool,
-    where most rows conflict (e.g. thousands of uniform points passed as
-    `candidates=` at n = 1 and a large eps), costs time and memory in the
-    number of conflicting pairs, which grows with the square of the pool.
+    screened `_PAIR_CHUNK` at a time.  The package passes cylinder-tree
+    pools only: at most degree**refine representatives per n-cylinder, so
+    few rows conflict and the graph is sparse.  A dense pool passed in
+    directly, where most rows conflict (e.g. thousands of uniform points at
+    n = 1 and a large eps), costs time and memory in the number of
+    conflicting pairs, which grows with the square of the pool.
     """
     orbits = np.asarray(orbits, dtype=np.float64)
     order = np.asarray(order, dtype=np.int64)

@@ -26,15 +26,10 @@ _STOP_ULPS = 2.0
 _RESIDUAL_ULPS = 4.0
 _SOLVE_CAP = 100
 
-# 1/g' is sampled on this many grid points for `sigma_sup`, and on this many
-# points of each pulled-back ball by `branch_lipschitz`
+# 1/g' is sampled on this many grid points for the global sup that clamps
+# `branch_lipschitz`, and on this many points of each pulled-back ball
 _SIGMA_SUP_GRID = 8193
 _LIPSCHITZ_SAMPLES = 33
-
-
-def wrap(x):
-    """Reduce to the fundamental domain [0, 1)."""
-    return np.asarray(x, dtype=float) % 1.0
 
 
 def circle_dist(x, y):
@@ -251,11 +246,6 @@ class MapSystem:
         return self.lift_inverse(self._lift(x % 1.0) + delta) % 1.0
 
     # -- derived fields -----------------------------------------------------
-
-    @property
-    def sigma_sup(self):
-        """Global supremum of the inverse-derivative field."""
-        return self._sigma_sup
 
     def branch_lipschitz(self, x):
         """Upper bound sigma(x) for the Lipschitz constant of the inverse

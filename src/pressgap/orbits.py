@@ -1,4 +1,4 @@
-"""Bowen metrics, Birkhoff sums, cylinder enumeration, and partition sums.
+"""Cylinder enumeration, segment collections' pools, and partition sums.
 
 Separated sets are built greedily from the depth-n inverse-branch cylinder
 representatives: for an expanding map the n-cylinders are exactly the
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import kernels
 from .errors import CoverError, NodeCapError, ValidationError
-from .maps import circle_dist
 
 DEFAULT_NODE_CAP = 1 << 18
 DEFAULT_ANCHOR = 0.5
@@ -32,33 +31,15 @@ class OrbitSegment:
             raise ValidationError("length", "orbit segments need length >= 1")
 
 
-def birkhoff_sum(system, phi, seg):
-    """Sum of phi along the first `seg.length` iterates of `seg.start`."""
-    orbit = system.orbit(seg.start, seg.length)[0]
-    return float(np.sum(phi(orbit)))
-
-
-def bowen_distance(system, x, y, n):
-    """max over 0 <= k < n of d(g^k x, g^k y)."""
-    if n < 1:
-        raise ValidationError("n", "Bowen metric needs n >= 1")
-    ox = system.orbit(x, n)[0]
-    oy = system.orbit(y, n)[0]
-    return float(np.max(circle_dist(ox, oy)))
-
-
 class FullCollection:
     """The collection of all orbit segments."""
 
     name = "full"
-
-    def member_mask(self, system, points, n):
-        return np.ones(np.asarray(points).shape[0], dtype=bool)
-
-    def contains(self, system, x, n):
-        return True
-
     refine_depth = 0
+
+    def pool_mask(self, tree, n, depth):
+        """Every depth-`depth` representative of `tree` is a member."""
+        return np.ones(tree.levels[depth].size, dtype=bool)
 
 
 class CylinderTree:
@@ -141,49 +122,27 @@ def tree_depth(system, n, refine=0):
     return depth
 
 
-def _candidate_pool(system, coll, n, eps, phi, candidates, anchor, tree=None):
+def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
+    """The collection's members among the cylinder-tree representatives,
+    their length-n orbits and Birkhoff weights, and the greedy order.
+
+    Membership-filtered collections may refine the pool with deeper-tree
+    representatives (finer resolution, same cylinders); a passed tree is
+    used when it is deep enough and shares the anchor.
+    """
     if not 0 < eps < np.inf:
         raise ValidationError("eps", "must be positive and finite")
-    if candidates is None:
-        # membership-filtered collections may refine the enumerator with
-        # deeper-tree representatives (finer resolution, same cylinders)
-        depth = tree_depth(system, n, getattr(coll, "refine_depth", 0))
-        if tree is None or tree.depth < depth or tree.anchor != float(anchor):
-            tree = CylinderTree(system, depth, anchor=anchor)
-        points = tree.representatives(depth)
-        orbits = tree.orbit_matrix(n, depth=depth)
-        if hasattr(coll, "mask_from_log_sigma"):
-            mask = coll.mask_from_log_sigma(tree.log_sigma_matrix(n, depth=depth))
-        else:
-            mask = coll.member_mask(system, points, n)
-    else:
-        points = np.asarray(candidates, dtype=float) % 1.0
-        orbits = system.orbit(points, n)
-        mask = coll.member_mask(system, points, n)
-    mask = np.asarray(mask, dtype=bool)
-    points, orbits = points[mask], orbits[mask]
+    depth = tree_depth(system, n, coll.refine_depth)
+    if tree is None or tree.depth < depth or tree.anchor != float(anchor):
+        tree = CylinderTree(system, depth, anchor=anchor)
+    mask = coll.pool_mask(tree, n, depth)
+    points = tree.representatives(depth)[mask]
+    orbits = tree.orbit_matrix(n, depth=depth)[mask]
     weights = (np.zeros(points.size) if phi is None
                else np.asarray(phi(orbits)).sum(axis=1))
     # descending weight, then candidate (address) order
     order = np.lexsort((np.arange(points.size), -weights))
     return points, orbits, weights, order
-
-
-def separated_set(system, coll, n, eps, phi=None, candidates=None,
-                  anchor=DEFAULT_ANCHOR, tree=None):
-    """Greedy maximal (n, eps)-separated subset of the collection's pool.
-
-    Returns the selected points in selection order.  The pool is the depth-n
-    cylinder representatives unless explicit `candidates` are supplied;
-    either way it is filtered through the collection's membership test and
-    ordered by descending Birkhoff weight (ties by address).
-    """
-    points, orbits, _, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, tree=tree)
-    if points.size == 0:
-        return np.empty(0)
-    keep = kernels.greedy_separated(orbits, order, eps)
-    return points[order][keep[order]]
 
 
 def _log_sum_exp(values):
@@ -193,16 +152,18 @@ def _log_sum_exp(values):
     return m + float(np.log(np.sum(np.exp(values - m))))
 
 
-def partition_sum_sep(system, phi, coll, n, eps, candidates=None,
-                      anchor=DEFAULT_ANCHOR, log=False, tree=None):
+def partition_sum_sep(system, phi, coll, n, eps, anchor=DEFAULT_ANCHOR,
+                      log=False, tree=None):
     """Greedy estimate of the separated-set partition sum.
 
-    Sum of exp(S_n phi) over the greedy maximal (n, eps)-separated subset;
-    a lower bound for the supremum over all separated subsets of the pool.
-    With ``log=True`` the stable log-sum is returned (-inf for empty pools).
+    Sum of exp(S_n phi) over the greedy maximal (n, eps)-separated subset
+    of the collection's cylinder-tree pool, taken in descending Birkhoff
+    weight (ties by address); a lower bound for the supremum over all
+    separated subsets of the pool.  With ``log=True`` the stable log-sum is
+    returned (-inf for empty pools).
     """
     points, orbits, weights, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, tree=tree)
+        system, coll, n, eps, phi, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
     keep = kernels.greedy_separated(orbits, order, eps)
@@ -220,7 +181,7 @@ def greedy_cover(orbits, eps, tie_weights, target):
     The counts are exact integers: they start as the ball sizes and lose
     the newly covered points after each pick.  The cover matrix is exactly
     symmetric, so the balls around the newly covered points hold the
-    candidates whose counts drop.
+    rows whose counts drop.
     """
     n_cand = orbits.shape[0]
     if n_cand == 0:
@@ -244,18 +205,19 @@ def greedy_cover(orbits, eps, tie_weights, target):
     return np.asarray(chosen, dtype=int)
 
 
-def partition_sum_span(system, phi, coll, n, eps, candidates=None,
-                       anchor=DEFAULT_ANCHOR, log=False, tree=None):
+def partition_sum_span(system, phi, coll, n, eps, anchor=DEFAULT_ANCHOR,
+                       log=False, tree=None):
     """Greedy estimate of the spanning partition sum.
 
-    Two spanning sets of the pool are constructed -- the max-coverage greedy
-    cover and the greedy maximal separated set (maximality makes it
-    spanning) -- and the smaller weighted sum is reported.  This keeps the
+    Two spanning sets of the collection's cylinder-tree pool are
+    constructed -- the max-coverage greedy cover and the greedy maximal
+    separated set (maximality makes it spanning) -- and the smaller
+    weighted sum is reported.  This keeps the
     estimate an upper bound for the spanning infimum restricted to
     constructed covers and guarantees span <= sep on identical inputs.
     """
     points, orbits, weights, order = _candidate_pool(
-        system, coll, n, eps, phi, candidates, anchor, tree=tree)
+        system, coll, n, eps, phi, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
     if points.size ** 2 > DEFAULT_NODE_CAP * 64:

@@ -81,7 +81,7 @@ def pressure_at_scale(system, phi, coll, eps, n_max, tree=None):
         raise ValidationError("eps", "must be positive and finite")
     ns = list(range(1, n_max + 1))
     if tree is None:
-        depth = tree_depth(system, n_max, getattr(coll, "refine_depth", 0))
+        depth = tree_depth(system, n_max, coll.refine_depth)
         tree = CylinderTree(system, depth)
     logs = [partition_sum_sep(system, phi, coll, n, eps, log=True, tree=tree)
             for n in ns]
@@ -90,7 +90,7 @@ def pressure_at_scale(system, phi, coll, eps, n_max, tree=None):
         eps=float(eps), n_values=tuple(ns),
         log_partition_sums=tuple(float(v) for v in logs),
         rate=rate, rate_uncertainty=unc, limsup_proxy=proxy,
-        is_empty=empty, collection=getattr(coll, "name", coll.__class__.__name__))
+        is_empty=empty, collection=coll.name)
 
 
 def katok_sn(system, phi, orbit_sample, delta, eta, n):

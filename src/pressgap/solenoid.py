@@ -234,7 +234,7 @@ def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
     return the empirical max Birkhoff variation against the closed-form cap.
 
     Companions share the reference itinerary (transported along the base
-    pullback) and carry a small fiber offset; candidates leaving the
+    pullback) and carry a small fiber offset; companions leaving the
     eps-Bowen ball are rejected.  The per-step two-term estimate
     eps sigma^(n-i) + lam^i eps is reported as a max ratio: the constant it
     hides is the metric-equivalence factor, so ratios slightly above 1 near

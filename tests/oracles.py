@@ -11,11 +11,23 @@ and Bowen companions, the per-point extension Birkhoff sum, the one-point
 solenoid fibers, metric-equivalence sampler and
 attractor Bowen check, the fixed-step bisection inverse-branch solver, and
 the plain forward/adjoint power iteration for transfer-operator eigendata.
+The last section holds one-segment and one-point helpers that no package
+code calls: Birkhoff sums, Bowen distances, classification, decomposition
+and pullback chains of one segment, the greedy separated set of a
+collection's pool (through the package's greedy kernel), and the extension
+shift, its inverse and the truncated extension metric.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from pressgap import kernels
+from pressgap.decomposition import classify_logs, segment_log_sigma, split_index
 from pressgap.errors import ConvergenceError, ValidationError
+from pressgap.extension import ExtPoint, tail_bound
+from pressgap.maps import circle_dist
+from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
 from pressgap.transfer import EigenData, apply_adjoint, apply_operator
 
 
@@ -296,9 +308,6 @@ def birkhoff_hat_scalar(system, phi_hat, p, n):
 def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
     """A companion in the n-Bowen ball of x_hat: base pullback through the
     segment's chain plus a fiber perturbation beyond the sync depth."""
-    from pressgap.decomposition import pullback_chain
-    from pressgap.extension import ExtPoint
-
     end = system.orbit(x_hat.coords[0], n + 1)[0][-1]
     target = (end + eps * (2.0 * rng.random() - 1.0)) % 1.0
     chain = pullback_chain(system, x_hat.coords[0], n, target)
@@ -474,7 +483,6 @@ def attractor_bowen_check_scalar(sys, dec_cfg, phi, holder_constant,
     with the random draws."""
     import math
 
-    from pressgap.decomposition import pullback_chain
     from pressgap.errors import ValidationError
     from pressgap.maps import TWO_PI
     from pressgap.solenoid import (AttractorBowenReport, AttractorPoint,
@@ -567,3 +575,120 @@ def leading_eigen_power(op, tol=1e-13, max_iters=20000):
     return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
                      eigenmeasure=nu, equilibrium_density=dens,
                      iterations=it_f + it_a, residual=residual)
+
+
+# ---------------------------------------------------------------------------
+# one-segment and one-point helpers that no package code calls
+# ---------------------------------------------------------------------------
+
+def birkhoff_sum(system, phi, seg):
+    """Sum of phi along the first `seg.length` iterates of `seg.start`."""
+    orbit = system.orbit(seg.start, seg.length)[0]
+    return float(np.sum(phi(orbit)))
+
+
+def bowen_distance(system, x, y, n):
+    """max over 0 <= k < n of d(g^k x, g^k y)."""
+    if n < 1:
+        raise ValidationError("n", "Bowen metric needs n >= 1")
+    ox = system.orbit(x, n)[0]
+    oy = system.orbit(y, n)[0]
+    return float(np.max(circle_dist(ox, oy)))
+
+
+def separated_set(system, coll, n, eps):
+    """Greedy maximal (n, eps)-separated subset of the collection's
+    cylinder-tree pool, in selection order, picked by the package's kernel
+    as `partition_sum_sep` picks it with no potential (address order)."""
+    points, orbits, _, order = _candidate_pool(system, coll, n, eps, None,
+                                          DEFAULT_ANCHOR)
+    if points.size == 0:
+        return np.empty(0)
+    keep = kernels.greedy_separated(orbits, order, eps)
+    return points[order][keep[order]]
+
+
+def in_sigma_window(system, cfg, x, j, n):
+    """True iff the trailing average over [j, n) beats log sigma."""
+    if not 0 <= j <= n - 1:
+        raise ValidationError("j", "window index must satisfy 0 <= j <= n-1")
+    logs = segment_log_sigma(system, x, n)[0]
+    return bool(np.mean(logs[j:]) < cfg.log_sigma)
+
+
+def classify_segment(system, cfg, seg):
+    """Good / bad / neither status of one segment (mutually exclusive)."""
+    logs = segment_log_sigma(system, seg.start, seg.length)[0]
+    return classify_logs(logs, cfg.log_sigma)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Lengths of the (prefix, good, bad) split; the prefix is trivial here."""
+
+    g_len: int
+    s_len: int
+    p_len: int = 0
+
+    @property
+    def total(self):
+        return self.p_len + self.g_len + self.s_len
+
+
+def decompose(system, cfg, seg):
+    """Split (x, n) into a good prefix and bad suffix at the first bad-suffix
+    index; either part may be empty."""
+    logs = segment_log_sigma(system, seg.start, seg.length)[0]
+    m = split_index(logs, cfg.log_sigma)
+    return Decomposition(g_len=m, s_len=seg.length - m)
+
+
+def pullback_chain(system, x, n, endpoint):
+    """Pull `endpoint` (near g^n x) back along the inverse-branch chain
+    through the orbit of x; returns z_0..z_n with g(z_k) = z_{k+1}."""
+    orbit = system.orbit(x, n + 1)[0]
+    chain = np.empty(n + 1)
+    chain[n] = endpoint % 1.0
+    for k in range(n - 1, -1, -1):
+        chain[k] = system.pullback(orbit[k], chain[k + 1])
+    return chain
+
+
+def contraction_profile(system, x, n, endpoint):
+    """Distances d(g^k x, z_k) of the pullback chain to the reference orbit."""
+    orbit = system.orbit(x, n + 1)[0]
+    chain = pullback_chain(system, x, n, endpoint)
+    return circle_dist(orbit, chain)
+
+
+def hat_g(system, p):
+    """Forward shift: prepend g(x_0), drop the deepest coordinate."""
+    new0 = float(system.forward(np.float64(p.coords[0])))
+    return ExtPoint((new0,) + p.coords[:-1])
+
+
+def hat_g_inverse(system, p, policy="lex-min", rng=None, branch=None):
+    """Inverse shift: drop x_0, extend the tail by one coordinate."""
+    if branch is not None:
+        tail = float(system.branch_solve(int(branch), np.float64(p.coords[-1])))
+    elif policy == "lex-min":
+        tail = float(system.branch_solve(0, np.float64(p.coords[-1])))
+    elif policy == "random":
+        tail = float(system.branch_solve(int(rng.integers(system.degree)),
+                                         np.float64(p.coords[-1])))
+    else:
+        raise ValidationError("policy", f"unknown policy {policy!r}")
+    return ExtPoint(p.coords[1:] + (tail,))
+
+
+def hat_distance(cfg, p, q):
+    """Truncated metric sum and its rigorous tail bound.
+
+    The true distance lies in [truncated, truncated + tail_bound].
+    """
+    if p.depth != q.depth:
+        raise ValidationError("depth", "extension points must share depth")
+    weights = cfg.a ** -np.arange(p.depth + 1)
+    trunc = float(np.sum(weights * circle_dist(np.asarray(p.coords),
+                                               np.asarray(q.coords))))
+    return trunc, tail_bound(cfg.a, p.depth)

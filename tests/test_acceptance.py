@@ -13,10 +13,10 @@ from pressgap.decomposition import (DecompositionConfig, GoodCollection,
                                     draw_good_segments, segment_log_sigma,
                                     split_index)
 from pressgap.errors import ConvergenceError
-from pressgap.extension import (ExtensionConfig, extend, hat_distance,
-                                hat_g, lift_projection, verify_bowen)
+from pressgap.extension import (ExtensionConfig, extend, lift_projection,
+                                verify_bowen)
 from pressgap.maps import circle_dist
-from pressgap.orbits import CylinderTree, FullCollection, separated_set
+from pressgap.orbits import CylinderTree, FullCollection
 from pressgap.pressure import gap_report, pressure_at_scale
 from pressgap.solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                                conjugacy_h, d_attractor, fiber_point,
@@ -25,7 +25,8 @@ from pressgap.specification import glue_base, verify_shadow
 from pressgap.transfer import build_operator, leading_eigen
 from pressgap.cli import main as cli_main
 
-from oracles import brute_split, is_bad, is_good, max_separated_cardinality
+from oracles import (brute_split, hat_distance, hat_g, is_bad, is_good,
+                     max_separated_cardinality, separated_set)
 
 LOG2 = math.log(2.0)
 EPS5 = 2.0 ** -5

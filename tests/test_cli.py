@@ -9,7 +9,9 @@ import pytest
 import pressgap as pg
 from pressgap import cli, orbits
 from pressgap.cli import fmt, main
-from pressgap.decomposition import DecompositionConfig, classify_segment, decompose
+from pressgap.decomposition import DecompositionConfig
+
+from oracles import classify_segment, decompose
 
 
 def run(args):
@@ -326,6 +328,8 @@ def test_workers_is_not_a_setting(tmp_path, capsys):
     (["extension", "--samples", "0"], "samples"),
     (["solenoid", "--samples", "0"], "samples"),
     (["check", "--group-size", "0"], "group_size"),
+    (["gap-report", "--sigma-grid", "0.5,1.5"], "sigma_grid"),
+    (["pressure", "--eps-list", "0.1,-0.2"], "eps_list"),
 ])
 def test_bad_numbers_exit_1_naming_the_field(args, field, capsys):
     assert run(args) == 1
@@ -351,7 +355,7 @@ def _literal_reads(tree):
 def test_every_config_field_is_read():
     # a field that only DEFAULTS and the flag tables name is dead
     # configuration; k_max waits on the expansivity hypothesis, which
-    # ROADMAP item 2 either wires to it or deletes with it
+    # ROADMAP item 6 either wires to it or deletes with it
     tree = ast.parse(Path(cli.__file__).read_text())
     read = set(_literal_reads(tree))
     fields = set(cli.DEFAULTS)

@@ -5,15 +5,15 @@ import pressgap as pg
 from pressgap import cli
 from pressgap.decomposition import (BadCollection, Classification,
                                     DecompositionConfig, GoodCollection,
-                                    classify_segment, contraction_profile,
-                                    decompose, draw_good_segments,
-                                    in_sigma_window, obstruction_sample,
+                                    draw_good_segments, obstruction_sample,
                                     segment_log_sigma, split_index)
 from pressgap.errors import ValidationError
 from pressgap.maps import TWO_PI
 from pressgap.orbits import OrbitSegment
 
-from oracles import brute_split, is_bad, is_good, random_good_segments_scalar
+from oracles import (brute_split, classify_segment, contraction_profile,
+                     decompose, in_sigma_window, is_bad, is_good,
+                     random_good_segments_scalar)
 
 _GRID = np.linspace(0.0, 1.0, 65)
 DRAW_MAPS = {

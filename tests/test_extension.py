@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 import pressgap as pg
-from pressgap.decomposition import DecompositionConfig, classify_segment
+from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import ValidationError
 from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
                                 birkhoff_hat, bowen_bound, depth_for_tolerance,
-                                extend, hat_distance, hat_g, hat_g_inverse,
-                                lift_fiber_averaged, lift_projection,
+                                extend, lift_fiber_averaged, lift_projection,
                                 verify_bowen)
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist
 from pressgap.orbits import OrbitSegment
 
-from oracles import (birkhoff_hat_scalar, extend_scalar, hat_orbit_coords,
-                     verify_bowen_scalar)
+from oracles import (birkhoff_hat_scalar, birkhoff_sum, classify_segment,
+                     extend_scalar, hat_distance, hat_g, hat_g_inverse,
+                     hat_orbit_coords, verify_bowen_scalar)
 
 
 def test_config_and_tail_bound():
@@ -137,7 +137,7 @@ def test_hat_orbit_coords(doubling_map, rng):
 def test_birkhoff_hat_projection_matches_base(doubling_map, sin_potential, rng):
     p = extend(doubling_map, 0.61, 10, policy="random", rng=rng)
     lifted = lift_projection(sin_potential)
-    base = pg.birkhoff_sum(doubling_map, sin_potential, OrbitSegment(0.61, 7))
+    base = birkhoff_sum(doubling_map, sin_potential, OrbitSegment(0.61, 7))
     assert birkhoff_hat(doubling_map, lifted, p, 7) == pytest.approx(base)
 
 

@@ -142,7 +142,7 @@ def test_tree_pools_match_quadratic_reference(request, map_name, coll):
     for n in (1, 5, 9):
         for eps in (1.0 / 16.0, 1.0 / 32.0):
             _, orbits, _, by_weight = _candidate_pool(
-                system, coll, n, eps, phi, None, DEFAULT_ANCHOR)
+                system, coll, n, eps, phi, DEFAULT_ANCHOR)
             for order in (np.arange(orbits.shape[0]), by_weight):
                 keep = kernels.greedy_separated(orbits, order, eps)
                 assert np.array_equal(

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgap as pg
+from pressgap import kernels
 from pressgap.decomposition import BadCollection, DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
 from pressgap.maps import circle_dist
-from pressgap.orbits import (CylinderTree, FullCollection, birkhoff_sum,
-                             bowen_distance, partition_sum_sep,
-                             partition_sum_span, separated_set)
+from pressgap.orbits import (CylinderTree, FullCollection, partition_sum_sep,
+                             partition_sum_span)
 
-from oracles import max_separated_cardinality
+from oracles import (birkhoff_sum, bowen_distance, max_separated_cardinality,
+                     separated_set)
 
 
 def test_birkhoff_examples(doubling_map):
@@ -167,7 +168,8 @@ def test_separated_property_random_pools(seed, n):
     rng = np.random.default_rng(seed)
     pool = rng.random(30)
     eps = 0.05 + 0.4 * rng.random()
-    e = separated_set(system, FullCollection(), n, eps, candidates=pool)
+    keep = kernels.greedy_separated(system.orbit(pool, n), np.arange(pool.size), eps)
+    e = pool[keep]
     for i in range(len(e)):
         for j in range(i + 1, len(e)):
             assert bowen_distance(system, e[i], e[j], n) >= eps

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import pressgap as pg
+from pressgap import kernels
 from pressgap.decomposition import (BadCollection, DecompositionConfig,
                                     GoodCollection, obstruction_sample)
 from pressgap.errors import CoverError, NodeCapError, ValidationError
-from pressgap.orbits import (DEFAULT_NODE_CAP, FullCollection,
-                             partition_sum_sep, partition_sum_span)
+from pressgap.orbits import (DEFAULT_NODE_CAP, FullCollection, greedy_cover,
+                             partition_sum_sep)
 from pressgap.pressure import (GapReport, ct_hypothesis_check, gap_report,
                                growth_fit, katok_sn, pressure_at_scale)
 
@@ -99,10 +100,12 @@ def test_chain_inequality(mp_map):
     n, delta = 12, 1.0 / 32.0
     assert n > k_cap
     katok = katok_sn(mp_map, zero, pts, delta, 0.9, n)
-    span = partition_sum_span(mp_map, zero, FullCollection(), n, delta,
-                              candidates=pts)
-    sep = partition_sum_sep(mp_map, zero, FullCollection(), n, delta,
-                            candidates=pts)
+    # with the zero potential each partition sum counts its set: the greedy
+    # separated set of the pool, and the smaller of it and the greedy cover
+    rows = mp_map.orbit(pts, n)
+    keep = kernels.greedy_separated(rows, np.arange(pts.size), delta)
+    sep = np.count_nonzero(keep)
+    span = min(greedy_cover(rows, delta, np.zeros(pts.size), pts.size).size, sep)
     bad = BadCollection(cfg)
     assert np.all(bad.member_mask(mp_map, pts, n))
     sep_bad = partition_sum_sep(mp_map, zero, bad, n, delta)

@@ -1,0 +1,85 @@
+"""Every public module-level function and class of the package is reached
+by package code or the benchmark harness; tests alone do not count."""
+
+import ast
+from pathlib import Path
+
+import pressgap
+
+PACKAGE = Path(pressgap.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# public names no caller reaches yet, each waiting on a ROADMAP item that
+# wires it into the CLI: the obstruction set (item 6), the transfer
+# cross-check in `check` (item 1) and pressure on the natural extension
+# (item 2)
+PENDING = {
+    "decomposition.obstruction_sample",
+    "transfer.check_equilibrium",
+    "extension.as_base_potential",
+    "extension.lift_fiber_averaged",
+    "specification.glue_extension",
+    "specification.verify_shadow_extension",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _outside_reads(tree):
+    """(module, name) pairs another file imports by name from a pressgap
+    module, or reads as ``module.name``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and (node.level or node.module.startswith("pressgap."))):
+            module = node.module.rsplit(".", 1)[-1]
+            for alias in node.names:
+                yield module, alias.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield node.value.id, node.attr
+
+
+def _global_loads(node, local=frozenset()):
+    """Names read in `node` that resolve to module globals: a name bound in
+    an enclosing function (argument or assignment) is that function's
+    local, not a use of the module-level definition."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        bound |= {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local = local | bound
+    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id not in local):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _global_loads(child, local)
+
+
+def _unreached():
+    modules = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    outside = {pair for path in BENCH.glob("*.py")
+               for pair in _outside_reads(_parse(path))}
+    outside |= {(module, name) for source, tree in modules.items()
+                for module, name in _outside_reads(tree) if module != source}
+    unreached = set()
+    for module, tree in modules.items():
+        loads = list(_global_loads(tree))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or (module, node.name) in outside):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if not any(load.id == node.name and id(load) not in inside
+                       for load in loads):
+                unreached.add(f"{module}.{node.name}")
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    # `pressgap/__init__.py` re-exports names and is no caller; a name only
+    # tests use belongs in tests/oracles.py
+    assert _unreached() == PENDING

@@ -7,7 +7,6 @@ import pytest
 from pressgap.cli import main
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
-from pressgap.extension import hat_g
 from pressgap.solenoid import (AttractorBatch, AttractorPoint, SolenoidSystem,
                                apply_f, attractor_bowen_bound,
                                attractor_bowen_check, conjugacy_h, d_attractor,
@@ -16,8 +15,8 @@ from pressgap.solenoid import (AttractorBatch, AttractorPoint, SolenoidSystem,
 
 from oracles import (apply_f_scalar, attractor_bowen_check_scalar,
                      conjugacy_h_scalar, d_attractor_scalar,
-                     fiber_point_scalar, fiber_sample_scalar, holonomy_scalar,
-                     metric_equivalence_scalar)
+                     fiber_point_scalar, fiber_sample_scalar, hat_g,
+                     holonomy_scalar, metric_equivalence_scalar)
 
 
 @pytest.fixture(scope="module")
