@@ -63,9 +63,11 @@ _DECOMPOSE_POINTS = 1 << 12
 # transfer CSV rows formatted per chunk
 _ROW_CHUNK = 1 << 10
 
-_FLOAT_FIELDS = ("sigma", "eps", "a", "lam_s", "offset")
-_INT_FIELDS = ("n_max", "grid_size", "depth", "seed", "samples", "length_min",
-               "length_max", "group_size", "k_max", "cloud_depth")
+# draws of one good-segment sample in glue and check
+_GOOD_SEGMENT_ATTEMPTS = 4000
+
+# fields given on the command line as comma-separated numbers
+_LIST_FIELDS = ("sigma_grid", "eps_list")
 
 
 def fmt(x):
@@ -141,7 +143,7 @@ def _check_type(field, value, default):
     if value is None and default is None:
         return
     name = field.rsplit(".", 1)[-1]
-    if name in ("sigma_grid", "eps_list"):
+    if name in _LIST_FIELDS:
         ok = isinstance(value, list) and all(map(_is_number, value))
     elif name in ("kind", "out"):
         ok = isinstance(value, str)
@@ -272,8 +274,9 @@ def cmd_decompose(cfg):
     return 0
 
 
-def _random_good_segments(system, dec, rng, count, length_range, attempts=4000):
-    out, _ = draw_good_segments(system, dec, rng, count, length_range, attempts)
+def _random_good_segments(system, dec, rng, count, length_range):
+    out, _ = draw_good_segments(system, dec, rng, count, length_range,
+                                _GOOD_SEGMENT_ATTEMPTS)
     if len(out) < count:
         raise ValidationError("sigma", "could not sample enough good segments")
     return out
@@ -355,9 +358,9 @@ def cmd_solenoid(cfg):
     # measured fiber contraction on one sampled pair per run
     y = float(rng.random())
     pts = fiber_sample(sol, y, 2)
-    d0 = math.hypot(pts[0].disk[0] - pts[1].disk[0], pts[0].disk[1] - pts[1].disk[1])
-    fa, fb = apply_f(sol, pts[0]), apply_f(sol, pts[1])
-    d1 = math.hypot(fa.disk[0] - fb.disk[0], fa.disk[1] - fb.disk[1])
+    # planar distances only: the pair's thetas may differ by rounding
+    d0 = math.dist(pts[0].disk, pts[1].disk)
+    d1 = math.dist(apply_f(sol, pts[0]).disk, apply_f(sol, pts[1]).disk)
     contraction = d1 / d0
 
     depth = max(cfg["depth"], 8)
@@ -368,10 +371,12 @@ def cmd_solenoid(cfg):
     defect = max(abs(a - b) for a, b in zip(lhs.coords, rhs_coords))
 
     c_low, c_high = metric_equivalence(sol, samples=max(cfg["samples"], 100),
-                                       depth=12, seed=cfg["seed"])
+                                       seed=cfg["seed"])
 
-    def torus_phi(pt):
-        return math.cos(2 * math.pi * pt.theta) + 0.5 * pt.disk[0]
+    def torus_phi(theta, u, v):
+        # math.cos, element by element: np.cos may round differently
+        turns = (2 * math.pi * theta).ravel().tolist()
+        return np.reshape(list(map(math.cos, turns)), np.shape(theta)) + 0.5 * u
 
     bowen = attractor_bowen_check(sol, dec, torus_phi,
                                   holder_constant=2 * math.pi, holder_exponent=1.0,
@@ -475,8 +480,10 @@ def build_parser():
     ap.add_argument("--config", help="JSON configuration document")
     ap.add_argument("--map", dest="map_kind",
                     choices=sorted(BUILTIN_MAPS) + ["tabulated"])
-    ap.add_argument("--alpha", type=float, help="intermittency exponent")
-    ap.add_argument("--delta", type=float, help="perturbation amplitude")
+    ap.add_argument("--alpha", dest="map_alpha", type=float,
+                    help="intermittency exponent")
+    ap.add_argument("--delta", dest="map_delta", type=float,
+                    help="perturbation amplitude")
     ap.add_argument("--potential", dest="potential_kind",
                     choices=["zero", "constant", "geometric", "tabulated"])
     ap.add_argument("--potential-c", type=float)
@@ -527,32 +534,18 @@ def resolve_config(args):
                 cfg[key].update(value)
             else:
                 cfg[key] = value
-    if args.map_kind:
-        cfg["map"]["kind"] = args.map_kind
-    if args.alpha is not None:
-        cfg["map"]["alpha"] = args.alpha
-    if args.delta is not None:
-        cfg["map"]["delta"] = args.delta
-    if args.potential_kind:
-        cfg["potential"]["kind"] = args.potential_kind
-    if args.potential_c is not None:
-        cfg["potential"]["c"] = args.potential_c
-    if args.potential_t is not None:
-        cfg["potential"]["t"] = args.potential_t
-    if args.sigma_grid:
-        cfg["sigma_grid"] = _float_list("sigma_grid", args.sigma_grid)
-    if args.eps_list:
-        cfg["eps_list"] = _float_list("eps_list", args.eps_list)
-    for field in _FLOAT_FIELDS:
-        v = getattr(args, field.replace("-", "_"), None)
-        if v is not None:
-            cfg[field] = float(v)
-    for field in _INT_FIELDS:
-        v = getattr(args, field.replace("-", "_"), None)
-        if v is not None:
-            cfg[field] = int(v)
-    if args.out:
-        cfg["out"] = args.out
+    # every field has a flag: dest `key`, or `key_sub` for a field of the
+    # map or potential object; an absent or empty flag leaves the field
+    for key, default in DEFAULTS.items():
+        if isinstance(default, dict):
+            fields = [(cfg[key], sub, f"{key}_{sub}") for sub in default]
+        else:
+            fields = [(cfg, key, key)]
+        for target, name, dest in fields:
+            value = getattr(args, dest)
+            if value is None or value == "":
+                continue
+            target[name] = _float_list(key, value) if key in _LIST_FIELDS else value
     validate(cfg)
     return cfg
 

@@ -73,42 +73,31 @@ class ExtPoint:
         return self.coords[0]
 
 
-def extend(system, x, depth, policy="lex-min", rng=None, branches=None):
-    """Build a backward orbit of the given depth starting at x.
+def extend(system, x, branches):
+    """Backward orbits of the starts x along the given branch ids.
 
-    Policies: 'lex-min' always takes branch 0, 'random' draws branches from
-    `rng`, 'given' follows the explicit `branches` list.  A vector of starts
-    gives one ExtPoint per start, built together with one root solve per
-    step; 'random' then draws row by row, and 'given' takes one row of
-    `branches` per start.
+    One start and a sequence of K branch ids give the ExtPoint
+    (x_0, ..., x_K) with x_(i+1) the branch-`branches[i]` preimage of x_i.
+    A vector of starts and a (starts, K) array of ids give one ExtPoint per
+    start and row, built together with one root solve per step.
     """
-    coords = extend_coords(system, x, depth, policy, rng, branches)
+    coords = extend_coords(system, x, branches)
     points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
     return points if np.ndim(x) else points[0]
 
 
-def extend_coords(system, x, depth, policy="lex-min", rng=None, branches=None):
+def extend_coords(system, x, branches):
     """The coordinates of `extend`'s backward orbits, as one array.
 
-    Row k of the (depth + 1, starts) result holds the k-th preimage of every
-    start; a scalar start gives one column.
+    Row k of the (K + 1, starts) result holds the k-th preimage of every
+    start, K being the length of the last axis of `branches`; a scalar
+    start gives one column.
     """
-    if depth < 0:
-        raise ValidationError("depth", "must be >= 0")
     starts = np.asarray(x, dtype=float) % 1.0
     rows = starts.size
-    if policy == "lex-min":
-        chosen = np.zeros((rows, depth), dtype=int)
-    elif policy == "random":
-        if rng is None:
-            raise ValidationError("rng", "random policy needs a generator")
-        chosen = np.array([[int(rng.integers(system.degree)) for _ in range(depth)]
-                           for _ in range(rows)], dtype=int).reshape(rows, depth)
-    elif policy == "given":
-        chosen = np.asarray(branches if depth else [], dtype=int)
-        chosen = chosen[..., :depth].reshape(rows, depth)
-    else:
-        raise ValidationError("policy", f"unknown policy {policy!r}")
+    chosen = np.asarray(branches, dtype=int)
+    depth = chosen.shape[-1]
+    chosen = chosen.reshape(rows, depth)
     # one contiguous row per depth, so every solve sees contiguous input
     coords = np.empty((depth + 1, rows))
     coords[0] = starts
@@ -126,8 +115,7 @@ class ExtensionPotential:
     """A potential on extension points with derived Hoelder data.
 
     `evaluate` maps an array of coordinate rows (x_0, ..., x_K) along its
-    last axis to one value per row; calling the potential on an ExtPoint
-    gives that value as a float.
+    last axis to one value per row.
     """
 
     mode: str
@@ -137,9 +125,6 @@ class ExtensionPotential:
     base: object = None      # the circle potential the lift was built from
     a: float = 0.0           # coordinate weight base for fiber-averaged lifts
     name: str = "lifted"
-
-    def __call__(self, p):
-        return float(self.evaluate(np.asarray(p.coords)))
 
 
 def lift_projection(phi):
@@ -197,19 +182,14 @@ def as_base_potential(system, phi_hat, depth):
 
 
 def birkhoff_hat(system, phi_hat, points, ns):
-    """Sums of the lifted potential along n forward shifts of each point.
-
-    One ExtPoint and its length n give a float; a list of ExtPoints of one
-    depth and a length for each give an array, the way `extend` takes a
-    vector of starts.  Shift i of (x_0, ..., x_K) has the coordinates
+    """Sums of the lifted potential along n forward shifts of each point:
+    a list of ExtPoints of one depth and a length for each give an array
+    of sums.  Shift i of (x_0, ..., x_K) has the coordinates
     (g^i x_0, ..., g x_0, x_0, x_1, ...) cut to K + 1, so the shifts of a
     point come from one forward base orbit and its stored history, and the
     potential is evaluated on every shift of every point in one call.
     Each sum adds its n values left to right, starting from 0.0.
     """
-    single = isinstance(points, ExtPoint)
-    if single:
-        points, ns = [points], [ns]
     ns = np.asarray(ns, dtype=int)
     totals = np.zeros(ns.size)
     steps = int(ns.max(initial=0))
@@ -224,7 +204,7 @@ def birkhoff_hat(system, phi_hat, points, ns):
         for i in range(steps):
             rows = ns > i
             totals[rows] += values[rows, i]
-    return float(totals[0]) if single else totals
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +261,15 @@ def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
     return [ExtPoint(tuple(col)) for col in coords.T.tolist()]
 
 
-def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
-                 n_range=(5, 20), seed=0):
+# shortest and longest sampled segment length in verify_bowen; the longest
+# is cut to the truncation depth
+_LENGTH_RANGE = (5, 20)
+
+
+def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples, seed=0):
     """Empirical max of |S_n phi_hat(x) - S_n phi_hat(y)| over sampled good
-    segments and constructed Bowen-ball companions.
+    segments of the lengths in _LENGTH_RANGE and constructed Bowen-ball
+    companions.
 
     Every random draw is made first, sample by sample: each good segment
     comes from one `draw_good_segments` call, which classifies its
@@ -295,16 +280,17 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     Returns a BowenReport carrying the closed-form bound plus the truncation
     slack for depth-K evaluation of the lifted potential.
     """
-    if ext_cfg.depth < n_range[0]:
+    n_lo, n_hi = _LENGTH_RANGE
+    if ext_cfg.depth < n_lo:
         raise ValidationError(
             "depth", f"truncation depth {ext_cfg.depth} is below the shortest "
-                     f"sampled segment length {n_range[0]}")
+                     f"sampled segment length {n_lo}")
     rng = np.random.default_rng(seed)
     sync = max(4, int(math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps)
                                 / math.log(ext_cfg.a))))
     bound = bowen_bound(ext_cfg, dec_cfg, phi_hat.holder_constant,
                         phi_hat.holder_exponent, eps)
-    n_hi = min(n_range[1], ext_cfg.depth)
+    n_hi = min(n_hi, ext_cfg.depth)
     depth = ext_cfg.depth
 
     def draw_branches(count):
@@ -314,7 +300,7 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     budget = 60 * n_samples
     while len(xs) < n_samples:
         found, used = draw_good_segments(system, dec_cfg, rng, 1,
-                                         (n_range[0], n_hi), budget)
+                                         (n_lo, n_hi), budget)
         if not found:
             break
         budget -= used
@@ -325,7 +311,7 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
         y_branches.append(draw_branches(depth - min(sync, depth)))
     if not xs:
         raise ValidationError("n_samples", "no good segments found to sample")
-    x_hats = extend(system, np.array(xs), depth, policy="given", branches=x_branches)
+    x_hats = extend(system, np.array(xs), x_branches)
     y_hats = _bowen_companions(system, x_hats, ns, draws, eps, sync, y_branches)
     diffs = np.abs(birkhoff_hat(system, phi_hat, x_hats, ns)
                    - birkhoff_hat(system, phi_hat, y_hats, ns))

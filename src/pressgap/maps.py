@@ -31,6 +31,14 @@ _SOLVE_CAP = 100
 _SIGMA_SUP_GRID = 8193
 _LIPSCHITZ_SAMPLES = 33
 
+# `mixing_time` checks covering on a grid of this many ball centres and
+# gives up after this many steps
+_MIXING_GRID = 256
+_MIXING_CAP = 512
+
+# local-inverse radius of the Manneville-Pomeau and tabulated maps
+_EPSILON0 = 0.125
+
 
 def circle_dist(x, y):
     """Wraparound metric d(x, y) = min(|x - y|, 1 - |x - y|)."""
@@ -275,13 +283,15 @@ class MapSystem:
         out = np.minimum(1.01 * raw, self._sigma_sup)
         return out if out.size > 1 else float(out[0])
 
-    def mixing_time(self, eps, grid=256, cap=512):
-        """Smallest N with g^N(B_eps(y)) = X for every y on a verification grid.
+    def mixing_time(self, eps):
+        """Smallest N with g^N(B_eps(y)) = X for every y on a verification
+        grid of _MIXING_GRID centres.
 
         Arc images are exact on the lift: an arc covers once its lift length
-        reaches 1.  Raises MixingCapError if the cap is hit (non-exact map
-        or eps too small for the cap).
+        reaches 1.  Raises MixingCapError if no N <= _MIXING_CAP covers
+        (non-exact map or eps too small for the cap).
         """
+        grid, cap = _MIXING_GRID, _MIXING_CAP
         if not 0.0 < eps <= self.epsilon0:
             raise ValidationError("eps", f"must lie in (0, epsilon0={self.epsilon0}]")
         ys = np.linspace(0.0, 1.0, grid, endpoint=False)
@@ -326,7 +336,7 @@ def doubling():
     )
 
 
-def manneville_pomeau(alpha=0.5, epsilon0=0.125):
+def manneville_pomeau(alpha=0.5):
     """Intermittent map g(x) = x + x^(1+alpha) mod 1, neutral fixed point at 0."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha", "must lie in (0, 1)")
@@ -336,7 +346,7 @@ def manneville_pomeau(alpha=0.5, epsilon0=0.125):
         lift=lambda x: x + np.power(np.abs(x), 1.0 + a),
         lift_deriv=lambda x: 1.0 + (1.0 + a) * np.power(np.abs(x), a),
         degree=2,
-        epsilon0=epsilon0,
+        epsilon0=_EPSILON0,
     )
     sys.alpha = a
     return sys
@@ -356,7 +366,7 @@ def perturbed_doubling(delta=0.75):
     )
 
 
-def tabulated_map(values, epsilon0=0.125):
+def tabulated_map(values):
     """Map given by monotone lift samples on a uniform grid over [0, 1].
 
     `values` must start at 0, end at an integer degree >= 2, and increase
@@ -390,7 +400,7 @@ def tabulated_map(values, epsilon0=0.125):
         return slopes[idx]
 
     return MapSystem("tabulated", lift=lift, lift_deriv=deriv,
-                     degree=degree, epsilon0=epsilon0)
+                     degree=degree, epsilon0=_EPSILON0)
 
 
 BUILTIN_MAPS = {

@@ -77,10 +77,6 @@ class CylinderTree:
             self._log_sigma_levels[k] = np.log(out)
         return self._log_sigma_levels[k]
 
-    def representatives(self, n=None):
-        n = self.depth if n is None else n
-        return self.levels[n]
-
     def orbit_matrix(self, n=None, depth=None):
         """Orbits of the depth-`depth` representatives over n time steps.
 
@@ -136,7 +132,7 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     if tree is None or tree.depth < depth or tree.anchor != float(anchor):
         tree = CylinderTree(system, depth, anchor=anchor)
     mask = coll.pool_mask(tree, n, depth)
-    points = tree.representatives(depth)[mask]
+    points = tree.levels[depth][mask]
     orbits = tree.orbit_matrix(n, depth=depth)[mask]
     weights = (np.zeros(points.size) if phi is None
                else np.asarray(phi(orbits)).sum(axis=1))

@@ -21,6 +21,14 @@ from .maps import TWO_PI, circle_dist, doubling
 # largest fiber sample (2^depth points) that fiber_sample builds
 FIBER_CAP = 1 << 16
 
+# itinerary depth of the points metric_equivalence samples
+_EQUIV_DEPTH = 12
+
+# segment lengths attractor_bowen_check samples, and the itinerary depth its
+# points carry beyond the segment length
+_LENGTH_RANGE = (6, 16)
+_DEPTH_PAD = 8
+
 
 @dataclass(frozen=True)
 class SolenoidSystem:
@@ -119,8 +127,7 @@ def fiber_point(sys, theta, itinerary):
     itin = np.asarray(itinerary, dtype=int)
     depth = itin.shape[-1]
     itin = itin.reshape(thetas.size, depth)
-    cur = extend_coords(sys.base, thetas.reshape(-1), depth, policy="given",
-                        branches=itin)[-1]
+    cur = extend_coords(sys.base, thetas.reshape(-1), itin)[-1]
     u = np.zeros_like(cur)
     v = np.zeros_like(cur)
     grown = np.empty_like(itin)
@@ -156,8 +163,7 @@ def conjugacy_h(sys, p, j_depth):
     if j_depth > p.depth:
         raise ValidationError("J", "point lacks backward itinerary data "
                               f"(depth {p.depth} < J={j_depth})")
-    branches = np.asarray(p.itinerary, dtype=int)[..., :j_depth]
-    return extend(sys.base, p.theta, j_depth, policy="given", branches=branches)
+    return extend(sys.base, p.theta, np.asarray(p.itinerary, dtype=int)[..., :j_depth])
 
 
 def holonomy(sys, p, target_theta):
@@ -181,9 +187,10 @@ def _metric(theta_p, theta_q, du, dv):
     return circle_dist(theta_p, theta_q) + np.reshape(planar, np.shape(du))
 
 
-def metric_equivalence(sys, samples=1000, depth=16, seed=0):
+def metric_equivalence(sys, samples=1000, seed=0):
     """Empirical bracket for the constant comparing the ambient metric with
-    base-distance plus holonomy-matched fiber distance.
+    base-distance plus holonomy-matched fiber distance, on points of
+    itinerary depth _EQUIV_DEPTH.
 
     Each sampled pair (p, q) yields the ratio d_M(p,q) against
     d_X(pi p, pi q) + d_M(h(p), q) with h the itinerary-matched holonomy;
@@ -193,6 +200,7 @@ def metric_equivalence(sys, samples=1000, depth=16, seed=0):
     """
     if samples < 100:
         raise ValidationError("samples", "need at least 100 sample pairs")
+    depth = _EQUIV_DEPTH
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(0, 2, depth), rng.integers(0, 2, depth), rng.random(2))
              for _ in range(samples)]
@@ -229,13 +237,16 @@ def attractor_bowen_bound(sys, dec_cfg, holder_constant, holder_exponent, eps):
 
 
 def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
-                          eps, n_samples=200, n_range=(6, 16), depth_pad=8, seed=0):
+                          eps, n_samples=200, seed=0):
     """Sample good attractor segments, build Bowen-ball companions, and
     return the empirical max Birkhoff variation against the closed-form cap.
 
-    Companions share the reference itinerary (transported along the base
-    pullback) and carry a small fiber offset; companions leaving the
-    eps-Bowen ball are rejected.  The per-step two-term estimate
+    `phi` maps arrays of theta and of the two disk coordinates to the
+    potential's value at each point.  Segment lengths are drawn from
+    _LENGTH_RANGE, and each point carries _DEPTH_PAD itinerary steps beyond
+    its segment.  Companions share the reference itinerary (transported
+    along the base pullback) and carry a small fiber offset; companions
+    leaving the eps-Bowen ball are rejected.  The per-step two-term estimate
     eps sigma^(n-i) + lam^i eps is reported as a max ratio: the constant it
     hides is the metric-equivalence factor, so ratios slightly above 1 near
     the segment end are expected and only the summed variation is gated.
@@ -243,8 +254,9 @@ def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
     Every attempt makes the same draws whatever its outcome, so attempts
     are drawn in order, a chunk at a time, and each chunk is built together
     (`_bowen_chunk`).  Samples are accepted in attempt order until
-    `n_samples` are in or 50 n_samples attempts are made, and `phi` sees
-    the accepted orbits only, point by point.
+    `n_samples` are in or 50 n_samples attempts are made, and `phi` is
+    evaluated on the forward orbits of each chunk's accepted samples.  Each
+    sample's variation adds its n differences left to right from 0.0.
     """
     rng = np.random.default_rng(seed)
     lam = sys.lam_s
@@ -267,11 +279,11 @@ def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
             size = -(-need * attempts // used)
         size = min(size, cap - attempts)
         attempts += size
-        draws = [_bowen_draws(rng, n_range, depth_pad) for _ in range(size)]
-        for n, dists, ps, qs in _bowen_chunk(sys, eps, draws, need):
+        draws = [_bowen_draws(rng) for _ in range(size)]
+        for n, dists, p_values, q_values in _bowen_chunk(sys, eps, draws, need, phi):
             var = 0.0
             for i in range(n):
-                var += phi(ps[i]) - phi(qs[i])
+                var += p_values[i] - q_values[i]
                 ratio_max = max(ratio_max, dists[i] /
                                 (eps * dec_cfg.sigma ** (n - i) + lam**i * eps))
             worst = max(worst, abs(var))
@@ -282,21 +294,22 @@ def attractor_bowen_check(sys, dec_cfg, phi, holder_constant, holder_exponent,
                                 two_term_max_ratio=float(ratio_max), samples=used)
 
 
-def _bowen_draws(rng, n_range, depth_pad):
+def _bowen_draws(rng):
     """One attempt's draws: length n, base point x, the itinerary of depth
-    n + depth_pad, then the uniforms for the end-point shift, the fiber
+    n + _DEPTH_PAD, then the uniforms for the end-point shift, the fiber
     offset angle and its radius."""
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    n_lo, n_hi = _LENGTH_RANGE
+    n = int(rng.integers(n_lo, n_hi + 1))
     x = rng.random()
-    itin = rng.integers(0, 2, n + depth_pad)
+    itin = rng.integers(0, 2, n + _DEPTH_PAD)
     return (n, x, itin, *rng.random(3))
 
 
-def _bowen_chunk(sys, eps, draws, limit):
+def _bowen_chunk(sys, eps, draws, limit, phi):
     """Yield the first `limit` admissible attempts among `draws`, in order:
     for each, its length n, the n distances along the forward orbits of the
-    reference point p and its companion q, and those orbits as
-    AttractorPoints.
+    reference point p and its companion q, and phi's n values along each
+    orbit.
 
     q sits over the time-0 end of the base chain that pulls g^n x, shifted
     by eps 0.35 (2u - 1), back along the orbit of x, with p's itinerary, and
@@ -312,7 +325,6 @@ def _bowen_chunk(sys, eps, draws, limit):
     u = np.empty(2 * rows)
     v = np.empty(2 * rows)
     depths = np.array([len(it) for it in itins])
-    itin = np.empty((2 * rows, depths.max()), dtype=int)
     for depth in np.unique(depths).tolist():
         group = np.flatnonzero(depths == depth)
         block = np.array([itins[i] for i in group]).reshape(group.size, depth)
@@ -320,7 +332,6 @@ def _bowen_chunk(sys, eps, draws, limit):
                           np.vstack([block, block]))
         both = np.concatenate([group, group + rows])
         theta[both], u[both], v[both] = pts.theta, pts.disk[:, 0], pts.disk[:, 1]
-        itin[both, :depth] = pts.itinerary
     angle = TWO_PI * angle
     radius = eps * 0.5 * radius
     u[rows:] = u[rows:] + radius * np.cos(angle)
@@ -328,27 +339,18 @@ def _bowen_chunk(sys, eps, draws, limit):
     # forward orbits, one step over all rows at a time
     steps = int(ns.max())
     thetas, us, vs = (np.empty((steps, 2 * rows)) for _ in range(3))
-    branches = np.empty((steps, 2 * rows), dtype=int)
     for i in range(steps):
         thetas[i], us[i], vs[i] = theta, u, v
-        branches[i] = _branch(theta)
         if i + 1 < steps:
             theta, u, v = _step(sys, theta, u, v)
     p, q = slice(0, rows), slice(rows, None)
     dists = _metric(thetas[:, p], thetas[:, q], us[:, p] - us[:, q], vs[:, p] - vs[:, q])
     # membership in the eps-Bowen ball is required up to each row's n
     outside = (dists > eps) & (np.arange(steps)[:, None] < ns)
-
-    def orbit_points(col, n):
-        # at step i the itinerary is the branches of steps i-1, ..., 0,
-        # then the built point's own
-        hist = (branches[:max(n - 1, 0), col][::-1].tolist()
-                + itin[col, :depths[col % rows]].tolist())
-        return [AttractorPoint(t, (a, b), tuple(hist[n - 1 - i:])) for i, (t, a, b) in
-                enumerate(zip(thetas[:n, col].tolist(), us[:n, col].tolist(),
-                              vs[:n, col].tolist()))]
-
-    # one sample's points at a time, as they are used
-    for r in np.flatnonzero(~outside.any(axis=0))[:limit].tolist():
+    keep = np.flatnonzero(~outside.any(axis=0))[:limit]
+    cols = np.concatenate([keep, keep + rows])
+    values = np.asarray(phi(thetas[:, cols], us[:, cols], vs[:, cols]))
+    for k, r in enumerate(keep.tolist()):
         n = int(ns[r])
-        yield n, dists[:n, r].tolist(), orbit_points(r, n), orbit_points(r + rows, n)
+        yield (n, dists[:n, r].tolist(), values[:n, k].tolist(),
+               values[:n, k + keep.size].tolist())

@@ -27,6 +27,7 @@ from .orbits import OrbitSegment
 
 _BALL_SHRINK = 1.0 - 1e-9   # tube end balls sit a hair inside the scale
 _WIDTH_TOL = 1e-13
+_K0 = 1                     # glue_base's floor on segment lengths
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,13 @@ class GluingPlan:
         }
 
 
-def glue_base(system, cfg, segments, eps, tau_cap=None, k0=1):
+def glue_base(system, cfg, segments, eps):
     """Construct a shadowing plan for a list of good segments at scale eps.
 
     Every segment must classify as good at cfg.sigma and be longer than the
-    length floor k0; the returned plan carries transition times bounded by
-    the cap (default: the mixing time at eps) and per-time arcs whose sup
-    distance to the segment orbits is at most eps.
+    length floor _K0; the returned plan carries transition times bounded by
+    the cap, the mixing time at eps, and per-time arcs whose sup distance
+    to the segment orbits is at most eps.
     """
     if not 0.0 < eps <= system.epsilon0:
         raise ValidationError("eps", f"must lie in (0, epsilon0={system.epsilon0}]")
@@ -228,14 +229,13 @@ def glue_base(system, cfg, segments, eps, tau_cap=None, k0=1):
         raise ValidationError("segments", "need at least one segment")
     good = GoodCollection(cfg)
     for seg in segments:
-        if seg.length <= k0:
+        if seg.length <= _K0:
             raise ValidationError("segments",
-                                  f"segment lengths must exceed the floor k0={k0}")
+                                  f"segment lengths must exceed the floor k0={_K0}")
         if not good.contains(system, seg.start, seg.length):
             raise ValidationError(
                 "segments", f"({seg.start}, {seg.length}) is not good at sigma={cfg.sigma}")
-    if tau_cap is None:
-        tau_cap = system.mixing_time(eps)
+    tau_cap = system.mixing_time(eps)
 
     orbits = [system.orbit(seg.start, seg.length + 1)[0] for seg in segments]
     taus, offsets, arcs = _glue(system, orbits, [0] * len(segments), eps, tau_cap)

@@ -10,7 +10,6 @@ equilibrium density.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,9 @@ from .errors import ConvergenceError, ValidationError
 @dataclass
 class OperatorGrid:
     system: object
-    phi: object
     size: int
     nodes: np.ndarray          # (G,)
-    preimages: np.ndarray      # (D, G)
     weights: np.ndarray        # (D, G), e^(phi(preimage))
-    idx: np.ndarray            # (D, G) lower interpolation node
     frac: np.ndarray           # (D, G) interpolation fraction
     # interpolation stencils, computed once per operator
     one_minus_frac: np.ndarray  # (D, G)
@@ -47,8 +43,8 @@ def build_operator(system, phi, grid_size):
     idx = np.floor(pos).astype(np.int64) % grid_size
     frac = pos - np.floor(pos)
     one_minus_frac = 1.0 - frac
-    return OperatorGrid(system=system, phi=phi, size=grid_size, nodes=nodes,
-                        preimages=pre, weights=weights, idx=idx, frac=frac,
+    return OperatorGrid(system=system, size=grid_size, nodes=nodes,
+                        weights=weights, frac=frac,
                         one_minus_frac=one_minus_frac,
                         stencil_idx=np.stack((idx, (idx + 1) % grid_size)),
                         stencil_w=np.stack((weights * one_minus_frac,
@@ -85,6 +81,10 @@ class EigenData:
 
 # Arnoldi basis dimension between restarts
 _KRYLOV_DIM = 10
+# leading_eigen's relative residual and Rayleigh-step tolerance, and its
+# operator applications per side over both phases
+_TOL = 1e-13
+_MAX_APPLICATIONS = 20000
 # a new basis vector this small against the applied vector's norm means
 # the Krylov subspace is invariant (lucky breakdown)
 _BREAKDOWN = 1e-14
@@ -195,30 +195,25 @@ def _leading_vector(apply, basis, tol, max_iters):
     return psi, image, rq, used + steps
 
 
-def leading_eigen(op, tol=1e-13, max_iters=20000):
+def leading_eigen(op):
     """Leading eigendata of the operator, forward and adjoint.
 
     Each side starts with restarted Arnoldi (`_krylov_start`) until the
-    relative residual of a unit vector is at most `tol`, then finishes with
+    relative residual of a unit vector is at most _TOL, then finishes with
     power steps from the entrywise absolute value of that vector until
-    successive Rayleigh quotients differ by less than `tol`.  Power steps
+    successive Rayleigh quotients differ by less than _TOL.  Power steps
     with the nonnegative operator keep every entry of h and nu positive,
     which Arnoldi alone guarantees only in norm.  h and nu are the vectors
     the last power step of each side was applied to, so the residual
-    max |L h - lambda h| needs no further application.  `max_iters` bounds
-    the operator applications of each side over both phases, and
+    max |L h - lambda h| needs no further application.  _MAX_APPLICATIONS
+    bounds the operator applications of each side over both phases, and
     `EigenData.iterations` counts the applications made on both sides.
 
-    Raises ValidationError for a `tol` that is not a positive finite number
-    or a `max_iters` that is not an integer >= 1, and ConvergenceError when
-    a side runs out of applications or a power step loses positivity --
-    surfaced, not hidden, since intermittent regimes can lack a spectral
-    gap.
+    Raises ConvergenceError when a side runs out of applications or a power
+    step loses positivity -- surfaced, not hidden, since intermittent
+    regimes can lack a spectral gap.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValidationError("tol", "must be a positive finite number")
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
-        raise ValidationError("max_iters", "must be an integer >= 1")
+    tol, max_iters = _TOL, _MAX_APPLICATIONS
     basis = np.empty((_KRYLOV_DIM, op.size))
     h, image, lam, it_f = _leading_vector(lambda v: apply_operator(op, v),
                                           basis, tol, max_iters)

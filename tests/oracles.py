@@ -230,6 +230,18 @@ def greedy_cover_counts(dist, eps, tie_weights, fraction):
     return chosen
 
 
+def random_branches(rng, degree, depth, rows=None):
+    """Branch ids drawn as the former 'random' backward-orbit policy drew
+    them: row by row, one int(rng.integers(degree)) per step.  Returns one
+    row of `depth` ids, or a (rows, depth) array when `rows` is given."""
+    def row():
+        return [int(rng.integers(degree)) for _ in range(depth)]
+
+    if rows is None:
+        return np.array(row(), dtype=int).reshape(depth)
+    return np.array([row() for _ in range(rows)], dtype=int).reshape(rows, depth)
+
+
 def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
     """Reference backward orbit: one single-point branch solve per step."""
     from pressgap.extension import ExtPoint
@@ -480,7 +492,8 @@ def attractor_bowen_check_scalar(sys, dec_cfg, phi, holder_constant,
                                  n_range=(6, 16), depth_pad=8, seed=0):
     """Reference attractor Bowen check: each attempt's points, companion
     chain and forward orbits are built one point at a time, interleaved
-    with the random draws."""
+    with the random draws, and `phi` takes one point's theta and disk
+    coordinates at a time."""
     import math
 
     from pressgap.errors import ValidationError
@@ -528,7 +541,7 @@ def attractor_bowen_check_scalar(sys, dec_cfg, phi, holder_constant,
         var = 0.0
         ps, qs = p, q
         for i in range(n):
-            var += phi(ps) - phi(qs)
+            var += phi(ps.theta, *ps.disk) - phi(qs.theta, *qs.disk)
             ratio_max = max(ratio_max, dists[i] /
                             (eps * dec_cfg.sigma ** (n - i) + lam**i * eps))
             ps, qs = apply_f_scalar(sys, ps), apply_f_scalar(sys, qs)

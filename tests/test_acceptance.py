@@ -173,7 +173,7 @@ def test_criterion_06_natural_extension():
     for _ in range(20_000):
         starts.append(float(rng.random()))
         branches.append([int(rng.integers(system.degree)) for _ in range(8)])
-    pts = extend(system, starts, 8, policy="given", branches=branches)
+    pts = extend(system, starts, branches)
     for p, q in zip(pts[0::2], pts[1::2]):
         if hat_g(system, p).coords[0] != float(system.forward(p.coords[0])):
             semi_bad += 1
@@ -194,7 +194,7 @@ def test_criterion_06_natural_extension():
         for _ in range(2):
             starts.append(x)
             branches.append([int(rng.integers(system.degree)) for _ in range(24)])
-    pts = extend(system, starts, 24, policy="given", branches=branches)
+    pts = extend(system, starts, branches)
     for p, q in zip(pts[0::2], pts[1::2]):
         for k in (0, 3, 7, 12):
             pk, qk = p, q
@@ -247,8 +247,8 @@ def test_criterion_08_solenoid():
     # attractor Bowen check against the closed-form cap
     dec = DecompositionConfig(0.6)
 
-    def phi(p):
-        return math.cos(2 * math.pi * p.theta) + 0.5 * p.disk[0]
+    def phi(theta, u, v):
+        return np.cos(2 * math.pi * theta) + 0.5 * u
 
     bowen = attractor_bowen_check(sol, dec, phi, holder_constant=2 * math.pi,
                                   holder_exponent=1.0, eps=2.0 ** -4,
@@ -281,7 +281,7 @@ def test_criterion_09_small_instance_oracle():
             tree = CylinderTree(system, n)
             greedy = len(separated_set(system, FullCollection(), n, eps))
             exact = max_separated_cardinality(system.forward,
-                                              list(tree.representatives()),
+                                              list(tree.levels[tree.depth]),
                                               n, eps)
             if greedy != exact:
                 mismatches.append((n, eps, greedy, exact))

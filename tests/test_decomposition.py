@@ -218,14 +218,15 @@ def test_block_draws_match_one_at_a_time_draws(name, sigma):
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-def test_block_draws_hit_the_attempt_cap_as_one_at_a_time_draws_do():
+def test_block_draws_hit_the_attempt_cap_as_one_at_a_time_draws_do(monkeypatch):
     # perturbed doubling accepts about 1 candidate in 250 at sigma 0.5
     system, dec = DRAW_MAPS["perturbed"], DecompositionConfig(0.5)
     rng_ref, rng_new = np.random.default_rng(1), np.random.default_rng(1)
     with pytest.raises(ValidationError) as ref:
         random_good_segments_scalar(system, dec, rng_ref, 3, (5, 20), attempts=400)
+    monkeypatch.setattr(cli, "_GOOD_SEGMENT_ATTEMPTS", 400)
     with pytest.raises(ValidationError) as new:
-        cli._random_good_segments(system, dec, rng_new, 3, (5, 20), attempts=400)
+        cli._random_good_segments(system, dec, rng_new, 3, (5, 20))
     assert str(new.value) == str(ref.value)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     segs, attempts = draw_good_segments(system, dec, np.random.default_rng(1), 3,

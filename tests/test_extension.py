@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pressgap as pg
+from pressgap import extension
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import ValidationError
 from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
@@ -15,7 +16,12 @@ from pressgap.orbits import OrbitSegment
 
 from oracles import (birkhoff_hat_scalar, birkhoff_sum, classify_segment,
                      extend_scalar, hat_distance, hat_g, hat_g_inverse,
-                     hat_orbit_coords, verify_bowen_scalar)
+                     hat_orbit_coords, random_branches, verify_bowen_scalar)
+
+
+def _value(lift, p):
+    """The lifted potential at one extension point."""
+    return float(lift.evaluate(np.asarray(p.coords)))
 
 
 def test_config_and_tail_bound():
@@ -26,24 +32,22 @@ def test_config_and_tail_bound():
 
 
 def test_extend_examples(doubling_map):
-    assert extend(doubling_map, 0.3, 0).coords == (0.3,)
-    assert extend(doubling_map, 0.0, 4).coords == (0.0,) * 5
-    assert extend(doubling_map, 0.5, 3).coords == (0.5, 0.25, 0.125, 0.0625)
+    assert extend(doubling_map, 0.3, []).coords == (0.3,)
+    assert extend(doubling_map, 0.0, [0] * 4).coords == (0.0,) * 5
+    assert extend(doubling_map, 0.5, [0] * 3).coords == (0.5, 0.25, 0.125, 0.0625)
 
 
 def test_extend_policies(doubling_map, rng):
-    p = extend(doubling_map, 0.73, 10, policy="random", rng=rng)
+    p = extend(doubling_map, 0.73, random_branches(rng, doubling_map.degree, 10))
     for i in range(10):
         assert float(circle_dist(doubling_map.forward(p.coords[i + 1]),
                                  p.coords[i])) < 1e-10
-    q = extend(doubling_map, 0.5, 3, policy="given", branches=[1, 0, 1])
+    q = extend(doubling_map, 0.5, [1, 0, 1])
     assert q.coords[1] == pytest.approx(0.75)
-    with pytest.raises(ValidationError):
-        extend(doubling_map, 0.5, 2, policy="nope")
 
 
 def test_shift_algebra(doubling_map, rng):
-    p = extend(doubling_map, 0.37, 8, policy="random", rng=rng)
+    p = extend(doubling_map, 0.37, random_branches(rng, doubling_map.degree, 8))
     q = hat_g(doubling_map, p)
     assert q.depth == p.depth
     assert q.coords[0] == pytest.approx(float(doubling_map.forward(0.37)))
@@ -61,7 +65,7 @@ def test_semiconjugacy_and_projection_lipschitz(builtin_maps, rng):
         for _ in range(400):
             starts.append(float(rng.random()))
             branches.append([int(rng.integers(system.degree)) for _ in range(12)])
-        pts = extend(system, starts, 12, policy="given", branches=branches)
+        pts = extend(system, starts, branches)
         for p, q in zip(pts[0::2], pts[1::2]):
             # projection after the shift equals the map after projection
             assert hat_g(system, p).coords[0] == float(system.forward(p.coords[0]))
@@ -71,19 +75,19 @@ def test_semiconjugacy_and_projection_lipschitz(builtin_maps, rng):
 
 def test_hat_distance_examples(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 6)
-    p = extend(doubling_map, 0.4, 6, policy="random", rng=rng)
+    p = extend(doubling_map, 0.4, random_branches(rng, doubling_map.degree, 6))
     trunc, tail = hat_distance(cfg, p, p)
     assert trunc == 0.0 and tail == cfg.tail_bound
     q = ExtPoint((0.45,) + p.coords[1:])
     trunc2, _ = hat_distance(cfg, p, q)
     assert trunc2 == pytest.approx(0.05)
     with pytest.raises(ValidationError):
-        hat_distance(cfg, p, extend(doubling_map, 0.4, 5))
+        hat_distance(cfg, p, extend(doubling_map, 0.4, [0] * 5))
 
 
 def test_hat_distance_triangle(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 8)
-    pts = [extend(doubling_map, float(rng.random()), 8, policy="random", rng=rng)
+    pts = [extend(doubling_map, float(rng.random()), random_branches(rng, 2, 8))
            for _ in range(12)]
     for a in pts[:4]:
         for b in pts[4:8]:
@@ -99,7 +103,7 @@ def test_lifted_decomposition_consistency(mp_map, rng):
     for _ in range(40):
         x = float(rng.random())
         n = int(rng.integers(2, 12))
-        p = extend(mp_map, x, 12, policy="random", rng=rng)
+        p = extend(mp_map, x, random_branches(rng, mp_map.degree, 12))
         # lifted membership is defined through the base coordinate
         assert classify_segment(mp_map, cfg, OrbitSegment(p.coords[0], n)) is \
             classify_segment(mp_map, cfg, OrbitSegment(x, n))
@@ -107,24 +111,24 @@ def test_lifted_decomposition_consistency(mp_map, rng):
 
 def test_lift_projection(doubling_map, sin_potential, rng):
     lifted = lift_projection(sin_potential)
-    p = extend(doubling_map, 0.3, 6, policy="random", rng=rng)
-    assert lifted(p) == pytest.approx(float(sin_potential(0.3)))
+    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 6))
+    assert _value(lifted, p) == pytest.approx(float(sin_potential(0.3)))
     assert lifted.holder_constant == sin_potential.holder_constant
     zero_lift = lift_projection(pg.zero_potential())
-    assert zero_lift(p) == 0.0
+    assert _value(zero_lift, p) == 0.0
 
 
 def test_lift_fiber_averaged_example(doubling_map):
     ident = pg.Potential(lambda x: np.asarray(x, dtype=float), 1.0, 1.0)
     lifted = lift_fiber_averaged(ident, 2.0)
-    p = extend(doubling_map, 0.5, 3)
-    assert lifted(p) == pytest.approx(0.6640625)
+    p = extend(doubling_map, 0.5, [0] * 3)
+    assert _value(lifted, p) == pytest.approx(0.6640625)
     assert lifted.holder_constant == pytest.approx(2.0)
     assert lifted.holder_exponent == 1.0
 
 
 def test_hat_orbit_coords(doubling_map, rng):
-    p = extend(doubling_map, 0.31, 6, policy="random", rng=rng)
+    p = extend(doubling_map, 0.31, random_branches(rng, doubling_map.degree, 6))
     coords = hat_orbit_coords(doubling_map, p, 4)
     fwd = doubling_map.orbit(0.31, 5)[0]
     for i, c in enumerate(coords):
@@ -135,10 +139,10 @@ def test_hat_orbit_coords(doubling_map, rng):
 
 
 def test_birkhoff_hat_projection_matches_base(doubling_map, sin_potential, rng):
-    p = extend(doubling_map, 0.61, 10, policy="random", rng=rng)
+    p = extend(doubling_map, 0.61, random_branches(rng, doubling_map.degree, 10))
     lifted = lift_projection(sin_potential)
     base = birkhoff_sum(doubling_map, sin_potential, OrbitSegment(0.61, 7))
-    assert birkhoff_hat(doubling_map, lifted, p, 7) == pytest.approx(base)
+    assert birkhoff_hat(doubling_map, lifted, [p], [7])[0] == pytest.approx(base)
 
 
 @pytest.mark.parametrize("lift_kind", ["projection", "fiber"])
@@ -154,18 +158,17 @@ def test_birkhoff_hat_batch_matches_per_point_sums(lift_kind, builtin_maps,
             starts = np.concatenate([[0.0, 0.0], rng.random(18)])
             ns = np.concatenate([[1, 0], rng.integers(1, 25, size=18)])
             for depth in (0, 3, 12):
-                points = extend(system, starts, depth, policy="random", rng=rng)
+                points = extend(system, starts, random_branches(
+                    rng, system.degree, depth, starts.size))
                 sums = birkhoff_hat(system, lift, points, ns)
                 assert sums.shape == (20,)
                 for p, n, total in zip(points, ns.tolist(), sums):
                     ref = np.float64(birkhoff_hat_scalar(system, lift, p, n))
                     assert total.tobytes() == ref.tobytes(), (system, phi, n)
-                    one = birkhoff_hat(system, lift, p, n)
-                    assert isinstance(one, float)
-                    assert np.float64(one).tobytes() == ref.tobytes()
     mp = builtin_maps[1]
     geo = lift_projection(pg.geometric_potential(mp, 1.0))
-    assert math.copysign(1.0, birkhoff_hat(mp, geo, extend(mp, 0.0, 4), 1)) == 1.0
+    [total] = birkhoff_hat(mp, geo, [extend(mp, 0.0, [0] * 4)], [1])
+    assert math.copysign(1.0, total) == 1.0
 
 
 def test_bowen_bound_examples():
@@ -188,10 +191,10 @@ def test_verify_bowen_constant_potential(doubling_map):
 
 
 def test_verify_bowen_identical_points_zero(doubling_map, sin_potential, rng):
-    p = extend(doubling_map, 0.3, 12, policy="random", rng=rng)
+    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 12))
     lifted = lift_projection(sin_potential)
-    assert birkhoff_hat(doubling_map, lifted, p, 6) \
-        == birkhoff_hat(doubling_map, lifted, p, 6)
+    assert birkhoff_hat(doubling_map, lifted, [p], [6]) \
+        == birkhoff_hat(doubling_map, lifted, [p], [6])
 
 
 def test_verify_bowen_within_bound(builtin_maps, sin_potential):
@@ -210,8 +213,8 @@ def test_fiber_contraction_bound(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 16)
     for _ in range(60):
         x = float(rng.random())
-        p = extend(doubling_map, x, 16, policy="random", rng=rng)
-        q = extend(doubling_map, x, 16, policy="random", rng=rng)
+        p = extend(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
+        q = extend(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
         for k in (0, 2, 5, 9):
             pk, qk = p, q
             for _ in range(k):
@@ -241,7 +244,8 @@ def test_as_base_potential(mp_map, sin_potential, rng):
     base = as_base_potential(mp_map, fib, 8)
     for _ in range(20):
         x = float(rng.random())
-        assert float(base(x)) == pytest.approx(fib(extend(mp_map, x, 8)), abs=1e-12)
+        assert float(base(x)) == pytest.approx(_value(fib, extend(mp_map, x, [0] * 8)),
+                                               abs=1e-12)
 
 
 def test_extension_pressure_of_bad_collection(mp_map, sin_potential):
@@ -269,21 +273,27 @@ def test_vector_extend_equals_scalar_rows(builtin_maps):
     for system in builtin_maps + [_tabulated_map()]:
         for depth in (0, 1, 9):
             given = np.random.default_rng(9).integers(system.degree, size=(7, depth))
-            for policy in ("lex-min", "random", "given"):
-                vec = extend(system, starts, depth, policy, np.random.default_rng(4), given)
-                # 'random' draws row by row, as successive scalar calls do
-                rng_ref, rng_new = np.random.default_rng(4), np.random.default_rng(4)
-                for x, b, p in zip(starts, given, vec):
+            drawn = random_branches(np.random.default_rng(4), system.degree,
+                                    depth, starts.size)
+            for policy, rows in (("lex-min", np.zeros_like(given)),
+                                 ("random", drawn), ("given", given)):
+                vec = extend(system, starts, rows)
+                # random_branches draws row by row, as successive scalar
+                # 'random' calls do
+                rng_ref = np.random.default_rng(4)
+                for x, b, row, p in zip(starts, given, rows, vec):
                     assert p == extend_scalar(system, x, depth, policy, rng_ref, b)
-                    assert p == extend(system, x, depth, policy, rng_new, b)
+                    assert p == extend(system, x, row)
 
 
 @pytest.mark.parametrize("system_name", ["doubling", "mp", "perturbed", "tabulated"])
 def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map,
-                                               perturbed_map, sin_potential):
+                                               perturbed_map, sin_potential,
+                                               monkeypatch):
     system = {"doubling": doubling_map, "mp": mp_map, "perturbed": perturbed_map,
               "tabulated": _tabulated_map()}[system_name]
     dec = DecompositionConfig(0.9)
+    monkeypatch.setattr(extension, "_LENGTH_RANGE", (3, 12))
     cases = 0
     for a, lift in ((2.0, lift_projection(sin_potential)),
                     (1.5, lift_fiber_averaged(sin_potential, 1.5))):
@@ -293,7 +303,6 @@ def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map
             for depth in (sync - 1, sync, sync + 3):
                 for seed in (cases, 100 + cases):
                     args = (system, ExtensionConfig(a, depth), dec, lift, eps, 6)
-                    kwargs = {"n_range": (3, 12), "seed": seed}
-                    assert verify_bowen(*args, **kwargs) == \
-                        verify_bowen_scalar(*args, **kwargs), (a, eps, depth, seed)
+                    assert verify_bowen(*args, seed=seed) == verify_bowen_scalar(
+                        *args, n_range=(3, 12), seed=seed), (a, eps, depth, seed)
                 cases += 1

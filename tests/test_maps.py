@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgap as pg
+from pressgap import maps
 from pressgap.errors import BranchSolveError, MixingCapError, ValidationError
 from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
@@ -112,9 +113,10 @@ def test_mixing_time_monotone(builtin_maps):
         assert all(a <= b for a, b in zip(taus, taus[1:]))
 
 
-def test_mixing_cap_error(doubling_map):
+def test_mixing_cap_error(doubling_map, monkeypatch):
+    monkeypatch.setattr(maps, "_MIXING_CAP", 2)
     with pytest.raises(MixingCapError):
-        doubling_map.mixing_time(1e-3, cap=2)
+        doubling_map.mixing_time(1e-3)
 
 
 def test_epsilon0_validation():

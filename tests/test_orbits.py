@@ -63,7 +63,7 @@ def test_segment_validation():
 
 def test_cylinder_tree_doubling_midpoints(doubling_map):
     tree = CylinderTree(doubling_map, 3)
-    reps = np.sort(tree.representatives())
+    reps = np.sort(tree.levels[tree.depth])
     assert reps == pytest.approx((2 * np.arange(8) + 1) / 16.0)
 
 
@@ -71,7 +71,7 @@ def test_cylinder_orbit_matrix_is_exact(builtin_maps):
     for system in builtin_maps:
         tree = CylinderTree(system, 6)
         om = tree.orbit_matrix()
-        direct = system.orbit(tree.representatives(), 6)
+        direct = system.orbit(tree.levels[tree.depth], 6)
         assert np.max(circle_dist(om, direct)) < 1e-9
 
 
@@ -98,7 +98,7 @@ def test_separated_pairwise_and_maximal(builtin_maps, rng):
                 assert bowen_distance(system, e[i], e[j], n) >= eps
         # maximality: every cylinder representative is within eps of the set
         tree = CylinderTree(system, n)
-        for p in tree.representatives():
+        for p in tree.levels[tree.depth]:
             assert min(bowen_distance(system, p, q, n) for q in e) < eps or \
                 any(abs(p - q) < 1e-14 for q in e)
 
@@ -146,7 +146,7 @@ def test_greedy_matches_bruteforce_doubling(doubling_map, n, eps):
     tree = CylinderTree(doubling_map, n)
     greedy = separated_set(doubling_map, FullCollection(), n, eps)
     exact = max_separated_cardinality(doubling_map.forward,
-                                      list(tree.representatives()), n, eps)
+                                      list(tree.levels[tree.depth]), n, eps)
     assert len(greedy) == exact
 
 
@@ -156,7 +156,7 @@ def test_greedy_matches_bruteforce_nontrivial(mp_map):
         tree = CylinderTree(mp_map, n)
         greedy = separated_set(mp_map, FullCollection(), n, eps)
         exact = max_separated_cardinality(mp_map.forward,
-                                          list(tree.representatives()), n, eps)
+                                          list(tree.levels[tree.depth]), n, eps)
         assert len(greedy) <= exact
         assert len(greedy) >= 1
 

@@ -83,3 +83,71 @@ def test_every_public_definition_is_reached():
     # `pressgap/__init__.py` re-exports names and is no caller; a name only
     # tests use belongs in tests/oracles.py
     assert _unreached() == PENDING
+
+
+def _defaulted(module, tree):
+    """(call name, label, parameter, position, self offset) of every
+    defaulted parameter of a function or method in `tree`; a method's
+    `self` (or `cls`) is one position, and `__init__` is called by its
+    class's name."""
+    owners = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+              for f in c.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        owner = owners.get(id(fn))
+        label = f"{module}.{owner.name}.{fn.name}" if owner else f"{module}.{fn.name}"
+        called = owner.name if owner and fn.name == "__init__" else fn.name
+        offset = 1 if owner else 0
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield called, label, a.arg, i, offset
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield called, label, a.arg, None, offset
+
+
+def _passed(call, name, position, offset):
+    """Whether `call` may set parameter `name`, by keyword or, when it has
+    a `position`, positionally; ``*`` and ``**`` arguments may set any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and any(
+        isinstance(arg, ast.Starred) or i + offset == position
+        for i, arg in enumerate(call.args))
+
+
+def _call_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _unset_parameters():
+    modules = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    calls = {}
+    for tree in [*modules.values(), *map(_parse, BENCH.glob("*.py"))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    unset = set()
+    for module, tree in modules.items():
+        for called, label, name, position, offset in _defaulted(module, tree):
+            if label in PENDING:
+                continue
+            if not any(_passed(call, name, position, offset)
+                       for call in calls.get(called, ())):
+                unset.add(f"{label}({name})")
+    return unset
+
+
+def test_every_default_is_overridden_by_some_caller():
+    # a parameter that no package or benchmark call sets is a constant of
+    # its module, read when the function runs
+    assert _unset_parameters() == set()

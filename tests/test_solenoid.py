@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pressgap import solenoid
 from pressgap.cli import main
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
@@ -141,9 +142,9 @@ def test_holonomy_identity_and_invariance(sol, rng):
 
 
 def test_metric_equivalence(sol):
-    c_low, c_high = metric_equivalence(sol, samples=600, depth=12, seed=0)
+    c_low, c_high = metric_equivalence(sol, samples=600, seed=0)
     assert 1.0 <= c_low <= c_high < np.inf
-    c_low2, c_high2 = metric_equivalence(sol, samples=1200, depth=12, seed=0)
+    c_low2, c_high2 = metric_equivalence(sol, samples=1200, seed=0)
     assert c_high2 <= c_high * 1.1 + 1e-9 or c_high <= c_high2 * 1.1
     with pytest.raises(ValidationError):
         metric_equivalence(sol, samples=10)
@@ -158,16 +159,19 @@ def test_attractor_bowen_bound_closed_form(sol):
 
 def test_attractor_bowen_constant_potential(sol):
     dec = DecompositionConfig(0.6)
-    rep = attractor_bowen_check(sol, dec, lambda p: 3.0, 0.0, 1.0,
-                                1.0 / 16.0, n_samples=40, seed=2)
+    def phi(theta, u, v):
+        return np.full_like(theta, 3.0)
+
+    rep = attractor_bowen_check(sol, dec, phi, 0.0, 1.0, 1.0 / 16.0,
+                                n_samples=40, seed=2)
     assert rep.empirical_max == 0.0 and rep.bound == 0.0
 
 
 def test_attractor_bowen_within_bound(sol):
     dec = DecompositionConfig(0.6)
 
-    def phi(p):
-        return math.cos(2 * math.pi * p.theta) + 0.5 * p.disk[0]
+    def phi(theta, u, v):
+        return np.cos(2 * math.pi * theta) + 0.5 * u
 
     rep = attractor_bowen_check(sol, dec, phi, holder_constant=2 * math.pi,
                                 holder_exponent=1.0, eps=1.0 / 16.0,
@@ -236,13 +240,15 @@ def test_batch_distances_match_reference(rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("depth", [0, 12])
-def test_metric_equivalence_matches_reference(sol, seed, depth):
-    assert (metric_equivalence(sol, samples=150, depth=depth, seed=seed)
+def test_metric_equivalence_matches_reference(sol, seed, depth, monkeypatch):
+    monkeypatch.setattr(solenoid, "_EQUIV_DEPTH", depth)
+    assert (metric_equivalence(sol, samples=150, seed=seed)
             == metric_equivalence_scalar(sol, samples=150, depth=depth, seed=seed))
 
 
-def _torus_phi(p):
-    return math.cos(2 * math.pi * p.theta) + 0.5 * p.disk[0] * p.itinerary[-1]
+def _torus_phi(theta, u, v):
+    # arithmetic only, so scalars and arrays round alike
+    return theta * (1.0 - theta) + 0.5 * u - 0.25 * u * v
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -255,18 +261,19 @@ def test_attractor_bowen_check_matches_reference(sol, seed, sigma, eps):
     assert got.samples == 60
 
 
-def test_attractor_bowen_check_stops_at_the_attempt_cap(sol):
+def test_attractor_bowen_check_stops_at_the_attempt_cap(sol, monkeypatch):
     # no segment of positive length stays in a ball of negative radius, so
     # only the n = 0 attempts (1 in 60) are admissible; seed 1 finds 3 of
     # 5 in the 250 attempts allowed, over several chunks
     args = (sol, DecompositionConfig(0.6), _torus_phi, 1.0, 1.0, -1.0 / 16.0)
-    kw = dict(n_samples=5, n_range=(0, 59), seed=1)
-    got = attractor_bowen_check(*args, **kw)
-    assert got == attractor_bowen_check_scalar(*args, **kw)
-    assert got.samples == 3
     for check in (attractor_bowen_check, attractor_bowen_check_scalar):
         with pytest.raises(ValidationError, match="no admissible Bowen companions"):
             check(*args, n_samples=2, seed=0)
+    monkeypatch.setattr(solenoid, "_LENGTH_RANGE", (0, 59))
+    got = attractor_bowen_check(*args, n_samples=5, seed=1)
+    assert got == attractor_bowen_check_scalar(*args, n_samples=5,
+                                               n_range=(0, 59), seed=1)
+    assert got.samples == 3
 
 
 # sha256 of the `solenoid` CSV as the one-point implementation wrote it.
