@@ -56,8 +56,8 @@ DEFAULTS = {
     "cloud_depth": 0,
 }
 
-# orbit points per segment_log_sigma call in decompose; branch_lipschitz
-# holds 33 samples of each, so this bounds the call's memory
+# orbit points per segment_log_sigma call in decompose, which bounds the
+# memory of the call's orbit rows and their sigma field
 _DECOMPOSE_POINTS = 1 << 12
 
 # transfer CSV rows formatted per chunk

@@ -26,11 +26,6 @@ _STOP_ULPS = 2.0
 _RESIDUAL_ULPS = 4.0
 _SOLVE_CAP = 100
 
-# 1/g' is sampled on this many grid points for the global sup that clamps
-# `branch_lipschitz`, and on this many points of each pulled-back ball
-_SIGMA_SUP_GRID = 8193
-_LIPSCHITZ_SAMPLES = 33
-
 # `mixing_time` checks covering on a grid of this many ball centres and
 # gives up after this many steps
 _MIXING_GRID = 256
@@ -112,11 +107,16 @@ class MapSystem:
         Number of inverse branches.
     epsilon0 : float
         Uniform radius at which local inverses are used.
+    inv_deriv_peaks : iterable of (point, value) pairs
+        Every local maximum of 1/g' on the circle, with the sup of 1/g'
+        there (the larger one-sided value at a jump of g'); `()` if none.
+        `branch_lipschitz` trusts this list, so a missing peak gives too
+        small a sigma.
     exact_branch_solve : callable, optional
         Closed-form (branch, y) -> preimage, bypassing the root solver.
     """
 
-    def __init__(self, name, lift, lift_deriv, degree, epsilon0,
+    def __init__(self, name, lift, lift_deriv, degree, epsilon0, inv_deriv_peaks,
                  exact_branch_solve=None):
         if degree < 2:
             raise ValidationError("degree", "need at least two branches")
@@ -128,9 +128,8 @@ class MapSystem:
         self._lift = lift
         self._deriv = lift_deriv
         self._exact_solve = exact_branch_solve
+        self._peaks = [(float(p), float(v)) for p, v in inv_deriv_peaks]
         self.branch_cuts = self._solve_cuts()
-        grid = np.linspace(0.0, 1.0, _SIGMA_SUP_GRID, endpoint=False)
-        self._sigma_sup = float(np.max(1.0 / self._deriv(grid)))
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -256,31 +255,24 @@ class MapSystem:
     # -- derived fields -----------------------------------------------------
 
     def branch_lipschitz(self, x):
-        """Upper bound sigma(x) for the Lipschitz constant of the inverse
-        branch through x on the ball of radius epsilon0 about g(x).
+        """sigma(x), the Lipschitz constant of the inverse branch through x
+        on the ball of radius epsilon0 about g(x).
 
-        Computed as the sampled supremum of 1/g' over the pulled-back ball
-        (including x itself), inflated by 1.01 and clamped at the global
-        supremum of 1/g'.
+        It is the sup of 1/g' over the pulled-back ball [zlo, zhi], whose
+        two ends come from one `lift_inverse` call: the larger of 1/g' at
+        the two ends, raised to the declared value of every peak of 1/g'
+        (`inv_deriv_peaks`) that lies in the arc.  Nothing is sampled or
+        inflated, so the sup is exact up to rounding: the 2 ulp of the end
+        solves and one division.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
         v = self._lift(x)
-        zlo, zhi = self.lift_inverse(np.stack([v - self.epsilon0, v + self.epsilon0]))
-        t = np.linspace(0.0, 1.0, _LIPSCHITZ_SAMPLES)
-        samples = zlo[..., None] + (zhi - zlo)[..., None] * t
-        inv = 1.0 / self._deriv(samples % 1.0)
-        raw = np.maximum(inv.max(axis=-1), 1.0 / self._deriv(x))
-        # derivative kinks (wrap point and branch cuts) can carry the sup as
-        # a cusp that grid samples miss; evaluate both sides of each kink
-        # falling inside the pulled-back interval
-        for cut in self.branch_cuts[:-1]:
-            shift = np.ceil(zlo - cut)
-            inside = cut + shift <= zhi
-            if np.any(inside):
-                side = max(float(1.0 / self._deriv(np.float64(cut))),
-                           float(1.0 / self._deriv(np.float64((cut - 1e-12) % 1.0))))
-                raw = np.where(inside, np.maximum(raw, side), raw)
-        out = np.minimum(1.01 * raw, self._sigma_sup)
+        ends = self.lift_inverse(np.stack([v - self.epsilon0, v + self.epsilon0]))
+        zlo, zhi = ends
+        out = (1.0 / self._deriv(ends % 1.0)).max(axis=0)
+        for point, value in self._peaks:
+            inside = np.ceil(zlo - point) + point <= zhi
+            out = np.where(inside, np.maximum(out, value), out)
         return out if out.size > 1 else float(out[0])
 
     def mixing_time(self, eps):
@@ -332,6 +324,7 @@ def doubling():
         lift_deriv=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
         degree=2,
         epsilon0=0.25,
+        inv_deriv_peaks=(),
         exact_branch_solve=_doubling_solve,
     )
 
@@ -347,6 +340,7 @@ def manneville_pomeau(alpha=0.5):
         lift_deriv=lambda x: 1.0 + (1.0 + a) * np.power(np.abs(x), a),
         degree=2,
         epsilon0=_EPSILON0,
+        inv_deriv_peaks=[(0.0, 1.0)],
     )
     sys.alpha = a
     return sys
@@ -363,6 +357,7 @@ def perturbed_doubling(delta=0.75):
         lift_deriv=lambda x: 2.0 + d * np.cos(TWO_PI * x),
         degree=2,
         epsilon0=0.25,
+        inv_deriv_peaks=[(0.5, 1.0 / (2.0 - d))],
     )
 
 
@@ -399,8 +394,12 @@ def tabulated_map(values):
                       0, slopes.size - 1)
         return slopes[idx]
 
+    # 1/g' peaks at every node, at the larger 1/slope of its two sides; the
+    # node at 0 has the last piece on its left
+    inv = 1.0 / slopes
+    peaks = zip(grid[:-1], np.maximum(inv, np.roll(inv, 1)))
     return MapSystem("tabulated", lift=lift, lift_deriv=deriv,
-                     degree=degree, epsilon0=_EPSILON0)
+                     degree=degree, epsilon0=_EPSILON0, inv_deriv_peaks=peaks)
 
 
 BUILTIN_MAPS = {

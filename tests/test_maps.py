@@ -11,6 +11,10 @@ from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
 from oracles import bisect_root, branch_solve_bisect, covering_time_dense
 
+# sigma(x) is the sup of 1/g' over the pulled-back ball up to rounding: the
+# end solves' 2 ulp, the evaluation of g' at the ends and one division
+SIGMA_ULPS = 4.0
+
 
 def test_circle_metric_basics():
     assert circle_dist(0.1, 0.9) == pytest.approx(0.2)
@@ -65,7 +69,7 @@ def test_branch_lipschitz_mp_values(mp_map):
     grid = np.linspace(lo, hi, 2000)
     sup = np.max(1.0 / (1.0 + 1.5 * np.sqrt(grid)))
     val = mp_map.branch_lipschitz(0.5)
-    assert sup <= val <= 1.02 * sup
+    assert abs(val - sup) <= SIGMA_ULPS * np.spacing(sup)
 
 
 def test_branch_lipschitz_consistency(builtin_maps, rng):
@@ -122,7 +126,7 @@ def test_mixing_cap_error(doubling_map, monkeypatch):
 def test_epsilon0_validation():
     with pytest.raises(ValidationError):
         pg.MapSystem("bad", lambda x: 2 * x, lambda x: np.full_like(x, 2.0),
-                     degree=2, epsilon0=0.5)
+                     degree=2, epsilon0=0.5, inv_deriv_peaks=())
 
 
 def test_potential_holder_bound(builtin_maps, rng):
@@ -302,7 +306,8 @@ def test_branch_solve_rejects_non_finite_y(bad):
 
 
 def _hand_built(lift, deriv):
-    return pg.MapSystem("hand-built", lift, deriv, degree=2, epsilon0=0.25)
+    return pg.MapSystem("hand-built", lift, deriv, degree=2, epsilon0=0.25,
+                        inv_deriv_peaks=())
 
 
 def test_branch_solve_rejects_nan_lift_inside_a_branch():
@@ -393,3 +398,108 @@ def test_branch_solve_iteration_cap():
     assert abs(float(system.branch_solve(1, np.float64(0.5))) - root) < 1e-15
     with pytest.raises(BranchSolveError, match="did not settle"):
         system.branch_solve(0, np.float64(1e-300))
+
+
+# -- the sigma field ---------------------------------------------------------
+
+SIGMA_MAPS = dict(SOLVE_MAPS, doubling=pg.doubling())
+SIGMA_LIFTS = dict(MP_LIFTS, doubling=lambda x: 2 * x)
+
+
+def _mp_inv_deriv_sides(name, x):
+    """1/g' just left and just right of x in [0, 1), in mpmath arithmetic
+    with the maps' float constants."""
+    if name == "doubling":
+        return [mpmath.mpf(0.5)] * 2
+    if name == "mp":
+        right = 1 / (1 + mpmath.mpf(1.5) * mpmath.sqrt(x))
+        return [mpmath.mpf(1) / mpmath.mpf(2.5) if x == 0 else right, right]
+    if name == "perturbed":
+        value = 1 / (2 + mpmath.mpf(PD_DELTA) * mpmath.cos(mpmath.mpf(TWO_PI) * x))
+        return [value, value]
+    slopes = [(mpmath.mpf(float(TAB_VALUES[j + 1])) - mpmath.mpf(float(TAB_VALUES[j]))) * 64
+              for j in range(64)]
+    j = int(mpmath.floor(x * 64))
+    return [1 / slopes[j - 1 if x * 64 == j else j], 1 / slopes[j]]
+
+
+# where 1/g' can peak inside an arc: the derivative's kinks (the wrap point
+# of the Manneville-Pomeau map, the table's nodes) and the zeros of g''
+_CRITICAL = {"doubling": [], "mp": [0], "perturbed": [0, mpmath.mpf(0.5)],
+             "tabulated": [mpmath.mpf(j) / 64 for j in range(64)]}
+
+
+def _sigma_oracle(name, x):
+    """The sup of 1/g' over the pulled-back ball about x: its ends are the
+    50-digit roots of the lift, extended to the line, at the float targets
+    G(x) -+ epsilon0 that the package solves for."""
+    system = SIGMA_MAPS[name]
+    v = float(system.lift(np.float64(x)))
+    degree, lift = system.degree, SIGMA_LIFTS[name]
+    with mpmath.workdps(50):
+        def real_lift(z):
+            k = mpmath.floor(z)
+            return lift(z - k) + degree * k
+
+        ends = []
+        for target in (v - system.epsilon0, v + system.epsilon0):
+            bracket = (mpmath.mpf(target) / degree - 1, mpmath.mpf(target) / degree + 1)
+            ends.append(mpmath.findroot(lambda z: real_lift(z) - target, bracket,
+                                        solver="anderson"))
+        zlo, zhi = ends
+        # the arc leaves zlo to the right and reaches zhi from the left
+        values = [_mp_inv_deriv_sides(name, zlo - mpmath.floor(zlo))[1],
+                  _mp_inv_deriv_sides(name, zhi - mpmath.floor(zhi))[0]]
+        for k in range(int(mpmath.floor(zlo)), int(mpmath.floor(zhi)) + 1):
+            for c in _CRITICAL[name]:
+                if zlo <= k + c <= zhi:
+                    values += _mp_inv_deriv_sides(name, c)
+        return float(max(values)), float(zlo), float(zhi)
+
+
+def _assert_sigma_is_the_sup(name, x):
+    sigma = SIGMA_MAPS[name].branch_lipschitz(np.float64(x))
+    sup, zlo, zhi = _sigma_oracle(name, x)
+    assert abs(sigma - sup) <= SIGMA_ULPS * np.spacing(sup), (name, x, sigma, sup)
+    return sup, zlo, zhi
+
+
+# x = 0, 1/2 and 1 - ulp; arcs around the wrap point, the perturbed map's
+# peak at 1/2 and the table's nodes
+SIGMA_POINTS = [0.0, 0.5, 1.0 - 2.0 ** -53, 1e-300, 0.03, 0.97, 0.45, 0.55,
+                17.0 / 64.0, 0.3]
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_MAPS))
+def test_branch_lipschitz_matches_the_exact_sup(name):
+    for x in SIGMA_POINTS:
+        _assert_sigma_is_the_sup(name, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SIGMA_MAPS)), x=st.floats(0.0, 1.0, exclude_max=True))
+def test_branch_lipschitz_matches_the_exact_sup_at_drawn_points(name, x):
+    sup, zlo, zhi = _assert_sigma_is_the_sup(name, x)
+    # no point of the arc exceeds the sup by more than its rounding
+    z = np.linspace(zlo, zhi, 257)
+    inside = 1.0 / SIGMA_MAPS[name].deriv(z % 1.0)
+    assert np.all(inside <= sup + SIGMA_ULPS * np.spacing(sup))
+
+
+def test_branch_lipschitz_reaches_the_perturbed_peak():
+    system = pg.perturbed_doubling(0.75)
+    assert system.branch_lipschitz(0.5) >= 1.0 / float(system.deriv(0.5)) == 0.8
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SIGMA_MAPS)),
+       xs=st.lists(Y_VALUES, min_size=1, max_size=12))
+def test_branch_lipschitz_is_elementwise(name, xs):
+    system = SIGMA_MAPS[name]
+    x = np.asarray(xs)
+    batch = np.atleast_1d(system.branch_lipschitz(x))
+    for i in range(x.size):
+        single = system.branch_lipschitz(x[i:i + 1])
+        scalar = system.branch_lipschitz(np.float64(x[i]))
+        assert batch[i].tobytes() == np.float64(single).tobytes() \
+            == np.float64(scalar).tobytes()
