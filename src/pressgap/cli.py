@@ -31,7 +31,7 @@ from .solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                        check_fiber_depth, conjugacy_h, fiber_point,
                        fiber_sample, metric_equivalence)
 from .specification import glue_base, verify_shadow
-from .transfer import build_operator, leading_eigen
+from .transfer import build_operator, check_grid_size, leading_eigen
 
 DEFAULTS = {
     "map": {"kind": "doubling", "alpha": 0.5, "delta": 0.75},
@@ -191,6 +191,7 @@ def validate(cfg):
         raise ValidationError("cloud_depth", "must be >= 0")
     if cfg["cloud_depth"] > 0:
         check_fiber_depth(cfg["cloud_depth"])   # over the fiber cap: exit 2
+    check_grid_size(cfg["grid_size"])           # over the node cap: exit 2
 
 
 class Writer:

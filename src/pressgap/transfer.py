@@ -4,9 +4,9 @@ The operator (L psi)(x) = sum over branches of e^(phi(y_b)) psi(y_b), with
 y_b the branch preimages of x, is tabulated on a uniform circle grid with
 linear interpolation between nodes.  Its leading eigenvalue lambda
 (pressure = log lambda), the eigenfunction, and -- through the adjoint --
-the eigenmeasure come from a restarted Arnoldi start finished by a few power
-steps; the renormalized product of eigenfunction and eigenmeasure is the
-equilibrium density.
+the eigenmeasure come from a thick-restart Arnoldi start finished by a few
+power steps; the renormalized product of eigenfunction and eigenmeasure is
+the equilibrium density.
 """
 
 import math
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NodeCapError, ValidationError
+from .orbits import DEFAULT_NODE_CAP
 
 
 @dataclass
@@ -30,8 +31,16 @@ class OperatorGrid:
     stencil_w: np.ndarray      # (2, D, G) weights*(1-frac) and weights*frac
 
 
+def check_grid_size(grid_size):
+    """Raise unless a grid of `grid_size` nodes is within the node cap."""
+    if grid_size > DEFAULT_NODE_CAP:
+        raise NodeCapError(f"grid_size {grid_size} exceeds node cap "
+                           f"{DEFAULT_NODE_CAP}")
+
+
 def build_operator(system, phi, grid_size):
     """Tabulate branch preimages and weights on a uniform grid."""
+    check_grid_size(grid_size)
     if grid_size < system.degree * 8:
         raise ValidationError("grid_size", f"need >= {system.degree * 8}")
     nodes = np.arange(grid_size) / grid_size
@@ -79,8 +88,9 @@ class EigenData:
     residual: float
 
 
-# Arnoldi basis dimension between restarts
-_KRYLOV_DIM = 10
+# Arnoldi basis dimension, and the Ritz vectors kept at a thick restart
+_KRYLOV_DIM = 12
+_KEEP = 5
 # leading_eigen's relative residual and Rayleigh-step tolerance, and its
 # operator applications per side over both phases
 _TOL = 1e-13
@@ -88,13 +98,17 @@ _MAX_APPLICATIONS = 20000
 # a new basis vector this small against the applied vector's norm means
 # the Krylov subspace is invariant (lucky breakdown)
 _BREAKDOWN = 1e-14
+# a Gram-Schmidt pass that leaves less than this share of the vector's norm
+# is repeated (the Daniel-Gragg-Kaufman-Stewart test)
+_REORTHOGONALIZE = 1.0 / math.sqrt(2.0)
 
 
 # Sums of products avoid BLAS: a threaded BLAS splits long dot products and
 # matrix-vector products between threads and so rounds them differently for
 # different thread counts.  The scalars the stopping tests read use numpy's
-# pairwise summation; the Arnoldi basis uses einsum, which is faster but
-# sums term by term.
+# pairwise summation; the Arnoldi basis and its restarts use einsum, which
+# is faster but sums term by term.  Only the small projected matrices go
+# through LAPACK.
 
 def _dot(a, b):
     return float(np.sum(a * b))
@@ -108,62 +122,108 @@ def _basis_norm(a):
     return math.sqrt(np.einsum("i,i->", a, a))
 
 
-def _krylov_start(apply, basis, tol, budget):
-    """Unit vector near the leading eigenvector, by restarted Arnoldi.
+def _kept_ritz_basis(vals, vecs):
+    """Orthonormal basis of the real span of the _KEEP rightmost Ritz
+    vectors, or _KEEP + 1 where the last of them is half of a complex
+    conjugate pair: the span of half a pair is not invariant under the small
+    matrix, so the restarted Arnoldi relation would not hold."""
+    cols = []
+    for i in np.argsort(-vals.real, kind="stable"):
+        if len(cols) >= _KEEP:
+            break
+        if vals[i].imag < 0.0:
+            continue    # its conjugate brings both parts
+        cols.append(vecs[:, i].real)
+        if vals[i].imag > 0.0:
+            cols.append(vecs[:, i].imag)
+    return np.linalg.qr(np.stack(cols, axis=1))[0]
 
-    Starts from the normalized constant vector.  Each cycle applies the
-    operator to its unit start vector x, which is both the stopping test,
-    ||L x - theta x||_2 <= tol * theta with theta = x . L x, and the first
-    Arnoldi step.  It fills up to _KRYLOV_DIM rows of `basis` by classical
-    Gram-Schmidt applied twice and restarts from the real part of the Ritz
-    vector of the rightmost Ritz value, its sign chosen so that its entries
-    sum to a positive number.  Returns the vector and the number of
-    applications made.
+
+def _krylov_start(apply, basis, tol, budget):
+    """Unit vector near the leading eigenvector, by thick-restart Arnoldi.
+
+    `basis` holds _KRYLOV_DIM + 1 rows.  Applying the operator to a unit
+    start vector x, first the normalized constant vector, is both the
+    stopping test, ||L x - theta x||_2 <= tol * theta with
+    theta = x . L x, and the first Arnoldi step.  Each cycle fills the
+    basis V to _KRYLOV_DIM rows by classical Gram-Schmidt, with a second
+    pass where the first leaves less than _REORTHOGONALIZE of the norm, so
+    that L V = V H + beta v e_m^T with the unit residual vector v in the
+    last row.  The free estimate |beta e_m^T y| / |theta| of the rightmost
+    Ritz pair (theta, y) of H only decides when to test: once it is at most
+    `tol`, or the Krylov space is invariant (lucky breakdown), the real
+    part of V y, its sign chosen so that its entries sum to a positive
+    number, is tested and, failing the test, becomes the next start vector.
+    Otherwise the cycle restarts thick: the _KEEP rightmost Ritz vectors of
+    H (real and imaginary parts, never half of a complex pair),
+    orthonormalized as Q, give the first rows V Q, v follows them, H becomes
+    Q^T H Q with the coupling row beta e_m^T Q below it, and Arnoldi goes on
+    from v.  Every product over the grid is an einsum and the rows are
+    rewritten in place.  Returns the vector and the number of applications
+    made.
     """
     size = basis.shape[1]
     x = np.full(size, 1.0 / math.sqrt(size))
-    hess = np.zeros((_KRYLOV_DIM, _KRYLOV_DIM))
-    used = 0
+    hess = np.zeros((_KRYLOV_DIM + 1, _KRYLOV_DIM))
+    # kept = 0: the next cycle starts from x, and tests it first
+    used, res, kept = 0, math.inf, 0
     while True:
-        if used >= budget:
-            raise ConvergenceError(
-                f"no convergence in {budget} operator applications (last "
-                f"Krylov residual {res:.3g}); spectral gap may be absent "
-                f"at this scale")
-        w = apply(x)
-        used += 1
-        theta = _dot(w, x)
-        res = _norm(w - theta * x) / abs(theta)
-        if res <= tol:
-            return x, used
-        basis[0] = x
-        hess[:] = 0.0
+        if not kept:
+            if used >= budget:
+                raise _out_of_applications(budget, res)
+            w = apply(x)
+            used += 1
+            theta = _dot(w, x)
+            res = _norm(w - theta * x) / abs(theta)
+            if res <= tol:
+                return x, used
+            basis[0] = x
+            hess[:] = 0.0
         dim = _KRYLOV_DIM
-        for j in range(_KRYLOV_DIM):
+        for j in range(kept, _KRYLOV_DIM):
             if j > 0:
                 if used >= budget:
-                    dim = j
-                    break
+                    raise _out_of_applications(budget, res)
                 w = apply(basis[j])
                 used += 1
             w_norm = _basis_norm(w)
             v = basis[:j + 1]
             c = np.einsum("ij,j->i", v, w)
             w -= np.einsum("i,ij->j", c, v)
-            c2 = np.einsum("ij,j->i", v, w)
-            w -= np.einsum("i,ij->j", c2, v)
-            hess[:j + 1, j] = c + c2
             beta = _basis_norm(w)
+            if beta < _REORTHOGONALIZE * w_norm:
+                c2 = np.einsum("ij,j->i", v, w)
+                w -= np.einsum("i,ij->j", c2, v)
+                c += c2
+                beta = _basis_norm(w)
+            hess[:j + 1, j] = c
             if beta <= _BREAKDOWN * w_norm:
-                dim = j + 1
+                dim = j + 1     # hess[dim, j] stays 0: the estimate reads 0
                 break
-            if j + 1 < _KRYLOV_DIM:
-                hess[j + 1, j] = beta
-                np.divide(w, beta, out=basis[j + 1])
+            hess[j + 1, j] = beta
+            np.divide(w, beta, out=basis[j + 1])
         vals, vecs = np.linalg.eig(hess[:dim, :dim])
-        x = np.einsum("i,ij->j", vecs[:, np.argmax(vals.real)].real,
-                      basis[:dim])
-        x /= math.copysign(_norm(x), x.sum())
+        top = np.argmax(vals.real)
+        if abs(hess[dim, dim - 1] * vecs[dim - 1, top]) <= tol * abs(vals[top]):
+            x = np.einsum("i,ij->j", vecs[:, top].real, basis[:dim])
+            x /= math.copysign(_norm(x), x.sum())
+            kept = 0
+            continue
+        q = _kept_ritz_basis(vals, vecs)
+        kept = q.shape[1]
+        coupling = hess[dim, dim - 1] * q[dim - 1]
+        small = q.T @ hess[:dim] @ q
+        basis[:kept] = np.einsum("ji,jk->ik", q, basis[:dim])
+        basis[kept] = basis[dim]
+        hess[:] = 0.0
+        hess[:kept, :kept] = small
+        hess[kept, :kept] = coupling
+
+
+def _out_of_applications(budget, res):
+    return ConvergenceError(
+        f"no convergence in {budget} operator applications (last Krylov "
+        f"residual {res:.3g}); spectral gap may be absent at this scale")
 
 
 def _power_finish(apply, psi, tol, max_iters):
@@ -198,23 +258,25 @@ def _leading_vector(apply, basis, tol, max_iters):
 def leading_eigen(op):
     """Leading eigendata of the operator, forward and adjoint.
 
-    Each side starts with restarted Arnoldi (`_krylov_start`) until the
-    relative residual of a unit vector is at most _TOL, then finishes with
-    power steps from the entrywise absolute value of that vector until
-    successive Rayleigh quotients differ by less than _TOL.  Power steps
-    with the nonnegative operator keep every entry of h and nu positive,
-    which Arnoldi alone guarantees only in norm.  h and nu are the vectors
-    the last power step of each side was applied to, so the residual
-    max |L h - lambda h| needs no further application.  _MAX_APPLICATIONS
-    bounds the operator applications of each side over both phases, and
-    `EigenData.iterations` counts the applications made on both sides.
+    Each side starts with thick-restart Arnoldi (`_krylov_start`: a
+    _KRYLOV_DIM-vector basis keeping _KEEP Ritz vectors at each restart)
+    until an explicit test finds the relative residual of a unit vector at
+    most _TOL, then finishes with power steps from the entrywise absolute
+    value of that vector until successive Rayleigh quotients differ by less
+    than _TOL.  Power steps with the nonnegative operator keep every entry
+    of h and nu positive, which Arnoldi alone guarantees only in norm.  h
+    and nu are the vectors the last power step of each side was applied to,
+    so the residual max |L h - lambda h| needs no further application.
+    _MAX_APPLICATIONS bounds the operator applications of each side over
+    both phases, and `EigenData.iterations` counts the applications made on
+    both sides.
 
     Raises ConvergenceError when a side runs out of applications or a power
     step loses positivity -- surfaced, not hidden, since intermittent
     regimes can lack a spectral gap.
     """
     tol, max_iters = _TOL, _MAX_APPLICATIONS
-    basis = np.empty((_KRYLOV_DIM, op.size))
+    basis = np.empty((_KRYLOV_DIM + 1, op.size))
     h, image, lam, it_f = _leading_vector(lambda v: apply_operator(op, v),
                                           basis, tol, max_iters)
     nu, _, _, it_a = _leading_vector(lambda v: apply_adjoint(op, v),

@@ -9,8 +9,9 @@ bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
 dense cover, the one-point samplers for good segments, backward orbits
 and Bowen companions, the per-point extension Birkhoff sum, the one-point
 solenoid fibers, metric-equivalence sampler and
-attractor Bowen check, the fixed-step bisection inverse-branch solver, and
-the plain forward/adjoint power iteration for transfer-operator eigendata.
+attractor Bowen check, the fixed-step bisection inverse-branch solver, the
+plain forward/adjoint power iteration for transfer-operator eigendata, and
+the Arnoldi start that restarts from a single Ritz vector.
 The last section holds one-segment and one-point helpers that no package
 code calls: Birkhoff sums, Bowen distances, classification, decomposition
 and pullback chains of one segment, the greedy separated set of a
@@ -18,6 +19,7 @@ collection's pool (through the package's greedy kernel), and the extension
 shift, its inverse and the truncated extension metric.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,9 @@ from pressgap.errors import ConvergenceError, ValidationError
 from pressgap.extension import ExtPoint, tail_bound
 from pressgap.maps import circle_dist
 from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
-from pressgap.transfer import EigenData, apply_adjoint, apply_operator
+from pressgap.transfer import (_BREAKDOWN, _MAX_APPLICATIONS, _TOL, EigenData,
+                               _basis_norm, _dot, _norm, _power_finish,
+                               apply_adjoint, apply_operator)
 
 
 def circ(x, y):
@@ -588,6 +592,91 @@ def leading_eigen_power(op, tol=1e-13, max_iters=20000):
     return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
                      eigenmeasure=nu, equilibrium_density=dens,
                      iterations=it_f + it_a, residual=residual)
+
+
+# Arnoldi basis dimension of the single-vector restart
+_SINGLE_KRYLOV_DIM = 10
+
+
+def krylov_start_single(apply, basis, tol, budget):
+    """Unit vector near the leading eigenvector, by restarted Arnoldi.
+
+    Starts from the normalized constant vector.  Each cycle applies the
+    operator to its unit start vector x, which is both the stopping test,
+    ||L x - theta x||_2 <= tol * theta with theta = x . L x, and the first
+    Arnoldi step.  It fills up to _SINGLE_KRYLOV_DIM rows of `basis` by
+    classical Gram-Schmidt applied twice and restarts from the real part of
+    the Ritz vector of the rightmost Ritz value, its sign chosen so that its
+    entries sum to a positive number.  Returns the vector and the number of
+    applications made.
+    """
+    size = basis.shape[1]
+    x = np.full(size, 1.0 / math.sqrt(size))
+    hess = np.zeros((_SINGLE_KRYLOV_DIM, _SINGLE_KRYLOV_DIM))
+    used = 0
+    while True:
+        if used >= budget:
+            raise ConvergenceError(
+                f"no convergence in {budget} operator applications (last "
+                f"Krylov residual {res:.3g}); spectral gap may be absent "
+                f"at this scale")
+        w = apply(x)
+        used += 1
+        theta = _dot(w, x)
+        res = _norm(w - theta * x) / abs(theta)
+        if res <= tol:
+            return x, used
+        basis[0] = x
+        hess[:] = 0.0
+        dim = _SINGLE_KRYLOV_DIM
+        for j in range(_SINGLE_KRYLOV_DIM):
+            if j > 0:
+                if used >= budget:
+                    dim = j
+                    break
+                w = apply(basis[j])
+                used += 1
+            w_norm = _basis_norm(w)
+            v = basis[:j + 1]
+            c = np.einsum("ij,j->i", v, w)
+            w -= np.einsum("i,ij->j", c, v)
+            c2 = np.einsum("ij,j->i", v, w)
+            w -= np.einsum("i,ij->j", c2, v)
+            hess[:j + 1, j] = c + c2
+            beta = _basis_norm(w)
+            if beta <= _BREAKDOWN * w_norm:
+                dim = j + 1
+                break
+            if j + 1 < _SINGLE_KRYLOV_DIM:
+                hess[j + 1, j] = beta
+                np.divide(w, beta, out=basis[j + 1])
+        vals, vecs = np.linalg.eig(hess[:dim, :dim])
+        x = np.einsum("i,ij->j", vecs[:, np.argmax(vals.real)].real,
+                      basis[:dim])
+        x /= math.copysign(_norm(x), x.sum())
+
+
+def leading_eigen_single_restart(op):
+    """Leading eigendata as `transfer.leading_eigen` computes them, with
+    `krylov_start_single` in place of the thick-restart start."""
+    basis = np.empty((_SINGLE_KRYLOV_DIM, op.size))
+    sides = []
+    for apply in (lambda v: apply_operator(op, v),
+                  lambda v: apply_adjoint(op, v)):
+        x, used = krylov_start_single(apply, basis, _TOL, _MAX_APPLICATIONS)
+        sides.append((*_power_finish(apply, np.abs(x), _TOL,
+                                     _MAX_APPLICATIONS - used), used))
+    (h, image, lam, it_f, used_f), (nu, _, _, it_a, used_a) = sides
+    scale = h.max()
+    residual = float(np.max(np.abs(image - lam * h))) / scale
+    h = h / scale
+    nu = nu / nu.sum()
+    dens = h * nu
+    dens = dens / dens.sum()
+    return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
+                     eigenmeasure=nu, equilibrium_density=dens,
+                     iterations=it_f + used_f + it_a + used_a,
+                     residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_cloud_depth_over_the_fiber_cap_fails_first(tmp_path, capsys, monkeypatc
     assert "2^17 fiber points exceed cap 65536" in capsys.readouterr().err
 
 
+def test_grid_size_over_the_node_cap_fails_first(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("transfer work ran before validation")
+
+    monkeypatch.setattr(cli, "build_operator", fail)
+    assert run(["transfer", "--grid-size", "10000000000000",
+                "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "grid_size" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _no_sampling_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("sampling work ran before validation")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +12,13 @@ import scipy.sparse.linalg
 
 import pressgap as pg
 from pressgap import transfer
-from pressgap.errors import ConvergenceError, ValidationError
-from pressgap.orbits import FullCollection
+from pressgap.errors import ConvergenceError, NodeCapError, ValidationError
+from pressgap.orbits import DEFAULT_NODE_CAP, FullCollection
 from pressgap.pressure import pressure_at_scale
 from pressgap.transfer import (apply_operator, build_operator,
                                check_equilibrium, leading_eigen)
 
-from oracles import leading_eigen_power
+from oracles import leading_eigen_power, leading_eigen_single_restart
 
 
 def test_operator_action_examples(doubling_map):
@@ -30,6 +34,8 @@ def test_operator_action_examples(doubling_map):
 def test_grid_size_validation(doubling_map):
     with pytest.raises(ValidationError):
         build_operator(doubling_map, pg.zero_potential(), 8)
+    with pytest.raises(NodeCapError, match="grid_size"):
+        build_operator(doubling_map, pg.zero_potential(), DEFAULT_NODE_CAP + 1)
 
 
 def test_doubling_leading_eigen(doubling_map):
@@ -123,12 +129,15 @@ def _scipy_eigen(op):
     return lam, h, nu
 
 
-@pytest.mark.parametrize("system, grid", [
-    (pg.manneville_pomeau(0.5), 2048),
-    (pg.perturbed_doubling(0.75), 4096),
-])
-def test_eigendata_matches_scipy(system, grid):
-    op = build_operator(system, pg.geometric_potential(system, 1.0), grid)
+@pytest.mark.parametrize("system, grid, t", [
+    (pg.manneville_pomeau(0.5), 2048, 1.0),
+    (pg.perturbed_doubling(0.75), 4096, 1.0),
+    (pg.manneville_pomeau(0.5), 2048, 1.2),
+    (pg.manneville_pomeau(0.8), 2048, None),
+], ids=["system0-2048", "system1-4096", "mp-t1.2-2048", "mp0.8-zero-2048"])
+def test_eigendata_matches_scipy(system, grid, t):
+    phi = pg.zero_potential() if t is None else pg.geometric_potential(system, t)
+    op = build_operator(system, phi, grid)
     lam, h, nu = _scipy_eigen(op)
     eigen = leading_eigen(op)
     assert abs(eigen.lam - lam) <= 1e-12 * lam
@@ -192,3 +201,101 @@ def test_iterations_count_operator_applications(monkeypatch, mp_map):
     eigen = leading_eigen(op)
     assert calls["forward"] > 0 and calls["adjoint"] > 0
     assert eigen.iterations == calls["forward"] + calls["adjoint"]
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_tiny_application_budget_raises_convergence_error(doubling_map,
+                                                          monkeypatch, budget):
+    op = build_operator(doubling_map, pg.constant_potential(-0.5), 256)
+    monkeypatch.setattr(transfer, "_MAX_APPLICATIONS", budget)
+    with pytest.raises(ConvergenceError):
+        leading_eigen(op)
+
+
+def _straddling_pair_matrix(keep, size=64):
+    """Nonnegative block-diagonal matrix whose rightmost eigenvalues are 1,
+    keep - 2 reals from 0.9 down, then the pair 0.8 +- 0.058i, so that the
+    pair takes places keep and keep + 1: a symmetric block with Perron root
+    1 and the rest of its spectrum below 0.6, a 3x3 block with Perron root
+    0.9 and the pair (a circulant made non-circulant by a diagonal
+    similarity, so that the constant start vector excites the pair), and
+    1x1 blocks for the other reals."""
+    reals = 0.88 - 0.02 * np.arange(keep - 3)
+    m = size - reals.size - 3
+    path = 0.5 * np.eye(m) + 0.25 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    u = np.linspace(1.0, 2.0, m)
+    sym = 0.6 * path + 0.45 * np.outer(u, u) / (u @ u)
+    b = 0.2 / 3.0
+    circ = (0.9 - b) * np.eye(3) + b * np.eye(3, k=1) + b * np.eye(3, k=-2)
+    d = np.array([1.0, 2.0, 4.0])
+    matrix = np.zeros((size, size))
+    matrix[:m, :m] = sym / np.linalg.eigvalsh(sym)[-1]
+    matrix[m:m + 3, m:m + 3] = circ * d[:, None] / d[None, :]
+    matrix[np.arange(m + 3, size), np.arange(m + 3, size)] = reals
+    return matrix
+
+
+def test_thick_restart_keeps_a_straddling_complex_pair_whole(monkeypatch):
+    matrix = _straddling_pair_matrix(transfer._KEEP)
+    vals = np.linalg.eigvals(matrix)
+    ranked = vals[np.argsort(-vals.real, kind="stable")]
+    assert ranked[transfer._KEEP - 1].imag != 0.0
+    assert ranked[transfer._KEEP].imag == -ranked[transfer._KEEP - 1].imag
+    widths, defects = [], []
+    kept_ritz_basis = transfer._kept_ritz_basis
+
+    def recorded(vals, vecs):
+        q = kept_ritz_basis(vals, vecs)
+        widths.append(q.shape[1])
+        # the kept span is invariant under the small matrix
+        small = ((vecs * vals) @ np.linalg.inv(vecs)).real
+        hq = small @ q
+        defects.append(np.linalg.norm(hq - q @ (q.T @ hq)) / np.linalg.norm(small))
+        return q
+
+    monkeypatch.setattr(transfer, "_kept_ritz_basis", recorded)
+    monkeypatch.setattr(transfer, "apply_operator", lambda op, v: matrix @ v)
+    monkeypatch.setattr(transfer, "apply_adjoint", lambda op, m: matrix.T @ m)
+    eigen = leading_eigen(SimpleNamespace(size=matrix.shape[0]))
+    # some restart found the pair at the boundary and kept both halves
+    assert transfer._KEEP + 1 in widths
+    assert max(defects) <= 1e-12
+    sides = []
+    for m in (matrix, matrix.T):
+        w, v = np.linalg.eig(m)
+        top = np.argmax(w.real)
+        vec = np.abs(v[:, top].real)
+        sides.append((w[top].real, vec / vec.max()))
+    (lam, h), (_, nu) = sides
+    assert abs(eigen.lam - lam) <= 1e-12 * lam
+    assert np.max(np.abs(eigen.eigenfunction - h)) <= 1e-12
+    assert np.max(np.abs(eigen.eigenmeasure / eigen.eigenmeasure.max() - nu)) <= 1e-12
+
+
+def test_thick_restart_halves_applications_at_the_phase_transition(mp_map):
+    # MP at t = 1: the two leading eigenvalues nearly meet
+    op = build_operator(mp_map, pg.geometric_potential(mp_map, 1.0), 2048)
+    thick, single = leading_eigen(op), leading_eigen_single_restart(op)
+    assert 2 * thick.iterations < single.iterations
+    assert thick.residual <= single.residual
+
+
+def test_eigendata_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 16384 nodes a threaded OpenBLAS splits a product with the Arnoldi
+    # basis between two threads, so a BLAS product in the solver would
+    # change the CSV; at 2048 nodes it runs on one thread either way
+    src = str(Path(pg.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (1, min(2, os.cpu_count() or 1)):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"eigen-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "pressgap.cli", "transfer",
+                        "--map", "manneville_pomeau", "--potential", "geometric",
+                        "--grid-size", "16384", "--out", str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
