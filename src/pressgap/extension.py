@@ -91,11 +91,15 @@ def extend_coords(system, x, branches):
 
     Row k of the (K + 1, starts) result holds the k-th preimage of every
     start, K being the length of the last axis of `branches`; a scalar
-    start gives one column.
+    start gives one column.  A branch id outside [0, degree) raises
+    ValidationError naming `branches`.
     """
     starts = np.asarray(x, dtype=float) % 1.0
     rows = starts.size
     chosen = np.asarray(branches, dtype=int)
+    if np.any((chosen < 0) | (chosen >= system.degree)):
+        raise ValidationError(
+            "branches", f"branch ids must lie in [0, {system.degree}) for {system.name}")
     depth = chosen.shape[-1]
     chosen = chosen.reshape(rows, depth)
     # one contiguous row per depth, so every solve sees contiguous input

@@ -25,6 +25,9 @@ CIRCLE_DIAMETER = 0.5
 _STOP_ULPS = 2.0
 _RESIDUAL_ULPS = 4.0
 _SOLVE_CAP = 100
+# a map without a closed-form solve tabulates its lift at this many uniform
+# points of [0, 1]; the inverse read off the table starts every branch solve
+_START_NODES = 2 ** 14 + 1
 
 # `mixing_time` checks covering on a grid of this many ball centres and
 # gives up after this many steps
@@ -130,6 +133,7 @@ class MapSystem:
         self._exact_solve = exact_branch_solve
         self._peaks = [(float(p), float(v)) for p, v in inv_deriv_peaks]
         self.branch_cuts = self._solve_cuts()
+        self._start_table = None if exact_branch_solve is not None else self._tabulate()
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -168,13 +172,25 @@ class MapSystem:
         self._check_root(inner, targets)
         return np.concatenate([[0.0], inner, [1.0]])
 
+    def _tabulate(self):
+        """(G at the nodes, the nodes), for the finite values of G only, so
+        that a lift that is NaN somewhere still gives an increasing table."""
+        nodes = np.linspace(0.0, 1.0, _START_NODES)
+        values = self._lift(nodes)
+        finite = np.isfinite(values)
+        return values[finite], nodes[finite]
+
     def branch_solve(self, branch, y):
         """Preimage of y under branch `branch`: x in branch domain, G(x) = branch + y.
 
         `branch` is one branch id for every point, or an integer array of
-        per-point ids shaped like y; either way every point is solved in
-        one call.  The root is found by a safeguarded Newton iteration on
-        the point's branch cut interval (see `_bracketed_solve`), then
+        per-point ids shaped like y, each in [0, degree) (out-of-range ids
+        are the caller's to reject; `extension.extend_coords` does); either
+        way every point is solved in one call.  The root is found by a
+        safeguarded Newton iteration on the point's branch cut interval
+        (see `_bracketed_solve`), started from the inverse of the lift
+        table sampled at _START_NODES nodes when the map is built, linearly
+        interpolated at the target and clipped to the interval, and then
         checked without the derivative: the target branch + y must lie
         between G at 2 ulp either side of x (within [0, 1]), widened by
         4 ulp of the target for the error of evaluating G.  So a root that
@@ -197,8 +213,10 @@ class MapSystem:
             branch = branch.reshape(-1)
         target = flat + branch
         lo, hi = self.branch_cuts[branch], self.branch_cuts[branch + 1]
-        # start at the linear interpolant of G across the cut interval
-        start = np.maximum(np.minimum(lo + flat * (hi - lo), hi), lo)
+        # start at the tabulated inverse lift: the start only has to be
+        # finite and inside the bracket, which (with the root check) is
+        # what the root rests on
+        start = np.maximum(np.minimum(np.interp(target, *self._start_table), hi), lo)
         x = _bracketed_solve(self._lift, self._deriv, target, lo, hi, start)
         self._check_root(x, target, branch)
         return x.reshape(y.shape)

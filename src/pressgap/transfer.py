@@ -159,7 +159,8 @@ def _krylov_start(apply, basis, tol, budget):
     orthonormalized as Q, give the first rows V Q, v follows them, H becomes
     Q^T H Q with the coupling row beta e_m^T Q below it, and Arnoldi goes on
     from v.  Every product over the grid is an einsum and the rows are
-    rewritten in place.  Returns the vector and the number of applications
+    rewritten in place.  Returns the vector, its image under the operator
+    (the one the passing test computed) and the number of applications
     made.
     """
     size = basis.shape[1]
@@ -176,7 +177,7 @@ def _krylov_start(apply, basis, tol, budget):
             theta = _dot(w, x)
             res = _norm(w - theta * x) / abs(theta)
             if res <= tol:
-                return x, used
+                return x, w, used
             basis[0] = x
             hess[:] = 0.0
         dim = _KRYLOV_DIM
@@ -226,31 +227,41 @@ def _out_of_applications(budget, res):
         f"residual {res:.3g}); spectral gap may be absent at this scale")
 
 
-def _power_finish(apply, psi, tol, max_iters):
+def _power_finish(apply, psi, image, tol, max_iters):
     """Power steps from a nonnegative start until successive Rayleigh
-    quotients differ by less than `tol`.  Returns the vector the last step
+    quotients differ by less than `tol`.  `image` is the start's image
+    under the operator, or None where the caller does not have it; the
+    first step then applies the operator.  Returns the vector the last step
     was applied to, its image under the operator, the Rayleigh quotient and
-    the number of steps."""
+    the number of applications made, at most `max_iters`."""
     rq_prev = step = math.inf
-    for it in range(1, max_iters + 1):
-        nxt = apply(psi)
-        if np.any(nxt <= 0.0):
+    used = 0
+    while True:
+        if image is None:
+            if used >= max_iters:
+                raise ConvergenceError(
+                    f"power steps did not settle within the {max_iters} operator "
+                    f"applications left (last Rayleigh step {step:.3g}); spectral gap "
+                    f"may be absent at this scale")
+            image = apply(psi)
+            used += 1
+        if np.any(image <= 0.0):
             raise ConvergenceError("power iteration lost positivity")
-        rq = _dot(nxt, psi) / _dot(psi, psi)
+        rq = _dot(image, psi) / _dot(psi, psi)
         step = abs(rq - rq_prev)
         if step < tol:
-            return psi, nxt, rq, it
+            return psi, image, rq, used
         rq_prev = rq
-        psi = nxt / _norm(nxt)
-    raise ConvergenceError(
-        f"power steps did not settle within the {max_iters} operator "
-        f"applications left (last Rayleigh step {step:.3g}); spectral gap "
-        f"may be absent at this scale")
+        psi = image / _norm(image)
+        image = None
 
 
 def _leading_vector(apply, basis, tol, max_iters):
-    x, used = _krylov_start(apply, basis, tol, max_iters)
-    psi, image, rq, steps = _power_finish(apply, np.abs(x), tol,
+    x, image, used = _krylov_start(apply, basis, tol, max_iters)
+    # the test's image L x is the first power step's where |x| is x bitwise
+    if np.signbit(x).any():
+        image = None
+    psi, image, rq, steps = _power_finish(apply, np.abs(x), image, tol,
                                           max_iters - used)
     return psi, image, rq, used + steps
 

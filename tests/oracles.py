@@ -664,7 +664,7 @@ def leading_eigen_single_restart(op):
     for apply in (lambda v: apply_operator(op, v),
                   lambda v: apply_adjoint(op, v)):
         x, used = krylov_start_single(apply, basis, _TOL, _MAX_APPLICATIONS)
-        sides.append((*_power_finish(apply, np.abs(x), _TOL,
+        sides.append((*_power_finish(apply, np.abs(x), None, _TOL,
                                      _MAX_APPLICATIONS - used), used))
     (h, image, lam, it_f, used_f), (nu, _, _, it_a, used_a) = sides
     scale = h.max()

@@ -267,6 +267,19 @@ def _tabulated_map():
     return pg.tabulated_map(2.0 * grid + (0.5 / (2.0 * np.pi)) * np.sin(2.0 * np.pi * grid))
 
 
+@pytest.mark.parametrize("bad", [2, -1])
+def test_extend_rejects_out_of_range_branch_ids(bad, doubling_map, mp_map):
+    # the ids are checked before any solve: unchecked, doubling's closed form
+    # returns points outside [0, 1) and MP indexes past its branch cuts
+    for system in (doubling_map, mp_map):
+        with pytest.raises(ValidationError, match="branches"):
+            extend(system, 0.3, [bad])
+        with pytest.raises(ValidationError, match="branches"):
+            extend(system, np.array([0.3, 0.6]), np.array([[0, 1], [1, bad]]))
+        with pytest.raises(ValidationError, match="branches"):
+            extension.extend_coords(system, 0.3, [0, bad, 1])
+
+
 def test_vector_extend_equals_scalar_rows(builtin_maps):
     starts = np.random.default_rng(8).random(7)
     starts[0] = 0.0

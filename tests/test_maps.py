@@ -288,6 +288,41 @@ def test_branch_solve_root_quality(name, data, y):
     assert _ulps(x, float(root)) <= 4.0
 
 
+@pytest.mark.parametrize("system", [pg.manneville_pomeau(0.5), pg.manneville_pomeau(0.9),
+                                    pg.perturbed_doubling(PD_DELTA)], ids=repr)
+def test_tabulated_start_settles_in_few_iterations(system, monkeypatch):
+    # each solver iteration evaluates G once on its open points, and the
+    # root check twice on every point
+    calls = []
+    lift = system._lift
+
+    def counted(x):
+        calls.append(np.size(x))
+        return lift(x)
+
+    monkeypatch.setattr(system, "_lift", counted)
+    rng = np.random.default_rng(7)
+    evaluations = points = 0
+    for branch in range(system.degree):
+        y = np.concatenate([rng.random(10_000), [0.0, 1.0 - 2.0 ** -53, 1e-300, 1e-12]])
+        calls.clear()
+        x = system.branch_solve(branch, y)
+        loop = calls[:-2]
+        assert calls[-2:] == [y.size, y.size] and len(loop) <= 3
+        evaluations += sum(loop)
+        points += y.size
+        assert _sign_change_nearby(system, x, y + branch)
+    assert evaluations / points <= 2.1
+
+
+def test_closed_form_maps_build_no_start_table():
+    assert pg.doubling()._start_table is None
+    for system in SOLVE_MAPS.values():
+        values, nodes = system._start_table
+        assert values.size == nodes.size == maps._START_NODES
+        assert np.all(np.diff(values) > 0)
+
+
 def test_solve_cuts_match_lift():
     for system in SOLVE_MAPS.values():
         cuts = system.branch_cuts

@@ -184,6 +184,48 @@ def test_lucky_breakdown_on_rank_two_operator(monkeypatch):
     assert eigen.iterations <= 2 * (3 + 1 + 2)
 
 
+@pytest.mark.parametrize("system, phi, grid", [
+    (pg.doubling(), pg.constant_potential(0.0), 1024),
+    (pg.manneville_pomeau(0.5), None, 2048),
+    (pg.manneville_pomeau(0.8), pg.zero_potential(), 2048),
+], ids=["doubling-constant", "mp-t1", "mp0.8-zero"])
+def test_power_finish_reuses_the_tested_image(system, phi, grid, monkeypatch):
+    # passing the Arnoldi test's image L x to the power finish saves one
+    # application per side where |x| is x, and changes no eigendata bit;
+    # phi None is the geometric potential at t = 1
+    phi = pg.geometric_potential(system, 1.0) if phi is None else phi
+    op = build_operator(system, phi, grid)
+    reused = leading_eigen(op)
+    finish = transfer._power_finish
+    monkeypatch.setattr(transfer, "_power_finish",
+                        lambda apply, psi, image, tol, left:
+                        finish(apply, psi, None, tol, left))
+    recomputed = leading_eigen(op)
+    assert reused.iterations == recomputed.iterations - 2
+    for field in ("lam", "residual", "eigenfunction", "eigenmeasure",
+                  "equilibrium_density"):
+        assert (np.asarray(getattr(reused, field)).tobytes()
+                == np.asarray(getattr(recomputed, field)).tobytes())
+
+
+def test_power_finish_applies_the_operator_to_abs_x_where_x_has_a_negative_entry(
+        monkeypatch):
+    # L x is not L |x| here, so the power finish must not take it
+    matrix = np.random.default_rng(5).uniform(0.5, 1.5, (16, 16))
+    x = np.full(16, 0.25)
+    x[3] = -0.25
+
+    def apply(v):
+        return matrix @ v
+
+    monkeypatch.setattr(transfer, "_krylov_start",
+                        lambda apply, basis, tol, budget: (x, apply(x), 1))
+    psi, image, rq, used = transfer._leading_vector(apply, None, transfer._TOL, 100)
+    ref = transfer._power_finish(apply, np.abs(x), None, transfer._TOL, 99)
+    assert psi.tobytes() == ref[0].tobytes() and image.tobytes() == ref[1].tobytes()
+    assert rq == ref[2] and used == 1 + ref[3]
+
+
 def test_iterations_count_operator_applications(monkeypatch, mp_map):
     op = build_operator(mp_map, pg.geometric_potential(mp_map, 0.5), 512)
     calls = {"forward": 0, "adjoint": 0}
