@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .orbits import OrbitSegment
+from .orbits import OrbitSegment, suffix_means
 
 # `draw_good_segments` classifies a first block of 2 count + 2 draws and
 # doubles the block while acceptances fall short, up to this many draws;
@@ -71,14 +71,6 @@ def segment_log_sigma(system, x, n):
     return np.log(system.branch_lipschitz(orbit.reshape(-1))).reshape(orbit.shape)
 
 
-def suffix_means(logs):
-    """Trailing-window means: out[j] = mean(logs[j:]), along the last axis."""
-    logs = np.asarray(logs, dtype=float)
-    n = logs.shape[-1]
-    tail_sums = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
-    return tail_sums / np.arange(n, 0, -1)
-
-
 def classify_logs(logs, log_sigma):
     means = suffix_means(logs)
     if np.all(means < log_sigma):
@@ -119,8 +111,11 @@ class GoodCollection:
         return good_mask(logs, self.cfg.log_sigma)
 
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`."""
-        return good_mask(tree.log_sigma_matrix(n, depth=depth), self.cfg.log_sigma)
+        """Member mask of the depth-`depth` representatives of `tree`:
+        `good_mask` of their log sigma rows, since every mean of a row is
+        below log sigma exactly when the largest is."""
+        _, worst = tree.window_means(n, depth)
+        return worst < self.cfg.log_sigma
 
     def contains(self, system, x, n):
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
@@ -145,8 +140,10 @@ class BadCollection:
         return bad_mask(logs, self.cfg.log_sigma)
 
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`."""
-        return bad_mask(tree.log_sigma_matrix(n, depth=depth), self.cfg.log_sigma)
+        """Member mask of the depth-`depth` representatives of `tree`:
+        `bad_mask` of their log sigma rows."""
+        first, _ = tree.window_means(n, depth)
+        return first >= self.cfg.log_sigma
 
     def contains(self, system, x, n):
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])

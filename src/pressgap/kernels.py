@@ -97,15 +97,17 @@ def _conflict_graph(cols, eps):
 def greedy_separated(orbits, order, eps):
     """Boolean keep-mask of the greedy maximal (n, eps)-separated subset.
 
-    Builds the conflict graph of the pool, then walks `order` keeping each
-    row still alive and marking its neighbours dead.  Time is O(time-0
-    window pairs + conflicts) and memory O(conflicts), with the window pairs
-    screened `_PAIR_CHUNK` at a time.  The package passes cylinder-tree
-    pools only: at most degree**refine representatives per n-cylinder, so
-    few rows conflict and the graph is sparse.  A dense pool passed in
-    directly, where most rows conflict (e.g. thousands of uniform points at
-    n = 1 and a large eps), costs time and memory in the number of
-    conflicting pairs, which grows with the square of the pool.
+    Builds the conflict graph of the pool and keeps every row without a
+    conflict, then walks the conflicting rows in `order`, keeping each row
+    still alive and marking its neighbours dead.  Time is O(time-0 window
+    pairs + conflicts), with a Python step per conflicting row only, and
+    memory O(conflicts), with the window pairs screened `_PAIR_CHUNK` at a
+    time.  The package passes cylinder-tree pools only: at most
+    degree**refine representatives per n-cylinder, so few rows conflict
+    and the graph is sparse.  A dense pool passed in directly, where most
+    rows conflict (e.g. thousands of uniform points at n = 1 and a large
+    eps), costs time and memory in the number of conflicting pairs, which
+    grows with the square of the pool.
     """
     orbits = np.asarray(orbits, dtype=np.float64)
     order = np.asarray(order, dtype=np.int64)
@@ -120,20 +122,23 @@ def greedy_separated(orbits, order, eps):
     # last time first: the last column screens out the most window pairs
     cols = np.ascontiguousarray(orbits[by_x0, ::-1].T)
     indptr, neighbours = _conflict_graph(cols, eps)
+    # a row without conflicts is kept and marks no other row dead, so only
+    # the conflicting rows need the walk
+    walk = rank[order]
+    free = indptr[walk] == indptr[walk + 1]
+    keep[by_x0[walk[free]]] = True
     indptr = indptr.tolist()
     # dead[r] is set once sorted row r is kept or conflicts with a kept row;
     # the array shares its bytes, for marking a neighbour list in one call
     dead = bytearray(n_cand)
     dead_arr = np.frombuffer(dead, dtype=bool)
     kept = []
-    for r in rank[order].tolist():
+    for r in walk[~free].tolist():
         if dead[r]:
             continue
         kept.append(r)
         dead[r] = 1
-        lo, hi = indptr[r], indptr[r + 1]
-        if lo < hi:
-            dead_arr[neighbours[lo:hi]] = True
+        dead_arr[neighbours[indptr[r]:indptr[r + 1]]] = True
     keep[by_x0[kept]] = True
     return keep
 

@@ -48,7 +48,9 @@ class CylinderTree:
     Level k holds one representative per depth-k cylinder, indexed by the
     branch address read most-significant-first in base `degree`.  Forward
     orbits of representatives are exact level lookups: dropping the leading
-    address digit is one application of the map.
+    address digit is one application of the map.  The log sigma field is
+    cached per level, and its window means per (n, depth), so every
+    collection, sigma and eps served by one tree classifies each pool once.
     """
 
     def __init__(self, system, depth, anchor=DEFAULT_ANCHOR):
@@ -66,6 +68,7 @@ class CylinderTree:
             levels.append(nxt)
         self.levels = levels
         self._log_sigma_levels = {}
+        self._window_means = {}
 
     def _log_sigma_level(self, k):
         if k not in self._log_sigma_levels:
@@ -77,8 +80,9 @@ class CylinderTree:
             self._log_sigma_levels[k] = np.log(out)
         return self._log_sigma_levels[k]
 
-    def orbit_matrix(self, n=None, depth=None):
-        """Orbits of the depth-`depth` representatives over n time steps.
+    def orbit_matrix(self, n=None, depth=None, rows=None):
+        """Orbits of the depth-`depth` representatives over n time steps,
+        of the addresses `rows` only when given.
 
         Dropping the leading address digit is one application of the map, so
         columns are exact level lookups (no forward float iteration).
@@ -87,9 +91,9 @@ class CylinderTree:
         n = depth if n is None else n
         if n > depth:
             raise ValidationError("n", "orbit length exceeds tree depth")
-        reps = self.levels[depth]
-        out = np.empty((reps.size, n))
-        addr = np.arange(reps.size)
+        addr = (np.arange(self.levels[depth].size) if rows is None
+                else np.asarray(rows, dtype=np.int64))
+        out = np.empty((addr.size, n))
         for k in range(n):
             suffix = addr % (self.system.degree ** (depth - k))
             out[:, k] = self.levels[depth - k][suffix]
@@ -106,6 +110,24 @@ class CylinderTree:
             suffix = addr % (self.system.degree ** (depth - k))
             out[:, k] = self._log_sigma_level(depth - k)[suffix]
         return out
+
+    def window_means(self, n, depth):
+        """(full-window mean, largest trailing-window mean) of log sigma
+        along each depth-`depth` representative's length-n orbit, cached
+        per (n, depth).  A row is a good segment iff the largest mean beats
+        log sigma, and a bad one iff the full-window mean does not."""
+        if (n, depth) not in self._window_means:
+            means = suffix_means(self.log_sigma_matrix(n, depth))
+            self._window_means[n, depth] = (means[:, 0].copy(), means.max(axis=1))
+        return self._window_means[n, depth]
+
+
+def suffix_means(logs):
+    """Trailing-window means: out[j] = mean(logs[j:]), along the last axis."""
+    logs = np.asarray(logs, dtype=float)
+    n = logs.shape[-1]
+    tail_sums = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
+    return tail_sums / np.arange(n, 0, -1)
 
 
 def tree_depth(system, n, refine=0):
@@ -124,16 +146,17 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
 
     Membership-filtered collections may refine the pool with deeper-tree
     representatives (finer resolution, same cylinders); a passed tree is
-    used when it is deep enough and shares the anchor.
+    used when it is deep enough and shares the anchor.  Only the members'
+    orbit rows are gathered.
     """
     if not 0 < eps < np.inf:
         raise ValidationError("eps", "must be positive and finite")
     depth = tree_depth(system, n, coll.refine_depth)
     if tree is None or tree.depth < depth or tree.anchor != float(anchor):
         tree = CylinderTree(system, depth, anchor=anchor)
-    mask = coll.pool_mask(tree, n, depth)
-    points = tree.levels[depth][mask]
-    orbits = tree.orbit_matrix(n, depth=depth)[mask]
+    rows = np.flatnonzero(coll.pool_mask(tree, n, depth))
+    points = tree.levels[depth][rows]
+    orbits = tree.orbit_matrix(n, depth, rows)
     weights = (np.zeros(points.size) if phi is None
                else np.asarray(phi(orbits)).sum(axis=1))
     # descending weight, then candidate (address) order

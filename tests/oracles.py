@@ -10,7 +10,7 @@ dense cover, the one-point samplers for good segments, backward orbits
 and Bowen companions, the per-point extension Birkhoff sum, the one-point
 solenoid fibers, metric-equivalence sampler and
 attractor Bowen check, the fixed-step bisection inverse-branch solver, the
-plain forward/adjoint power iteration for transfer-operator eigendata, and
+per-peak pass of the sigma field, the plain forward/adjoint power iteration for transfer-operator eigendata, and
 the Arnoldi start that restarts from a single Ritz vector.
 The last section holds one-segment and one-point helpers that no package
 code calls: Birkhoff sums, Bowen distances, classification, decomposition
@@ -50,6 +50,26 @@ def bisect_root(f, lo, hi, iters=100):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def peak_max_loop(system, zlo, zhi, out):
+    """Reference peak raise of the sigma field: `out` raised to each
+    declared peak whose lift ceil(zlo - p) + p lies in the arc [zlo, zhi],
+    one vectorised pass per peak in declaration order."""
+    for point, value in system._peaks:
+        inside = np.ceil(zlo - point) + point <= zhi
+        out = np.where(inside, np.maximum(out, value), out)
+    return out
+
+
+def branch_lipschitz_loop(system, x):
+    """Reference sigma field: the larger 1/g' at the two ball ends of the
+    pulled-back arc, raised by `peak_max_loop`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+    v = system.lift(x)
+    ends = system.lift_inverse(np.stack([v - system.epsilon0, v + system.epsilon0]))
+    out = (1.0 / system.deriv(ends % 1.0)).max(axis=0)
+    return peak_max_loop(system, *ends, out)
 
 
 def branch_solve_bisect(system, branch, y):

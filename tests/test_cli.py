@@ -224,11 +224,36 @@ _GOLDEN = {
 }
 
 
+# the pressure-ladder runs, from the parent of the cached window means
+_PRESSURE_GOLDEN = {
+    "gap-report-mp.csv": (
+        ["gap-report", "--map", "manneville_pomeau", "--alpha", "0.5",
+         "--sigma-grid", "0.6,0.75,0.9", "--eps", "0.03125", "--n-max", "10"],
+        "6ab9129322f8dbca0de32cd79ff3fbc03a1b3d3c6050a84ed165fb88da215621"),
+    "pressure-pd-geometric.csv": (
+        ["pressure", "--map", "perturbed_doubling", "--delta", "0.75",
+         "--potential", "geometric", "--potential-t", "1",
+         "--eps-list", "0.0625,0.03125", "--n-max", "10"],
+        "c2ce6a99e59bc2d99601742271f5a0aa53c026a3658cca21b98704b54ca8a274"),
+    "pressure-doubling-zero.csv": (
+        ["pressure", "--map", "doubling", "--potential", "zero", "--n-max", "10"],
+        "ea092a0b51c526545a397f530e6aba0cc50b0a836a8cd06452d04577c5c554f5"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_sampling_outputs_are_unchanged(name, tmp_path):
     args, digest = _GOLDEN[name]
     out = tmp_path / name
     assert run(args + _MP + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(_PRESSURE_GOLDEN))
+def test_pressure_outputs_are_unchanged(name, tmp_path):
+    args, digest = _PRESSURE_GOLDEN[name]
+    out = tmp_path / name
+    assert run(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -272,6 +297,37 @@ def test_pressure_builds_one_tree(tmp_path, monkeypatch):
                 "--eps-list", "0.0625,0.03125",
                 "--out", str(tmp_path / "p.csv")]) == 0
     assert builds == [10]
+
+
+def _count_log_sigma_matrices(monkeypatch):
+    keys = []
+    build = orbits.CylinderTree.log_sigma_matrix
+
+    def counting_build(self, n, depth=None):
+        keys.append((n, depth))
+        return build(self, n, depth)
+
+    monkeypatch.setattr(orbits.CylinderTree, "log_sigma_matrix", counting_build)
+    return keys
+
+
+def test_gap_report_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
+    # three sigmas share the bad pools' window means of each n
+    keys = _count_log_sigma_matrices(monkeypatch)
+    assert run(["gap-report", "--map", "manneville_pomeau",
+                "--sigma-grid", "0.6,0.75,0.9", "--n-max", "10",
+                "--out", str(tmp_path / "g.csv")]) == 0
+    assert keys == [(n, n + 4) for n in range(1, 11)]
+
+
+def test_pressure_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
+    # two eps values share the good (depth n) and bad (depth n + 4) means
+    keys = _count_log_sigma_matrices(monkeypatch)
+    assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "10",
+                "--eps-list", "0.0625,0.03125",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert sorted(keys) == sorted({(n, d) for n in range(1, 11) for d in (n, n + 4)})
+    assert len(keys) == 20
 
 
 def test_pressure_rows_match_unshared_trees(tmp_path):

@@ -129,6 +129,44 @@ def test_sweep_edge_pools(rows, eps):
             assert np.array_equal(keep, ref)
 
 
+def _free_rows(orbits, eps):
+    """Rows at Bowen distance >= eps from every other row."""
+    near = pairwise_bowen_broadcast(orbits) < eps
+    np.fill_diagonal(near, False)
+    return ~near.any(axis=1)
+
+
+def _conflict_mix(seed, isolated, clustered):
+    """`isolated` rows alone in their cell of width 1/60 and `clustered`
+    pairs and triples of rows 1e-4 apart or exactly equal, shuffled, at
+    eps 1/64."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(60)[:isolated + clustered]
+    centres = (cells[:, None] + 0.5) / 60.0 + np.zeros((1, 3))
+    centres[:, 1:] = rng.random((cells.size, 2))
+    rows = list(centres[:isolated])
+    for centre in centres[isolated:]:
+        rows += [centre, centre + 1e-4, centre][:int(rng.integers(2, 4))]
+    orbits = np.array(rows) % 1.0
+    return orbits[rng.permutation(len(rows))], 1.0 / 64.0
+
+
+@pytest.mark.parametrize("isolated, clustered", [(30, 0), (0, 12), (14, 9)],
+                         ids=["all-free", "none-free", "mixed"])
+def test_greedy_keeps_conflict_free_rows_as_the_walk_would(isolated, clustered):
+    orbits, eps = _conflict_mix(isolated + 7 * clustered, isolated, clustered)
+    free = _free_rows(orbits, eps)
+    assert free.sum() == isolated and (free.size == isolated) == (clustered == 0)
+    rng = np.random.default_rng(1)
+    by_free_first = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+    for order in (np.arange(free.size), rng.permutation(free.size),
+                  by_free_first, by_free_first[::-1]):
+        ref = greedy_separated_quadratic(orbits, order, eps)
+        for keep in greedy_at_each_chunk(orbits, order, eps):
+            assert np.array_equal(keep, ref)
+        assert keep[free].all()
+
+
 @pytest.mark.parametrize("coll", [FullCollection(),
                                   BadCollection(DecompositionConfig(0.6))],
                          ids=["full", "bad"])

@@ -9,7 +9,8 @@ from pressgap import maps
 from pressgap.errors import BranchSolveError, MixingCapError, ValidationError
 from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
-from oracles import bisect_root, branch_solve_bisect, covering_time_dense
+from oracles import (bisect_root, branch_lipschitz_loop, branch_solve_bisect,
+                     covering_time_dense, peak_max_loop)
 
 # sigma(x) is the sup of 1/g' over the pulled-back ball up to rounding: the
 # end solves' 2 ulp, the evaluation of g' at the ends and one division
@@ -538,3 +539,56 @@ def test_branch_lipschitz_is_elementwise(name, xs):
         scalar = system.branch_lipschitz(np.float64(x[i]))
         assert batch[i].tobytes() == np.float64(single).tobytes() \
             == np.float64(scalar).tobytes()
+
+
+def _sin_table(nodes):
+    grid = np.linspace(0.0, 1.0, nodes)
+    return pg.tabulated_map(3.0 * grid + (0.9 / TWO_PI) * np.sin(TWO_PI * grid))
+
+
+PEAK_MAPS = {"mp": SOLVE_MAPS["mp"], "perturbed": SOLVE_MAPS["perturbed"],
+             "table9": _sin_table(9), "table65": _sin_table(65),
+             "table1025": _sin_table(1025)}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_MAPS))
+def test_branch_lipschitz_matches_the_per_peak_loop(name):
+    # uniform points, the circle's edges, the table nodes and their
+    # neighbours, and points whose ball ends land within rounding of a
+    # peak's lift, from either side
+    system = PEAK_MAPS[name]
+    rng = np.random.default_rng(7)
+    nodes = np.linspace(0.0, 1.0, 1025)[:-1]
+    xs = [rng.random(4000), np.array([0.0, 1e-300, 1.0 - 2.0 ** -53, 0.5]),
+          nodes, np.nextafter(nodes, 1.0), np.nextafter(nodes, -1.0) % 1.0]
+    peaks = system._peak_points
+    for side in (-1.0, 1.0):
+        y = (system.lift(peaks) + side * system.epsilon0) % 1.0
+        xs += [system.branch_solve(b, y) for b in range(system.degree)]
+    x = np.concatenate(xs)
+    assert system.branch_lipschitz(x).tobytes() == branch_lipschitz_loop(system, x).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_MAPS))
+def test_peak_lookup_matches_the_loop_on_float_edges(name):
+    # arcs whose ends sit on, or an ulp off, each peak's lifts p - 1, p and
+    # p + 1 and the bound where zlo - p rounds to -1; the perturbed map's
+    # peak at 1/2 puts zlo - p exactly on the tie -1 + 2**-54
+    system = PEAK_MAPS[name]
+    pts = system._peak_points[:64]
+    centres = np.concatenate([pts - 1.0, pts, pts + 1.0,
+                              [maps._wrap_bound(p) for p in pts], [0.0, -0.0]])
+    ends = np.unique(np.concatenate([centres, np.nextafter(centres, -np.inf),
+                                     np.nextafter(centres, np.inf)]))
+    zlo, zhi = (a.ravel() for a in np.meshgrid(ends, ends, indexing="ij"))
+    arcs = (zlo > -1.0) & (zlo < 1.0) & (zlo <= zhi) & (zhi - zlo < 1.0)
+    zlo, zhi = zlo[arcs], zhi[arcs]
+    expected = peak_max_loop(system, zlo, zhi, np.full(zlo.shape, -np.inf))
+    assert system._peak_max_in(zlo, zhi).tobytes() == expected.tobytes()
+
+
+def test_peak_points_must_lie_on_the_circle():
+    for point in (1.0, -0.25):
+        with pytest.raises(ValidationError, match="inv_deriv_peaks"):
+            pg.MapSystem("hand-built", lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0),
+                         degree=2, epsilon0=0.25, inv_deriv_peaks=[(point, 1.0)])

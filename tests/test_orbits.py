@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 
 import pressgap as pg
 from pressgap import kernels
-from pressgap.decomposition import BadCollection, DecompositionConfig
+from pressgap.decomposition import (BadCollection, DecompositionConfig, GoodCollection,
+                                    bad_mask, good_mask)
 from pressgap.errors import NodeCapError, ValidationError
-from pressgap.maps import circle_dist
+from pressgap.maps import TWO_PI, circle_dist
 from pressgap.orbits import (CylinderTree, FullCollection, partition_sum_sep,
-                             partition_sum_span)
+                             partition_sum_span, suffix_means, tree_depth)
 
 from oracles import (birkhoff_sum, bowen_distance, max_separated_cardinality,
                      separated_set)
@@ -73,6 +76,49 @@ def test_cylinder_orbit_matrix_is_exact(builtin_maps):
         om = tree.orbit_matrix()
         direct = system.orbit(tree.levels[tree.depth], 6)
         assert np.max(circle_dist(om, direct)) < 1e-9
+
+
+def _degree3_table():
+    grid = np.linspace(0.0, 1.0, 65)
+    return pg.tabulated_map(3.0 * grid + (0.9 / TWO_PI) * np.sin(TWO_PI * grid))
+
+
+POOL_MAPS = {"doubling": pg.doubling(), "mp": pg.manneville_pomeau(0.5),
+             "perturbed": pg.perturbed_doubling(0.75), "table": _degree3_table()}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_MAPS))
+def test_pool_masks_and_member_rows_match_the_full_matrices(name):
+    # the cached window means give the masks of the log sigma rows, at the
+    # sigmas of the benchmark and exactly at one row's full-window mean and
+    # at its largest trailing mean (the edges of bad's >= and good's <);
+    # member rows are the rows of the full orbit matrix
+    system = POOL_MAPS[name]
+    rng = np.random.default_rng(5)
+    tree = CylinderTree(system, tree_depth(system, 10, 4))
+    for n in range(1, 11):
+        for refine in (0, 4):
+            depth = tree_depth(system, n, refine)
+            logs = tree.log_sigma_matrix(n, depth)
+            means = suffix_means(logs)
+            r = int(rng.integers(logs.shape[0]))
+            first, worst = means[r, 0], means[r].max()
+            for log_sigma in (np.log(0.6), np.log(0.75), np.log(0.9), first, worst):
+                cfg = SimpleNamespace(sigma=0.5, log_sigma=float(log_sigma))
+                good = GoodCollection(cfg).pool_mask(tree, n, depth)
+                bad = BadCollection(cfg).pool_mask(tree, n, depth)
+                assert good.tobytes() == good_mask(logs, cfg.log_sigma).tobytes()
+                assert bad.tobytes() == bad_mask(logs, cfg.log_sigma).tobytes()
+                if log_sigma == first:
+                    assert bad[r]
+                if log_sigma == worst:
+                    assert not good[r]
+            full = tree.orbit_matrix(n, depth)
+            for rows in (np.flatnonzero(good), np.flatnonzero(bad),
+                         np.flatnonzero(np.zeros(logs.shape[0], dtype=bool)),
+                         rng.integers(logs.shape[0], size=40)):
+                assert tree.orbit_matrix(n, depth, rows).tobytes() == full[rows].tobytes()
+                assert tree.orbit_matrix(n, depth, rows).shape == (rows.size, n)
 
 
 def test_node_cap():
