@@ -27,7 +27,7 @@ from .orbits import (CylinderTree, FullCollection, OrbitSegment,
 from .pressure import (GapReport, HypothesisReport, PressureEstimate,
                        ct_hypothesis_check, gap_report, katok_sn,
                        pressure_at_scale)
-from .solenoid import (AttractorBatch, AttractorPoint, SolenoidSystem, apply_f,
+from .solenoid import (AttractorBatch, SolenoidSystem, apply_f,
                        attractor_bowen_check, conjugacy_h, fiber_point,
                        fiber_sample, holonomy, metric_equivalence)
 from .specification import (ExtensionGluingPlan, GluingPlan, glue_base,

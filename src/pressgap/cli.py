@@ -85,13 +85,13 @@ def config_hash(cfg):
 
 def build_map(cfg):
     m = cfg["map"]
-    kind = m.get("kind", "doubling")
+    kind = m["kind"]
     if kind == "doubling":
         return doubling()
     if kind == "manneville_pomeau":
-        return manneville_pomeau(m.get("alpha", 0.5))
+        return manneville_pomeau(m["alpha"])
     if kind == "perturbed_doubling":
-        return perturbed_doubling(m.get("delta", 0.75))
+        return perturbed_doubling(m["delta"])
     if kind == "tabulated":
         return tabulated_map(_table_field(cfg, "map", "values", list))
     raise ValidationError("map", f"unknown kind {kind!r}")
@@ -99,19 +99,23 @@ def build_map(cfg):
 
 def build_potential(cfg, system):
     p = cfg["potential"]
-    kind = p.get("kind", "zero")
+    kind = p["kind"]
     if kind == "zero":
         return zero_potential()
     if kind == "constant":
-        return constant_potential(p.get("c", 0.0))
+        return constant_potential(p["c"])
     if kind == "geometric":
-        return geometric_potential(system, p.get("t", 1.0))
+        return geometric_potential(system, p["t"])
     if kind == "tabulated":
-        return tabulated_potential(
-            _table_field(cfg, "potential", "xs", list),
-            _table_field(cfg, "potential", "values", list),
-            _table_field(cfg, "potential", "holder_constant", float),
-            _table_field(cfg, "potential", "holder_exponent", float))
+        table = [_table_field(cfg, "potential", name, form)
+                 for name, form in (("xs", list), ("values", list),
+                                    ("holder_constant", float),
+                                    ("holder_exponent", float))]
+        try:
+            return tabulated_potential(*table)
+        except ValidationError as exc:
+            # the API names its argument; the config names the field
+            raise ValidationError(f"potential.{exc.field}", exc.message) from None
     raise ValidationError("potential", f"unknown kind {kind!r}")
 
 
@@ -356,20 +360,20 @@ def cmd_solenoid(cfg):
     sol = SolenoidSystem(cfg["lam_s"], cfg["offset"])
     dec = DecompositionConfig(cfg["sigma"])
     rng = np.random.default_rng(cfg["seed"])
-    # measured fiber contraction on one sampled pair per run
+    # measured fiber contraction on the first two rows of one sampled fiber
     y = float(rng.random())
-    pts = fiber_sample(sol, y, 2)
+    fiber = fiber_sample(sol, y, 2)
     # planar distances only: the pair's thetas may differ by rounding
-    d0 = math.dist(pts[0].disk, pts[1].disk)
-    d1 = math.dist(apply_f(sol, pts[0]).disk, apply_f(sol, pts[1]).disk)
+    d0 = math.dist(*fiber.disk[:2].tolist())
+    d1 = math.dist(*apply_f(sol, fiber).disk[:2].tolist())
     contraction = d1 / d0
 
     depth = max(cfg["depth"], 8)
-    p = fiber_point(sol, y, tuple(int(b) for b in rng.integers(0, 2, depth + 1)))
+    p = fiber_point(sol, np.array([y]), rng.integers(0, 2, (1, depth + 1)))
     lhs = conjugacy_h(sol, apply_f(sol, p), depth)
-    rhs_coords = (float(sol.base.forward(np.float64(p.theta))),) + \
-        conjugacy_h(sol, p, depth).coords[:-1]
-    defect = max(abs(a - b) for a, b in zip(lhs.coords, rhs_coords))
+    rhs = np.concatenate([sol.base.forward(p.theta)[None],
+                          conjugacy_h(sol, p, depth)[:-1]])
+    defect = float(np.max(np.abs(lhs - rhs)))
 
     c_low, c_high = metric_equivalence(sol, samples=max(cfg["samples"], 100),
                                        seed=cfg["seed"])
@@ -391,10 +395,11 @@ def cmd_solenoid(cfg):
     w.row("bowen_empirical_max", bowen.empirical_max, bowen.bound)
     w.row("bowen_two_term_ratio", bowen.two_term_max_ratio, 1.0)
     if cfg["cloud_depth"] > 0:
-        for i, pt in enumerate(fiber_sample(sol, y, cfg["cloud_depth"])):
-            w.row(f"cloud_{i}", pt.theta,
-                  f"{fmt(pt.disk[0])};{fmt(pt.disk[1])};"
-                  + "".join(str(b) for b in pt.itinerary))
+        cloud = fiber_sample(sol, y, cfg["cloud_depth"])
+        rows = zip(cloud.theta.tolist(), cloud.disk.tolist(), cloud.itinerary.tolist())
+        for i, (theta, (u, v), itin) in enumerate(rows):
+            w.row(f"cloud_{i}", theta,
+                  f"{fmt(u)};{fmt(v)};" + "".join(map(str, itin)))
     w.flush()
     ok = (abs(contraction - sol.lam_s) < 1e-9 and bowen.within_bound)
     return 0 if ok else 2

@@ -10,6 +10,7 @@ class ValidationError(PressgapError):
 
     def __init__(self, field, message):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

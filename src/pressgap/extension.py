@@ -32,10 +32,6 @@ class ExtensionConfig:
         if self.depth < 0:
             raise ValidationError("depth", "truncation depth must be >= 0")
 
-    @property
-    def tail_bound(self):
-        return tail_bound(self.a, self.depth)
-
 
 def tail_bound(a, depth):
     """Bound on what the coordinates from `depth` down add to the weighted
@@ -60,7 +56,9 @@ def depth_for_tolerance(a, tol):
 
 @dataclass(frozen=True)
 class ExtPoint:
-    """A truncated backward orbit: g(coords[i+1]) = coords[i]."""
+    """A truncated backward orbit: g(coords[i+1]) = coords[i]; the points
+    of the extension gluing plan.  The sampling code keeps backward orbits
+    as `extend`'s coordinate arrays instead."""
 
     coords: Tuple[float, ...]
 
@@ -76,23 +74,11 @@ class ExtPoint:
 def extend(system, x, branches):
     """Backward orbits of the starts x along the given branch ids.
 
-    One start and a sequence of K branch ids give the ExtPoint
-    (x_0, ..., x_K) with x_(i+1) the branch-`branches[i]` preimage of x_i.
-    A vector of starts and a (starts, K) array of ids give one ExtPoint per
-    start and row, built together with one root solve per step.
-    """
-    coords = extend_coords(system, x, branches)
-    points = [ExtPoint(tuple(col)) for col in coords.T.tolist()]
-    return points if np.ndim(x) else points[0]
-
-
-def extend_coords(system, x, branches):
-    """The coordinates of `extend`'s backward orbits, as one array.
-
-    Row k of the (K + 1, starts) result holds the k-th preimage of every
-    start, K being the length of the last axis of `branches`; a scalar
-    start gives one column.  A branch id outside [0, degree) raises
-    ValidationError naming `branches`.
+    Row k of the (K + 1, S) result holds the k-th preimage of each of the
+    S starts, K being the length of the last axis of the (S, K) `branches`:
+    x_(k+1) is the branch-`branches[:, k]` preimage of x_k, and each depth
+    takes one root solve over all starts.  A branch id outside
+    [0, degree) raises ValidationError naming `branches`.
     """
     starts = np.asarray(x, dtype=float) % 1.0
     rows = starts.size
@@ -185,25 +171,25 @@ def as_base_potential(system, phi_hat, depth):
                      name=f"{phi_hat.name}@lex-min")
 
 
-def birkhoff_hat(system, phi_hat, points, ns):
+def birkhoff_hat(system, phi_hat, coords, ns):
     """Sums of the lifted potential along n forward shifts of each point:
-    a list of ExtPoints of one depth and a length for each give an array
-    of sums.  Shift i of (x_0, ..., x_K) has the coordinates
-    (g^i x_0, ..., g x_0, x_0, x_1, ...) cut to K + 1, so the shifts of a
-    point come from one forward base orbit and its stored history, and the
-    potential is evaluated on every shift of every point in one call.
-    Each sum adds its n values left to right, starting from 0.0.
+    the (K + 1, S) coordinates of S backward orbits, as `extend` returns
+    them, and a length for each give S sums.  Shift i of (x_0, ..., x_K)
+    has the coordinates (g^i x_0, ..., g x_0, x_0, x_1, ...) cut to K + 1,
+    so the shifts of a point come from one forward base orbit and its
+    stored history, and the potential is evaluated on every shift of every
+    point in one call.  Each sum adds its n values left to right, starting
+    from 0.0.
     """
     ns = np.asarray(ns, dtype=int)
     totals = np.zeros(ns.size)
     steps = int(ns.max(initial=0))
     if steps > 0:
-        hist = np.array([p.coords for p in points])
-        fwd = system.orbit(hist[:, 0], steps)
+        fwd = system.orbit(coords[0], steps)
         # row r is g^(steps-1) x_0, ..., g x_0, x_0, x_1, ..., x_K; shift i
         # is its window of K + 1 starting at steps - 1 - i
-        aug = np.concatenate([fwd[:, ::-1], hist[:, 1:]], axis=1)
-        shifts = sliding_window_view(aug, hist.shape[1], axis=1)[:, ::-1]
+        aug = np.concatenate([fwd[:, ::-1], coords[1:].T], axis=1)
+        shifts = sliding_window_view(aug, coords.shape[0], axis=1)[:, ::-1]
         values = phi_hat.evaluate(shifts)
         for i in range(steps):
             rows = ns > i
@@ -243,15 +229,15 @@ class BowenReport:
         return self.empirical_max <= self.bound + self.truncation_slack
 
 
-def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
-    """Companions in the n-Bowen balls of the `x_hats`: each segment's end
-    point, moved by eps (2u - 1) for its uniform draw u in `draws`, is
-    pulled back through the segment's chain, then along x_hat's own local
-    inverses down to the sync depth and through the given `branches` below
-    it."""
-    depth = x_hats[0].depth
+def _bowen_companions(system, ref, ns, draws, eps, sync_depth, branches):
+    """Companions in the n-Bowen balls of the backward orbits whose
+    (K + 1, S) coordinates are `ref`: each segment's end point, moved by
+    eps (2u - 1) for its uniform draw u in `draws`, is pulled back through
+    the segment's chain, then along the orbit's own local inverses down to
+    the sync depth and through the given `branches` below it.  Returns the
+    companions' coordinates in the same layout."""
+    depth = ref.shape[0] - 1
     cut = min(sync_depth, depth)
-    ref = np.array([p.coords for p in x_hats]).T.copy()   # one row per depth
     ns = np.asarray(ns)
     orbit = system.orbit(ref[0], int(ns.max()) + 1)
     coords = np.empty((depth + 1, ns.size))
@@ -262,7 +248,7 @@ def _bowen_companions(system, x_hats, ns, draws, eps, sync_depth, branches):
     tail = np.asarray(branches, dtype=int).reshape(ns.size, depth - cut)
     for i in range(cut, depth):
         coords[i + 1] = system.branch_solve(tail[:, i - cut], coords[i])
-    return [ExtPoint(tuple(col)) for col in coords.T.tolist()]
+    return coords
 
 
 # shortest and longest sampled segment length in verify_bowen; the longest

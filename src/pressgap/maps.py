@@ -175,9 +175,6 @@ class MapSystem:
 
     # -- basic evaluation ---------------------------------------------------
 
-    def lift(self, x):
-        return self._lift(np.asarray(x, dtype=float))
-
     def deriv(self, x):
         return self._deriv(np.asarray(x, dtype=float))
 
@@ -223,7 +220,7 @@ class MapSystem:
 
         `branch` is one branch id for every point, or an integer array of
         per-point ids shaped like y, each in [0, degree) (out-of-range ids
-        are the caller's to reject; `extension.extend_coords` does); either
+        are the caller's to reject; `extension.extend` does); either
         way every point is solved in one call.  The root is found by a
         safeguarded Newton iteration on the point's branch cut interval
         (see `_bracketed_solve`), started from the inverse of the lift
@@ -550,11 +547,26 @@ def geometric_potential(system, t=1.0):
 
 
 def tabulated_potential(xs, values, holder_constant, holder_exponent):
-    """Potential from samples on the circle, linearly interpolated."""
+    """Potential from samples on the circle, linearly interpolated.
+
+    The sample points must be distinct points of [0, 1), at least one, and
+    the Hoelder data a finite constant >= 0 and an exponent in (0, 1];
+    otherwise ValidationError names the field.
+    """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape or xs.ndim != 1:
         raise ValidationError("values", "sample and value arrays must match")
+    if xs.size == 0:
+        raise ValidationError("xs", "need at least one sample")
+    if not np.all((xs >= 0.0) & (xs < 1.0)):
+        raise ValidationError("xs", "sample points must lie in [0, 1)")
+    if np.unique(xs).size < xs.size:
+        raise ValidationError("xs", "sample points must be distinct")
+    if not (math.isfinite(holder_constant) and holder_constant >= 0.0):
+        raise ValidationError("holder_constant", "must be finite and >= 0")
+    if not 0.0 < holder_exponent <= 1.0:
+        raise ValidationError("holder_exponent", "must lie in (0, 1]")
     order = np.argsort(xs)
     xs, values = xs[order], values[order]
     # close the circle for interpolation

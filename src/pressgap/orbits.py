@@ -157,8 +157,7 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     rows = np.flatnonzero(coll.pool_mask(tree, n, depth))
     points = tree.levels[depth][rows]
     orbits = tree.orbit_matrix(n, depth, rows)
-    weights = (np.zeros(points.size) if phi is None
-               else np.asarray(phi(orbits)).sum(axis=1))
+    weights = np.asarray(phi(orbits)).sum(axis=1)
     # descending weight, then candidate (address) order
     order = np.lexsort((np.arange(points.size), -weights))
     return points, orbits, weights, order

@@ -30,9 +30,6 @@ class PressureEstimate:
     is_empty: bool
     collection: str = "full"
 
-    def finite(self):
-        return not self.is_empty and math.isfinite(self.rate)
-
 
 def growth_fit(n_values, log_sums):
     """Slope of log sums against n over the upper half of the range.

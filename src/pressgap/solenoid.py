@@ -3,19 +3,20 @@
 Points of the attractor are represented by finite-depth approximants that
 carry their backward base itinerary explicitly, which makes fibers,
 holonomies, and the conjugacy to the inverse-limit extension computable
-without root-finding inside the Cantor fiber.  The ambient metric is the sum
-of the circle metric and the planar fiber distance.
+without root-finding inside the Cantor fiber.  Every function takes and
+returns points as an AttractorBatch of rows, a single point being a batch
+of one.  The ambient metric is the sum of the circle metric and the planar
+fiber distance.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .decomposition import pull_back_ends
 from .errors import NodeCapError, ValidationError
-from .extension import extend, extend_coords
+from .extension import extend
 from .maps import TWO_PI, circle_dist, doubling
 
 # largest fiber sample (2^depth points) that fiber_sample builds
@@ -56,27 +57,14 @@ class SolenoidSystem:
 
 
 @dataclass(frozen=True)
-class AttractorPoint:
-    """Depth-d approximant of an attractor point over `theta`.
-
-    `itinerary[j]` is the base branch of the (j+1)-st backward step, so the
-    backward base orbit is reconstructible and two points are on the same
-    local stable leaf exactly when their itineraries agree.
-    """
-
-    theta: float
-    disk: Tuple[float, float]
-    itinerary: Tuple[int, ...]
-
-    @property
-    def depth(self):
-        return len(self.itinerary)
-
-
-@dataclass(frozen=True)
 class AttractorBatch:
-    """Rows of depth-d approximants: `theta` (S,), `disk` (S, 2) and
-    `itinerary` (S, d), row i holding the fields of one AttractorPoint."""
+    """Rows of depth-d approximants of attractor points: `theta` (S,),
+    `disk` (S, 2) and `itinerary` (S, d).
+
+    `itinerary[i, j]` is the base branch of row i's (j+1)-st backward step,
+    so its backward base orbit is reconstructible and two rows are on the
+    same local stable leaf exactly when their itineraries agree.
+    """
 
     theta: np.ndarray
     disk: np.ndarray
@@ -88,11 +76,6 @@ class AttractorBatch:
 
     def __len__(self):
         return self.theta.size
-
-    def points(self):
-        """The rows as AttractorPoints."""
-        return [AttractorPoint(t, tuple(d), tuple(it)) for t, d, it in
-                zip(self.theta.tolist(), self.disk.tolist(), self.itinerary.tolist())]
 
 
 def _step(sys, theta, u, v):
@@ -108,36 +91,29 @@ def _branch(theta):
 
 
 def apply_f(sys, p):
-    """One forward step; the itinerary grows by the branch of theta."""
-    theta, u, v = _step(sys, np.float64(p.theta), *p.disk)
-    return AttractorPoint(float(theta), (float(u), float(v)),
-                          (int(_branch(p.theta)),) + p.itinerary)
+    """One forward step of every row; each itinerary grows by one column
+    in front, the branch of its row's theta."""
+    theta, u, v = _step(sys, p.theta, p.disk[:, 0], p.disk[:, 1])
+    return AttractorBatch(theta, np.column_stack([u, v]),
+                          np.column_stack([_branch(p.theta), p.itinerary]))
 
 
-def fiber_point(sys, theta, itinerary):
-    """Canonical approximants over theta with the given itineraries: the
-    fiber centre over the deep base preimage, pushed forward depth times.
-
-    A float theta and one itinerary give an AttractorPoint.  A vector of S
-    thetas and an (S, d) itinerary array give an AttractorBatch: the
-    backward bases take one root solve per depth step, and the
-    push forward is d steps over all rows.
+def fiber_point(sys, thetas, itineraries):
+    """Canonical approximants over the S thetas with the (S, d)
+    itineraries: the fiber centre over the deep base preimage, pushed
+    forward d times.  The backward bases take one root solve per depth
+    step, and the push forward is d steps over all rows.
     """
-    thetas = np.asarray(theta, dtype=float)
-    itin = np.asarray(itinerary, dtype=int)
-    depth = itin.shape[-1]
-    itin = itin.reshape(thetas.size, depth)
-    cur = extend_coords(sys.base, thetas.reshape(-1), itin)[-1]
+    itin = np.asarray(itineraries, dtype=int)
+    depth = itin.shape[1]
+    cur = extend(sys.base, thetas, itin)[-1]
     u = np.zeros_like(cur)
     v = np.zeros_like(cur)
     grown = np.empty_like(itin)
     for k in range(depth):
         grown[:, depth - 1 - k] = _branch(cur)
         cur, u, v = _step(sys, cur, u, v)
-    if thetas.ndim:
-        return AttractorBatch(cur, np.column_stack([u, v]), grown)
-    return AttractorPoint(float(cur[0]), (float(u[0]), float(v[0])),
-                          tuple(grown[0].tolist()))
+    return AttractorBatch(cur, np.column_stack([u, v]), grown)
 
 
 def check_fiber_depth(depth):
@@ -149,34 +125,35 @@ def check_fiber_depth(depth):
 
 
 def fiber_sample(sys, y, depth):
-    """All 2^depth depth-approximant points of the fiber over y, in the
-    order of their itineraries read as binary codes, bit j at step j."""
+    """The 2^depth depth-approximant points of the fiber over y as one
+    batch, in the order of their itineraries read as binary codes, bit j
+    at step j."""
     check_fiber_depth(depth)
     codes = np.arange(2 ** depth)
     bits = (codes[:, None] >> np.arange(depth)) & 1
-    return fiber_point(sys, np.full(codes.size, y, dtype=float), bits).points()
+    return fiber_point(sys, np.full(codes.size, y, dtype=float), bits)
 
 
 def conjugacy_h(sys, p, j_depth):
-    """Conjugacy to the inverse limit: coordinate j is the base of f^-j(p);
-    one ExtPoint per row for a batch."""
+    """Conjugacy to the inverse limit: coordinate j of column i is the base
+    of f^-j of row i, so the result is `extend`'s (J + 1, S) array."""
     if j_depth > p.depth:
         raise ValidationError("J", "point lacks backward itinerary data "
                               f"(depth {p.depth} < J={j_depth})")
-    return extend(sys.base, p.theta, np.asarray(p.itinerary, dtype=int)[..., :j_depth])
+    return extend(sys.base, p.theta, p.itinerary[:, :j_depth])
 
 
-def holonomy(sys, p, target_theta):
-    """Itinerary-preserving map into the fiber over target_theta."""
-    return fiber_point(sys, target_theta, p.itinerary)
+def holonomy(sys, p, target_thetas):
+    """Itinerary-preserving map of each row into the fiber over its target
+    theta."""
+    return fiber_point(sys, target_thetas, p.itinerary)
 
 
 def d_attractor(p, q):
-    """Ambient product metric: circle distance plus planar fiber distance,
-    row by row for batches."""
-    diff = np.subtract(p.disk, q.disk)
-    dist = _metric(p.theta, q.theta, diff[..., 0], diff[..., 1])
-    return dist if dist.ndim else float(dist)
+    """Ambient product metric, row by row: circle distance plus planar
+    fiber distance."""
+    diff = p.disk - q.disk
+    return _metric(p.theta, q.theta, diff[:, 0], diff[:, 1])
 
 
 def _metric(theta_p, theta_q, du, dv):

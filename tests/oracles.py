@@ -8,10 +8,14 @@ earlier code, kept so that the faster paths can be compared with it bit for
 bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
 dense cover, the one-point samplers for good segments, backward orbits
 and Bowen companions, the per-point extension Birkhoff sum, the one-point
-solenoid fibers, metric-equivalence sampler and
-attractor Bowen check, the fixed-step bisection inverse-branch solver, the
-per-peak pass of the sigma field, the plain forward/adjoint power iteration for transfer-operator eigendata, and
-the Arnoldi start that restarts from a single Ritz vector.
+solenoid fibers, metric-equivalence sampler and attractor Bowen check (on
+a point type of their own, `AttractorPoint`, converted to and from the
+package's batches by `as_batch` and `batch_rows`), the fixed-step
+bisection inverse-branch solver, the per-peak pass of the sigma field, the
+plain forward/adjoint power iteration for transfer-operator eigendata, and
+the Arnoldi start that restarts from a single Ritz vector.  `ext_points`,
+`ext_point` and `ext_columns` read the columns of the package's
+backward-orbit arrays as ExtPoints.
 The last section holds one-segment and one-point helpers that no package
 code calls: Birkhoff sums, Bowen distances, classification, decomposition
 and pullback chains of one segment, the greedy separated set of a
@@ -27,8 +31,8 @@ import numpy as np
 from pressgap import kernels
 from pressgap.decomposition import classify_logs, segment_log_sigma, split_index
 from pressgap.errors import ConvergenceError, ValidationError
-from pressgap.extension import ExtPoint, tail_bound
-from pressgap.maps import circle_dist
+from pressgap.extension import ExtPoint, extend, tail_bound
+from pressgap.maps import circle_dist, zero_potential
 from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
 from pressgap.transfer import (_BREAKDOWN, _MAX_APPLICATIONS, _TOL, EigenData,
                                _basis_norm, _dot, _norm, _power_finish,
@@ -66,7 +70,7 @@ def branch_lipschitz_loop(system, x):
     """Reference sigma field: the larger 1/g' at the two ball ends of the
     pulled-back arc, raised by `peak_max_loop`."""
     x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-    v = system.lift(x)
+    v = system._lift(x)
     ends = system.lift_inverse(np.stack([v - system.epsilon0, v + system.epsilon0]))
     out = (1.0 / system.deriv(ends % 1.0)).max(axis=0)
     return peak_max_loop(system, *ends, out)
@@ -87,12 +91,12 @@ def branch_solve_bisect(system, branch, y):
     hi = np.full_like(y, system.branch_cuts[branch + 1])
     for _ in range(44):
         mid = 0.5 * (lo + hi)
-        below = system.lift(mid) < target
+        below = system._lift(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     x = 0.5 * (lo + hi)
     for _ in range(3):  # Newton polish, clipped into the bracket
-        x = x - (system.lift(x) - target) / system.deriv(x)
+        x = x - (system._lift(x) - target) / system.deriv(x)
         x = np.clip(x, lo, hi)
     return x
 
@@ -268,8 +272,6 @@ def random_branches(rng, degree, depth, rows=None):
 
 def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
     """Reference backward orbit: one single-point branch solve per step."""
-    from pressgap.extension import ExtPoint
-
     coords = [float(np.asarray(x) % 1.0)]
     for i in range(depth):
         if policy == "lex-min":
@@ -282,6 +284,24 @@ def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
             raise ValueError(f"unknown policy {policy!r}")
         coords.append(float(system.branch_solve(b, np.float64(coords[-1]))))
     return ExtPoint(tuple(coords))
+
+
+def ext_columns(coords):
+    """The columns of a (K + 1, S) coordinate array, as `extend` returns
+    it, as S ExtPoints."""
+    return [ExtPoint(tuple(col)) for col in coords.T.tolist()]
+
+
+def ext_points(system, starts, branches):
+    """The backward orbits `extend` builds for the starts, as ExtPoints."""
+    return ext_columns(extend(system, starts, branches))
+
+
+def ext_point(system, x, branches):
+    """The backward orbit of one start, as `extend` builds it in a batch
+    of one."""
+    [p] = ext_points(system, [x], [branches])
+    return p
 
 
 def random_good_segments_scalar(system, dec, rng, count, length_range,
@@ -401,6 +421,35 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
 # one-point solenoid references
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class AttractorPoint:
+    """One depth-d approximant, the point type of the references: the row
+    of an AttractorBatch as a float theta and tuples."""
+
+    theta: float
+    disk: tuple
+    itinerary: tuple
+
+    @property
+    def depth(self):
+        return len(self.itinerary)
+
+
+def batch_rows(batch):
+    """The rows of an AttractorBatch as AttractorPoints."""
+    return [AttractorPoint(t, tuple(d), tuple(it)) for t, d, it in
+            zip(batch.theta.tolist(), batch.disk.tolist(), batch.itinerary.tolist())]
+
+
+def as_batch(points):
+    """AttractorPoints of one depth as an AttractorBatch."""
+    from pressgap.solenoid import AttractorBatch
+
+    return AttractorBatch(np.array([p.theta for p in points], dtype=float),
+                          np.array([p.disk for p in points], dtype=float),
+                          np.array([p.itinerary for p in points], dtype=int))
+
+
 def _embed(theta):
     import math
 
@@ -411,8 +460,6 @@ def _embed(theta):
 
 def apply_f_scalar(sys, p):
     """One forward step; the itinerary grows by the branch of theta."""
-    from pressgap.solenoid import AttractorPoint
-
     u, v = p.disk
     e0, e1 = _embed(p.theta)
     branch = 0 if p.theta < 0.5 else 1
@@ -433,8 +480,6 @@ def backward_bases_scalar(sys, theta, itinerary):
 def fiber_point_scalar(sys, theta, itinerary):
     """Canonical approximant over theta with the given itinerary: the fiber
     center over the deep base preimage, pushed forward depth times."""
-    from pressgap.solenoid import AttractorPoint
-
     bases = backward_bases_scalar(sys, theta, itinerary)
     p = AttractorPoint(theta=bases[-1], disk=(0.0, 0.0), itinerary=())
     for _ in itinerary:
@@ -459,9 +504,6 @@ def fiber_sample_scalar(sys, y, depth, cap=1 << 16):
 
 def conjugacy_h_scalar(sys, p, j_depth):
     """Conjugacy to the inverse limit: coordinate j is the base of f^-j(p)."""
-    from pressgap.errors import ValidationError
-    from pressgap.extension import ExtPoint
-
     if j_depth > p.depth:
         raise ValidationError("J", "point lacks backward itinerary data "
                               f"(depth {p.depth} < J={j_depth})")
@@ -522,8 +564,7 @@ def attractor_bowen_check_scalar(sys, dec_cfg, phi, holder_constant,
 
     from pressgap.errors import ValidationError
     from pressgap.maps import TWO_PI
-    from pressgap.solenoid import (AttractorBowenReport, AttractorPoint,
-                                   attractor_bowen_bound)
+    from pressgap.solenoid import AttractorBowenReport, attractor_bowen_bound
 
     rng = np.random.default_rng(seed)
     lam = sys.lam_s
@@ -721,9 +762,10 @@ def bowen_distance(system, x, y, n):
 def separated_set(system, coll, n, eps):
     """Greedy maximal (n, eps)-separated subset of the collection's
     cylinder-tree pool, in selection order, picked by the package's kernel
-    as `partition_sum_sep` picks it with no potential (address order)."""
-    points, orbits, _, order = _candidate_pool(system, coll, n, eps, None,
-                                          DEFAULT_ANCHOR)
+    as `partition_sum_sep` picks it for the zero potential (address
+    order)."""
+    points, orbits, _, order = _candidate_pool(system, coll, n, eps,
+                                               zero_potential(), DEFAULT_ANCHOR)
     if points.size == 0:
         return np.empty(0)
     keep = kernels.greedy_separated(orbits, order, eps)

@@ -13,7 +13,7 @@ from pressgap.decomposition import (DecompositionConfig, GoodCollection,
                                     draw_good_segments, segment_log_sigma,
                                     split_index)
 from pressgap.errors import ConvergenceError
-from pressgap.extension import (ExtensionConfig, extend, lift_projection,
+from pressgap.extension import (ExtensionConfig, lift_projection, tail_bound,
                                 verify_bowen)
 from pressgap.maps import circle_dist
 from pressgap.orbits import CylinderTree, FullCollection
@@ -25,8 +25,8 @@ from pressgap.specification import glue_base, verify_shadow
 from pressgap.transfer import build_operator, leading_eigen
 from pressgap.cli import main as cli_main
 
-from oracles import (brute_split, hat_distance, hat_g, is_bad, is_good,
-                     max_separated_cardinality, separated_set)
+from oracles import (brute_split, ext_columns, ext_points, hat_distance, hat_g,
+                     is_bad, is_good, max_separated_cardinality, separated_set)
 
 LOG2 = math.log(2.0)
 EPS5 = 2.0 ** -5
@@ -173,7 +173,7 @@ def test_criterion_06_natural_extension():
     for _ in range(20_000):
         starts.append(float(rng.random()))
         branches.append([int(rng.integers(system.degree)) for _ in range(8)])
-    pts = extend(system, starts, branches)
+    pts = ext_points(system, starts, branches)
     for p, q in zip(pts[0::2], pts[1::2]):
         if hat_g(system, p).coords[0] != float(system.forward(p.coords[0])):
             semi_bad += 1
@@ -194,7 +194,7 @@ def test_criterion_06_natural_extension():
         for _ in range(2):
             starts.append(x)
             branches.append([int(rng.integers(system.degree)) for _ in range(24)])
-    pts = extend(system, starts, branches)
+    pts = ext_points(system, starts, branches)
     for p, q in zip(pts[0::2], pts[1::2]):
         for k in (0, 3, 7, 12):
             pk, qk = p, q
@@ -226,24 +226,24 @@ def test_criterion_08_solenoid():
     sol = SolenoidSystem(0.25, 0.5)
     # measured fiber contraction
     pts = fiber_sample(sol, 0.3, 3)
+    disks, images = pts.disk.tolist(), apply_f(sol, pts).disk.tolist()
     worst_ratio = 0.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d0 = math.hypot(pts[i].disk[0] - pts[j].disk[0],
-                            pts[i].disk[1] - pts[j].disk[1])
-            fi, fj = apply_f(sol, pts[i]), apply_f(sol, pts[j])
-            d1 = math.hypot(fi.disk[0] - fj.disk[0], fi.disk[1] - fj.disk[1])
+            d0 = math.dist(disks[i], disks[j])
+            d1 = math.dist(images[i], images[j])
             worst_ratio = max(worst_ratio, abs(d1 / d0 - 0.25))
     # conjugacy defect at K = 24 against the truncation tail bound
-    tail = ExtensionConfig(2.0, 24).tail_bound
-    defect = 0.0
+    tail = tail_bound(2.0, 24)
+    thetas, itins = [], []
     for _ in range(100):
-        itin = tuple(int(b) for b in rng.integers(0, 2, 25))
-        p = fiber_point(sol, float(rng.random()), itin)
-        lhs = conjugacy_h(sol, apply_f(sol, p), 24)
-        rhs = hat_g(sol.base, conjugacy_h(sol, p, 24))
-        defect = max(defect, max(abs(a - b)
-                                 for a, b in zip(lhs.coords, rhs.coords)))
+        itins.append([int(b) for b in rng.integers(0, 2, 25)])
+        thetas.append(float(rng.random()))
+    p = fiber_point(sol, thetas, itins)
+    lhs = ext_columns(conjugacy_h(sol, apply_f(sol, p), 24))
+    rhs = [hat_g(sol.base, q) for q in ext_columns(conjugacy_h(sol, p, 24))]
+    defect = max(abs(a - b) for left, right in zip(lhs, rhs)
+                 for a, b in zip(left.coords, right.coords))
     # attractor Bowen check against the closed-form cap
     dec = DecompositionConfig(0.6)
 
@@ -260,11 +260,10 @@ def test_criterion_08_solenoid():
         itin = tuple(int(b) for b in rng.integers(0, 2, depth))
         branch_half = 0.5 * float(rng.random(2)[0]), 0.5 * float(rng.random(2)[1])
         x, y = branch_half
-        z = fiber_point(sol, x, itin)
-        lhs = apply_f(sol, holonomy(sol, z, y))
-        rhs = holonomy(sol, apply_f(sol, z),
-                       float(sol.base.forward(np.float64(y))))
-        holo = max(holo, d_attractor(lhs, rhs))
+        z = fiber_point(sol, [x], [itin])
+        lhs = apply_f(sol, holonomy(sol, z, [y]))
+        rhs = holonomy(sol, apply_f(sol, z), sol.base.forward(np.array([y])))
+        holo = max(holo, float(d_attractor(lhs, rhs)[0]))
     ok = (worst_ratio <= 1e-12 and defect <= tail and bowen.within_bound
           and holo == 0.0)
     assert report(8, ok, f"contraction err={worst_ratio:.1e} (tol 1e-12), "

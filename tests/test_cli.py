@@ -241,6 +241,18 @@ _PRESSURE_GOLDEN = {
 }
 
 
+# the solenoid runs, as the one-point attractor forms wrote them
+_SOLENOID_GOLDEN = {
+    "solenoid-cloud8.csv": (
+        ["solenoid", "--samples", "200", "--cloud-depth", "8", "--seed", "3"],
+        "b2d12117ad593fd420191321c9efeaa64e159202139f614d79d9d20a4c491569"),
+    "solenoid-sigma0.6.csv": (
+        ["solenoid", "--samples", "100", "--sigma", "0.6", "--eps", "0.0625",
+         "--depth", "10", "--cloud-depth", "3", "--seed", "9"],
+        "f0d96005104ec19650f198ef2aac406a30bc770da9606d242207ef70c80f99dd"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_sampling_outputs_are_unchanged(name, tmp_path):
     args, digest = _GOLDEN[name]
@@ -252,6 +264,14 @@ def test_sampling_outputs_are_unchanged(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(_PRESSURE_GOLDEN))
 def test_pressure_outputs_are_unchanged(name, tmp_path):
     args, digest = _PRESSURE_GOLDEN[name]
+    out = tmp_path / name
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(_SOLENOID_GOLDEN))
+def test_solenoid_outputs_are_unchanged(name, tmp_path):
+    args, digest = _SOLENOID_GOLDEN[name]
     out = tmp_path / name
     assert run(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -486,6 +506,16 @@ def test_tabulated_fields_are_checked(tmp_path, capsys):
                         "potential.holder_constant"),
                        ({"potential": {k: v for k, v in pot.items()
                                        if k != "holder_exponent"}},
+                        "potential.holder_exponent"),
+                       ({"potential": dict(pot, xs=[], values=[])}, "potential.xs"),
+                       ({"potential": dict(pot, xs=[0.2, 1.5])}, "potential.xs"),
+                       ({"potential": dict(pot, xs=[-0.1, 0.5])}, "potential.xs"),
+                       ({"potential": dict(pot, xs=[0.5, 0.5])}, "potential.xs"),
+                       ({"potential": dict(pot, holder_constant=-1.0)},
+                        "potential.holder_constant"),
+                       ({"potential": dict(pot, holder_exponent=7.0)},
+                        "potential.holder_exponent"),
+                       ({"potential": dict(pot, holder_exponent=0.0)},
                         "potential.holder_exponent")):
         cfg.write_text(json.dumps(doc))
         assert run(["pressure", "--n-max", "4", "--config", str(cfg)]) == 1

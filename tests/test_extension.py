@@ -10,11 +10,12 @@ from pressgap.errors import ValidationError
 from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
                                 birkhoff_hat, bowen_bound, depth_for_tolerance,
                                 extend, lift_fiber_averaged, lift_projection,
-                                verify_bowen)
+                                tail_bound, verify_bowen)
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist
 from pressgap.orbits import OrbitSegment
 
 from oracles import (birkhoff_hat_scalar, birkhoff_sum, classify_segment,
+                     ext_columns, ext_point, ext_points,
                      extend_scalar, hat_distance, hat_g, hat_g_inverse,
                      hat_orbit_coords, random_branches, verify_bowen_scalar)
 
@@ -26,28 +27,28 @@ def _value(lift, p):
 
 def test_config_and_tail_bound():
     cfg = ExtensionConfig(2.0, 20)
-    assert cfg.tail_bound == pytest.approx(2.0 ** -20)
+    assert tail_bound(cfg.a, cfg.depth) == pytest.approx(2.0 ** -20)
     with pytest.raises(ValidationError):
         ExtensionConfig(1.0, 4)
 
 
 def test_extend_examples(doubling_map):
-    assert extend(doubling_map, 0.3, []).coords == (0.3,)
-    assert extend(doubling_map, 0.0, [0] * 4).coords == (0.0,) * 5
-    assert extend(doubling_map, 0.5, [0] * 3).coords == (0.5, 0.25, 0.125, 0.0625)
+    assert ext_point(doubling_map, 0.3, []).coords == (0.3,)
+    assert ext_point(doubling_map, 0.0, [0] * 4).coords == (0.0,) * 5
+    assert ext_point(doubling_map, 0.5, [0] * 3).coords == (0.5, 0.25, 0.125, 0.0625)
 
 
 def test_extend_policies(doubling_map, rng):
-    p = extend(doubling_map, 0.73, random_branches(rng, doubling_map.degree, 10))
+    p = ext_point(doubling_map, 0.73, random_branches(rng, doubling_map.degree, 10))
     for i in range(10):
         assert float(circle_dist(doubling_map.forward(p.coords[i + 1]),
                                  p.coords[i])) < 1e-10
-    q = extend(doubling_map, 0.5, [1, 0, 1])
+    q = ext_point(doubling_map, 0.5, [1, 0, 1])
     assert q.coords[1] == pytest.approx(0.75)
 
 
 def test_shift_algebra(doubling_map, rng):
-    p = extend(doubling_map, 0.37, random_branches(rng, doubling_map.degree, 8))
+    p = ext_point(doubling_map, 0.37, random_branches(rng, doubling_map.degree, 8))
     q = hat_g(doubling_map, p)
     assert q.depth == p.depth
     assert q.coords[0] == pytest.approx(float(doubling_map.forward(0.37)))
@@ -65,7 +66,7 @@ def test_semiconjugacy_and_projection_lipschitz(builtin_maps, rng):
         for _ in range(400):
             starts.append(float(rng.random()))
             branches.append([int(rng.integers(system.degree)) for _ in range(12)])
-        pts = extend(system, starts, branches)
+        pts = ext_points(system, starts, branches)
         for p, q in zip(pts[0::2], pts[1::2]):
             # projection after the shift equals the map after projection
             assert hat_g(system, p).coords[0] == float(system.forward(p.coords[0]))
@@ -75,19 +76,19 @@ def test_semiconjugacy_and_projection_lipschitz(builtin_maps, rng):
 
 def test_hat_distance_examples(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 6)
-    p = extend(doubling_map, 0.4, random_branches(rng, doubling_map.degree, 6))
+    p = ext_point(doubling_map, 0.4, random_branches(rng, doubling_map.degree, 6))
     trunc, tail = hat_distance(cfg, p, p)
-    assert trunc == 0.0 and tail == cfg.tail_bound
+    assert trunc == 0.0 and tail == tail_bound(cfg.a, cfg.depth)
     q = ExtPoint((0.45,) + p.coords[1:])
     trunc2, _ = hat_distance(cfg, p, q)
     assert trunc2 == pytest.approx(0.05)
     with pytest.raises(ValidationError):
-        hat_distance(cfg, p, extend(doubling_map, 0.4, [0] * 5))
+        hat_distance(cfg, p, ext_point(doubling_map, 0.4, [0] * 5))
 
 
 def test_hat_distance_triangle(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 8)
-    pts = [extend(doubling_map, float(rng.random()), random_branches(rng, 2, 8))
+    pts = [ext_point(doubling_map, float(rng.random()), random_branches(rng, 2, 8))
            for _ in range(12)]
     for a in pts[:4]:
         for b in pts[4:8]:
@@ -103,7 +104,7 @@ def test_lifted_decomposition_consistency(mp_map, rng):
     for _ in range(40):
         x = float(rng.random())
         n = int(rng.integers(2, 12))
-        p = extend(mp_map, x, random_branches(rng, mp_map.degree, 12))
+        p = ext_point(mp_map, x, random_branches(rng, mp_map.degree, 12))
         # lifted membership is defined through the base coordinate
         assert classify_segment(mp_map, cfg, OrbitSegment(p.coords[0], n)) is \
             classify_segment(mp_map, cfg, OrbitSegment(x, n))
@@ -111,7 +112,7 @@ def test_lifted_decomposition_consistency(mp_map, rng):
 
 def test_lift_projection(doubling_map, sin_potential, rng):
     lifted = lift_projection(sin_potential)
-    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 6))
+    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 6))
     assert _value(lifted, p) == pytest.approx(float(sin_potential(0.3)))
     assert lifted.holder_constant == sin_potential.holder_constant
     zero_lift = lift_projection(pg.zero_potential())
@@ -121,14 +122,14 @@ def test_lift_projection(doubling_map, sin_potential, rng):
 def test_lift_fiber_averaged_example(doubling_map):
     ident = pg.Potential(lambda x: np.asarray(x, dtype=float), 1.0, 1.0)
     lifted = lift_fiber_averaged(ident, 2.0)
-    p = extend(doubling_map, 0.5, [0] * 3)
+    p = ext_point(doubling_map, 0.5, [0] * 3)
     assert _value(lifted, p) == pytest.approx(0.6640625)
     assert lifted.holder_constant == pytest.approx(2.0)
     assert lifted.holder_exponent == 1.0
 
 
 def test_hat_orbit_coords(doubling_map, rng):
-    p = extend(doubling_map, 0.31, random_branches(rng, doubling_map.degree, 6))
+    p = ext_point(doubling_map, 0.31, random_branches(rng, doubling_map.degree, 6))
     coords = hat_orbit_coords(doubling_map, p, 4)
     fwd = doubling_map.orbit(0.31, 5)[0]
     for i, c in enumerate(coords):
@@ -139,10 +140,11 @@ def test_hat_orbit_coords(doubling_map, rng):
 
 
 def test_birkhoff_hat_projection_matches_base(doubling_map, sin_potential, rng):
-    p = extend(doubling_map, 0.61, random_branches(rng, doubling_map.degree, 10))
+    coords = extend(doubling_map, [0.61],
+                    [random_branches(rng, doubling_map.degree, 10)])
     lifted = lift_projection(sin_potential)
     base = birkhoff_sum(doubling_map, sin_potential, OrbitSegment(0.61, 7))
-    assert birkhoff_hat(doubling_map, lifted, [p], [7])[0] == pytest.approx(base)
+    assert birkhoff_hat(doubling_map, lifted, coords, [7])[0] == pytest.approx(base)
 
 
 @pytest.mark.parametrize("lift_kind", ["projection", "fiber"])
@@ -158,16 +160,16 @@ def test_birkhoff_hat_batch_matches_per_point_sums(lift_kind, builtin_maps,
             starts = np.concatenate([[0.0, 0.0], rng.random(18)])
             ns = np.concatenate([[1, 0], rng.integers(1, 25, size=18)])
             for depth in (0, 3, 12):
-                points = extend(system, starts, random_branches(
+                coords = extend(system, starts, random_branches(
                     rng, system.degree, depth, starts.size))
-                sums = birkhoff_hat(system, lift, points, ns)
+                sums = birkhoff_hat(system, lift, coords, ns)
                 assert sums.shape == (20,)
-                for p, n, total in zip(points, ns.tolist(), sums):
+                for p, n, total in zip(ext_columns(coords), ns.tolist(), sums):
                     ref = np.float64(birkhoff_hat_scalar(system, lift, p, n))
                     assert total.tobytes() == ref.tobytes(), (system, phi, n)
     mp = builtin_maps[1]
     geo = lift_projection(pg.geometric_potential(mp, 1.0))
-    [total] = birkhoff_hat(mp, geo, [extend(mp, 0.0, [0] * 4)], [1])
+    [total] = birkhoff_hat(mp, geo, extend(mp, [0.0], [[0] * 4]), [1])
     assert math.copysign(1.0, total) == 1.0
 
 
@@ -191,10 +193,10 @@ def test_verify_bowen_constant_potential(doubling_map):
 
 
 def test_verify_bowen_identical_points_zero(doubling_map, sin_potential, rng):
-    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 12))
+    coords = extend(doubling_map, [0.3], [random_branches(rng, doubling_map.degree, 12)])
     lifted = lift_projection(sin_potential)
-    assert birkhoff_hat(doubling_map, lifted, [p], [6]) \
-        == birkhoff_hat(doubling_map, lifted, [p], [6])
+    assert birkhoff_hat(doubling_map, lifted, coords, [6]) \
+        == birkhoff_hat(doubling_map, lifted, coords, [6])
 
 
 def test_verify_bowen_within_bound(builtin_maps, sin_potential):
@@ -213,8 +215,8 @@ def test_fiber_contraction_bound(doubling_map, rng):
     cfg = ExtensionConfig(2.0, 16)
     for _ in range(60):
         x = float(rng.random())
-        p = extend(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
-        q = extend(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
+        p = ext_point(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
+        q = ext_point(doubling_map, x, random_branches(rng, doubling_map.degree, 16))
         for k in (0, 2, 5, 9):
             pk, qk = p, q
             for _ in range(k):
@@ -232,9 +234,9 @@ def test_depth_for_tolerance():
     assert depth_for_tolerance(2.0, math.nextafter(2.0 ** -47, 1.0)) == 47
     for a, tol in ((2.0, 1e-6), (3.0, 1e-4), (1.5, 1e-3)):
         k = depth_for_tolerance(a, tol)
-        assert ExtensionConfig(a, k).tail_bound < tol
+        assert tail_bound(a, k) < tol
         if k > 0:
-            assert ExtensionConfig(a, k - 1).tail_bound >= tol
+            assert tail_bound(a, k - 1) >= tol
 
 
 def test_as_base_potential(mp_map, sin_potential, rng):
@@ -244,7 +246,7 @@ def test_as_base_potential(mp_map, sin_potential, rng):
     base = as_base_potential(mp_map, fib, 8)
     for _ in range(20):
         x = float(rng.random())
-        assert float(base(x)) == pytest.approx(_value(fib, extend(mp_map, x, [0] * 8)),
+        assert float(base(x)) == pytest.approx(_value(fib, ext_point(mp_map, x, [0] * 8)),
                                                abs=1e-12)
 
 
@@ -273,11 +275,11 @@ def test_extend_rejects_out_of_range_branch_ids(bad, doubling_map, mp_map):
     # returns points outside [0, 1) and MP indexes past its branch cuts
     for system in (doubling_map, mp_map):
         with pytest.raises(ValidationError, match="branches"):
-            extend(system, 0.3, [bad])
+            extend(system, [0.3], [[bad]])
         with pytest.raises(ValidationError, match="branches"):
             extend(system, np.array([0.3, 0.6]), np.array([[0, 1], [1, bad]]))
         with pytest.raises(ValidationError, match="branches"):
-            extension.extend_coords(system, 0.3, [0, bad, 1])
+            extend(system, [0.3], [[0, bad, 1]])
 
 
 def test_vector_extend_equals_scalar_rows(builtin_maps):
@@ -291,12 +293,13 @@ def test_vector_extend_equals_scalar_rows(builtin_maps):
             for policy, rows in (("lex-min", np.zeros_like(given)),
                                  ("random", drawn), ("given", given)):
                 vec = extend(system, starts, rows)
+                assert vec.shape == (depth + 1, starts.size)
                 # random_branches draws row by row, as successive scalar
                 # 'random' calls do
                 rng_ref = np.random.default_rng(4)
-                for x, b, row, p in zip(starts, given, rows, vec):
+                for x, b, row, p in zip(starts, given, rows, ext_columns(vec)):
                     assert p == extend_scalar(system, x, depth, policy, rng_ref, b)
-                    assert p == extend(system, x, row)
+                    assert p == ext_point(system, x, row)
 
 
 @pytest.mark.parametrize("system_name", ["doubling", "mp", "perturbed", "tabulated"])

@@ -177,6 +177,25 @@ def test_tabulated_potential_roundtrip():
     pot = pg.tabulated_potential(xs, np.cos(2 * np.pi * xs), 2 * np.pi, 1.0)
     assert pot(0.0) == pytest.approx(1.0)
     assert abs(pot(0.25)) < 1e-2
+    # one sample is a constant potential
+    one = pg.tabulated_potential([0.3], [2.0], 0.0, 1.0)
+    assert one(np.array([0.1, 0.7])).tolist() == [2.0, 2.0]
+
+
+@pytest.mark.parametrize("xs, constant, exponent, field", [
+    ([], 1.0, 1.0, "xs"),
+    ([0.2, 1.5], 1.0, 1.0, "xs"),
+    ([0.2, float("nan")], 1.0, 1.0, "xs"),
+    ([0.5, 0.5], 1.0, 1.0, "xs"),
+    ([0.2, 0.5], -1.0, 1.0, "holder_constant"),
+    ([0.2, 0.5], float("inf"), 1.0, "holder_constant"),
+    ([0.2, 0.5], 1.0, 7.0, "holder_exponent"),
+    ([0.2, 0.5], 1.0, 0.0, "holder_exponent"),
+])
+def test_tabulated_potential_validation(xs, constant, exponent, field):
+    with pytest.raises(ValidationError) as info:
+        pg.tabulated_potential(xs, np.zeros(len(xs)), constant, exponent)
+    assert info.value.field == field
 
 
 # -- inverse-branch root solves ---------------------------------------------
@@ -216,8 +235,8 @@ def _ulps(a, b):
 def _sign_change_nearby(system, x, target):
     """G at 2 ulp either side of x brackets the target, up to 4 ulp of it."""
     slack = 4.0 * np.spacing(np.abs(target))
-    left = system.lift(np.maximum(x - 2.0 * np.spacing(x), 0.0))
-    right = system.lift(np.minimum(x + 2.0 * np.spacing(x), 1.0))
+    left = system._lift(np.maximum(x - 2.0 * np.spacing(x), 0.0))
+    right = system._lift(np.minimum(x + 2.0 * np.spacing(x), 1.0))
     return bool(np.all((left - slack <= target) & (target <= right + slack)))
 
 
@@ -415,7 +434,7 @@ def test_tabulated_table_ends_are_exact():
     v = 2.0 * np.linspace(0.0, 1.0, 33)
     v[0], v[-1] = 5e-13, 2.0 - 5e-10
     system = pg.tabulated_map(v)
-    assert float(system.lift(0.0)) == 0.0 and float(system.lift(1.0)) == 2.0
+    assert float(system._lift(0.0)) == 0.0 and float(system._lift(1.0)) == 2.0
     roots = system.inverse_branches(np.arange(8) / 8)
     assert roots[0, 0] == 0.0 and roots[1, 0] == 0.5
     assert float(system.lift_inverse(np.nextafter(2.0, 0.0))) <= 1.0
@@ -470,7 +489,7 @@ def _sigma_oracle(name, x):
     50-digit roots of the lift, extended to the line, at the float targets
     G(x) -+ epsilon0 that the package solves for."""
     system = SIGMA_MAPS[name]
-    v = float(system.lift(np.float64(x)))
+    v = float(system._lift(np.float64(x)))
     degree, lift = system.degree, SIGMA_LIFTS[name]
     with mpmath.workdps(50):
         def real_lift(z):
@@ -563,7 +582,7 @@ def test_branch_lipschitz_matches_the_per_peak_loop(name):
           nodes, np.nextafter(nodes, 1.0), np.nextafter(nodes, -1.0) % 1.0]
     peaks = system._peak_points
     for side in (-1.0, 1.0):
-        y = (system.lift(peaks) + side * system.epsilon0) % 1.0
+        y = (system._lift(peaks) + side * system.epsilon0) % 1.0
         xs += [system.branch_solve(b, y) for b in range(system.degree)]
     x = np.concatenate(xs)
     assert system.branch_lipschitz(x).tobytes() == branch_lipschitz_loop(system, x).tobytes()

@@ -1,5 +1,6 @@
-"""Every public module-level function and class of the package is reached
-by package code or the benchmark harness; tests alone do not count."""
+"""Every public module-level function and class of the package is reached,
+and every public method or property of a public class is read, by package
+code or the benchmark harness; tests alone do not count."""
 
 import ast
 from pathlib import Path
@@ -10,11 +11,12 @@ PACKAGE = Path(pressgap.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public names no caller reaches yet, each waiting on a ROADMAP item that
-# wires it into the CLI: the obstruction set (item 6), the transfer
-# cross-check in `check` (item 1) and pressure on the natural extension
-# (item 2)
+# wires it into the CLI: the obstruction set and its hits (item 6), the
+# transfer cross-check in `check` (item 1) and pressure on the natural
+# extension (item 2)
 PENDING = {
     "decomposition.obstruction_sample",
+    "decomposition.ObstructionSample.hits",
     "transfer.check_equilibrium",
     "extension.as_base_potential",
     "extension.lift_fiber_averaged",
@@ -58,11 +60,26 @@ def _global_loads(node, local=frozenset()):
         yield from _global_loads(child, local)
 
 
+def _public_members(tree):
+    """(class, member) for every public method or property of a public
+    class defined at the top of `tree`."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name
+
+
 def _unreached():
     modules = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")
                if p.name != "__init__.py"}
-    outside = {pair for path in BENCH.glob("*.py")
-               for pair in _outside_reads(_parse(path))}
+    bench = [_parse(path) for path in BENCH.glob("*.py")]
+    outside = {pair for tree in bench for pair in _outside_reads(tree)}
+    # a member is read by name: an attribute anywhere in the package or
+    # the harness, whatever object it is read from
+    attributes = {node.attr for tree in [*modules.values(), *bench]
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     outside |= {(module, name) for source, tree in modules.items()
                 for module, name in _outside_reads(tree) if module != source}
     unreached = set()
@@ -76,6 +93,9 @@ def _unreached():
             if not any(load.id == node.name and id(load) not in inside
                        for load in loads):
                 unreached.add(f"{module}.{node.name}")
+        unreached |= {f"{module}.{cls}.{member}"
+                      for cls, member in _public_members(tree)
+                      if member not in attributes}
     return unreached
 
 

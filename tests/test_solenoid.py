@@ -8,14 +8,15 @@ from pressgap import solenoid
 from pressgap.cli import main
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
-from pressgap.solenoid import (AttractorBatch, AttractorPoint, SolenoidSystem,
-                               apply_f, attractor_bowen_bound,
-                               attractor_bowen_check, conjugacy_h, d_attractor,
-                               fiber_point, fiber_sample, holonomy,
-                               metric_equivalence)
+from pressgap.extension import ExtPoint
+from pressgap.solenoid import (AttractorBatch, SolenoidSystem, apply_f,
+                               attractor_bowen_bound, attractor_bowen_check,
+                               conjugacy_h, d_attractor, fiber_point,
+                               fiber_sample, holonomy, metric_equivalence)
 
-from oracles import (apply_f_scalar, attractor_bowen_check_scalar,
-                     conjugacy_h_scalar, d_attractor_scalar,
+from oracles import (AttractorPoint, apply_f_scalar, as_batch,
+                     attractor_bowen_check_scalar, batch_rows,
+                     conjugacy_h_scalar, d_attractor_scalar, ext_columns,
                      fiber_point_scalar, fiber_sample_scalar, hat_g,
                      holonomy_scalar, metric_equivalence_scalar)
 
@@ -42,19 +43,23 @@ def test_overlapping_preimage_fibers_are_rejected(lam_s, offset):
 
 
 def test_apply_f_example(sol):
-    img = apply_f(sol, AttractorPoint(0.0, (0.0, 0.0), ()))
+    [img] = batch_rows(apply_f(sol, as_batch([AttractorPoint(0.0, (0.0, 0.0), ())])))
     assert img.theta == 0.0
     assert img.disk == pytest.approx((0.5, 0.0))
+    assert img.itinerary == (0,)
 
 
 def test_semiconjugacy_and_fiber_contraction(sol, rng):
+    ps, qs = [], []
     for _ in range(100):
         theta = float(rng.random())
         u, v = rng.random(2) - 0.5
-        p = AttractorPoint(theta, (u, v), ())
-        q = AttractorPoint(theta, (u + 0.1, v - 0.2), ())
-        fp, fq = apply_f(sol, p), apply_f(sol, q)
-        assert fp.theta == float(sol.base.forward(np.float64(theta)))
+        ps.append(AttractorPoint(theta, (u, v), ()))
+        qs.append(AttractorPoint(theta, (u + 0.1, v - 0.2), ()))
+    fps = batch_rows(apply_f(sol, as_batch(ps)))
+    fqs = batch_rows(apply_f(sol, as_batch(qs)))
+    for p, q, fp, fq in zip(ps, qs, fps, fqs, strict=True):
+        assert fp.theta == float(sol.base.forward(np.float64(p.theta)))
         d0 = math.hypot(p.disk[0] - q.disk[0], p.disk[1] - q.disk[1])
         d1 = math.hypot(fp.disk[0] - fq.disk[0], fp.disk[1] - fq.disk[1])
         assert abs(d1 - sol.lam_s * d0) <= 1e-12 * max(1.0, d0)
@@ -65,7 +70,7 @@ def test_fiber_sample_counts_and_separation(sol):
     for depth in (3, 5, 7):
         pts = fiber_sample(sol, 0.3, depth)
         assert len(pts) == 2 ** depth
-        disks = np.array([p.disk for p in pts])
+        disks = pts.disk
         d = np.linalg.norm(disks[:, None, :] - disks[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() > 0.0
@@ -78,15 +83,15 @@ def test_fiber_diameter_bounded_and_clusters_decay(sol):
     # most recent backward branches cluster at scale lam^k
     bound = 2 * sol.offset / (1 - sol.lam_s)
     pts = fiber_sample(sol, 0.77, 8)
-    disks = np.array([p.disk for p in pts])
+    disks = pts.disk
     diam = float(np.linalg.norm(disks[:, None, :] - disks[None, :, :],
                                 axis=2).max())
     assert diam <= bound
     for k in (1, 2, 3, 4):
         worst = 0.0
         for prefix in range(2 ** k):
-            bits = tuple((prefix >> j) & 1 for j in range(k))
-            sub = np.array([p.disk for p in pts if p.itinerary[:k] == bits])
+            bits = [(prefix >> j) & 1 for j in range(k)]
+            sub = disks[(pts.itinerary[:, :k] == bits).all(axis=1)]
             worst = max(worst, float(np.linalg.norm(
                 sub[:, None, :] - sub[None, :, :], axis=2).max()))
         assert worst <= sol.lam_s ** k * bound + 1e-12
@@ -94,51 +99,54 @@ def test_fiber_diameter_bounded_and_clusters_decay(sol):
 
 def test_attractor_nesting(sol):
     # every depth-(d+1) point is the f-image of a depth-d point
-    deep = fiber_sample(sol, 0.4, 4)
+    deep = batch_rows(fiber_sample(sol, 0.4, 4))
     y_pre = sol.base.inverse_branches(0.4)
-    shallow = {0: fiber_sample(sol, float(y_pre[0]), 3),
-               1: fiber_sample(sol, float(y_pre[1]), 3)}
+    shallow = {b: batch_rows(fiber_sample(sol, float(y_pre[b]), 3)) for b in (0, 1)}
     for p in deep:
         b = p.itinerary[0]
         match = [q for q in shallow[b] if q.itinerary == p.itinerary[1:]]
         assert len(match) == 1
-        img = apply_f(sol, match[0])
-        assert d_attractor(img, p) == 0.0
+        img = apply_f(sol, as_batch(match))
+        assert d_attractor(img, as_batch([p])).tolist() == [0.0]
 
 
 def test_conjugacy_examples(sol):
-    p0 = fiber_point(sol, 0.0, (0,) * 6)
-    assert conjugacy_h(sol, p0, 6).coords == (0.0,) * 7
+    p0 = fiber_point(sol, [0.0], [(0,) * 6])
+    assert conjugacy_h(sol, p0, 6).tolist() == [[0.0]] * 7
     itin = (1, 0, 1, 1, 0, 0, 1, 0)
-    p = fiber_point(sol, 0.37, itin)
-    h = conjugacy_h(sol, p, 8)
+    p = fiber_point(sol, [0.37], [itin])
+    h = conjugacy_h(sol, p, 8)[:, 0].tolist()
     for j in range(8):
-        assert float(sol.base.forward(np.float64(h.coords[j + 1]))) == h.coords[j]
+        assert float(sol.base.forward(np.float64(h[j + 1]))) == h[j]
     with pytest.raises(ValidationError):
         conjugacy_h(sol, p, 20)
 
 
 def test_conjugacy_intertwines_shift(sol, rng):
+    thetas, itins = [], []
     for _ in range(50):
-        itin = tuple(int(b) for b in rng.integers(0, 2, 10))
-        p = fiber_point(sol, float(rng.random()), itin)
-        lhs = conjugacy_h(sol, apply_f(sol, p), 10)
-        rhs = hat_g(sol.base, conjugacy_h(sol, p, 10))
-        assert max(abs(a - b) for a, b in zip(lhs.coords, rhs.coords)) == 0.0
+        itins.append([int(b) for b in rng.integers(0, 2, 10)])
+        thetas.append(float(rng.random()))
+    p = fiber_point(sol, thetas, itins)
+    lhs = ext_columns(conjugacy_h(sol, apply_f(sol, p), 10))
+    rhs = ext_columns(conjugacy_h(sol, p, 10))
+    for left, right in zip(lhs, rhs, strict=True):
+        assert left == hat_g(sol.base, right)
 
 
 def test_holonomy_identity_and_invariance(sol, rng):
-    itin = tuple(int(b) for b in rng.integers(0, 2, 20))
-    p = fiber_point(sol, 0.2, itin)
-    assert d_attractor(holonomy(sol, p, 0.2), p) == 0.0
+    itin = [int(b) for b in rng.integers(0, 2, 20)]
+    p = fiber_point(sol, [0.2], [itin])
+    assert d_attractor(holonomy(sol, p, [0.2]), p).tolist() == [0.0]
     # invariance on same-branch pairs, itinerary matched, depth <= 20
+    xs, ys = [], []
     for _ in range(50):
-        x, y = 0.5 * rng.random(), 0.5 * rng.random()  # same branch
-        z = fiber_point(sol, x, itin)
-        lhs = apply_f(sol, holonomy(sol, z, y))
-        rhs = holonomy(sol, apply_f(sol, z),
-                       float(sol.base.forward(np.float64(y))))
-        assert d_attractor(lhs, rhs) == 0.0
+        xs.append(0.5 * rng.random())   # same branch
+        ys.append(0.5 * rng.random())
+    z = fiber_point(sol, xs, [itin] * 50)
+    lhs = apply_f(sol, holonomy(sol, z, ys))
+    rhs = holonomy(sol, apply_f(sol, z), sol.base.forward(np.array(ys)))
+    assert d_attractor(lhs, rhs).tolist() == [0.0] * 50
 
 
 def test_metric_equivalence(sol):
@@ -196,35 +204,37 @@ def test_fiber_point_rows_match_reference(sol, rng, depth):
     itins[:2] = 1     # (1 - ulp + 1) / 2 rounds up to 1.0, the end of the circle
     batch = fiber_point(sol, thetas, itins)
     assert isinstance(batch, AttractorBatch) and len(batch) == thetas.size
-    for theta, itin, got in zip(thetas.tolist(), itins.tolist(), batch.points()):
+    for theta, itin, got in zip(thetas.tolist(), itins.tolist(), batch_rows(batch)):
         ref = fiber_point_scalar(sol, theta, tuple(itin))
         assert _same_point(got, ref)
-        assert _same_point(fiber_point(sol, theta, tuple(itin)), ref)
+        [alone] = batch_rows(fiber_point(sol, [theta], [itin]))
+        assert _same_point(alone, ref)
 
 
 def test_apply_f_matches_reference(sol, rng):
-    for _ in range(200):
-        p = AttractorPoint(float(rng.random()), tuple(rng.random(2) - 0.5), (1, 0))
-        assert _same_point(apply_f(sol, p), apply_f_scalar(sol, p))
+    pts = [AttractorPoint(float(rng.random()), tuple(rng.random(2) - 0.5), (1, 0))
+           for _ in range(200)]
+    for p, got in zip(pts, batch_rows(apply_f(sol, as_batch(pts))), strict=True):
+        assert _same_point(got, apply_f_scalar(sol, p))
 
 
 def test_fiber_sample_conjugacy_and_holonomy_match_reference(sol, rng):
     for depth in (1, 2, 5):
-        for got, ref in zip(fiber_sample(sol, 0.77, depth),
+        for got, ref in zip(batch_rows(fiber_sample(sol, 0.77, depth)),
                             fiber_sample_scalar(sol, 0.77, depth), strict=True):
             assert _same_point(got, ref)
     thetas = rng.random(30)
     batch = fiber_point(sol, thetas, rng.integers(0, 2, (30, 12)))
     targets = rng.random(30)
     moved = holonomy(sol, batch, targets)
-    rows = conjugacy_h(sol, batch, 9)
-    for i, p in enumerate(batch.points()):
-        assert conjugacy_h(sol, p, 9) == rows[i] == conjugacy_h_scalar(sol, p, 9)
-        ref = holonomy_scalar(sol, p, float(targets[i]))
-        assert _same_point(moved.points()[i], ref)
-        q = moved.points()[i]
-        assert d_attractor(p, q) == d_attractor_scalar(p, q) == \
-            d_attractor(batch, moved)[i]
+    columns = ext_columns(conjugacy_h(sol, batch, 9))
+    dists = d_attractor(batch, moved).tolist()
+    for i, (p, q) in enumerate(zip(batch_rows(batch), batch_rows(moved))):
+        [alone] = ext_columns(conjugacy_h(sol, as_batch([p]), 9))
+        assert alone == columns[i] == conjugacy_h_scalar(sol, p, 9)
+        assert isinstance(columns[i], ExtPoint)
+        assert _same_point(q, holonomy_scalar(sol, p, float(targets[i])))
+        assert dists[i] == d_attractor_scalar(p, q)
 
 
 def test_batch_distances_match_reference(rng):
@@ -234,7 +244,7 @@ def test_batch_distances_match_reference(rng):
                        np.zeros((size, 0), dtype=int))
     q = AttractorBatch(rng.random(size), rng.random((size, 2)) - 0.5,
                        np.zeros((size, 0), dtype=int))
-    ref = [d_attractor_scalar(a, b) for a, b in zip(p.points(), q.points())]
+    ref = [d_attractor_scalar(a, b) for a, b in zip(batch_rows(p), batch_rows(q))]
     assert d_attractor(p, q).tolist() == ref
 
 

@@ -6,12 +6,12 @@ import pytest
 import pressgap as pg
 from pressgap.decomposition import DecompositionConfig, GoodCollection
 from pressgap.errors import GluingError, ValidationError
-from pressgap.extension import depth_for_tolerance, extend
+from pressgap.extension import depth_for_tolerance
 from pressgap.orbits import OrbitSegment
 from pressgap.specification import (Arc, _pullback_arc, glue_base, glue_extension,
                                     verify_shadow, verify_shadow_extension)
 
-from oracles import random_branches
+from oracles import ext_point, random_branches
 
 
 def _good_segments(system, cfg, rng, count, lo=5, hi=20):
@@ -120,7 +120,7 @@ def test_fiber_sync_time_example(doubling_map, rng):
     assert depth_for_tolerance(2.0, 1.0 / 4.0) == 3
     assert depth_for_tolerance(4.0, 1.0 / 16.0) == 2
     # the extension gluing synchronizes fibers at eps/2
-    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
+    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
     plan = glue_extension(doubling_map, DecompositionConfig(0.75), [(p, 8)],
                           1.0 / 8.0, 2.0, 20)
     assert plan.tau_sync == 5
@@ -128,7 +128,7 @@ def test_fiber_sync_time_example(doubling_map, rng):
 
 def test_glue_extension_single(doubling_map, rng):
     cfg = DecompositionConfig(0.75)
-    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
+    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
     plan = glue_extension(doubling_map, cfg, [(p, 8)], 1.0 / 8.0, 2.0, 20)
     mx, tail = verify_shadow_extension(doubling_map, plan)
     assert mx == 0.0
@@ -148,7 +148,7 @@ def test_glue_extension_pairs(builtin_maps, rng):
                 n = int(rng.integers(5, 13))
                 if good.contains(system, x, n):
                     branches = random_branches(rng, system.degree, 20)
-                    pts.append((extend(system, x, branches), n))
+                    pts.append((ext_point(system, x, branches), n))
             plan = glue_extension(system, cfg, pts, eps, 2.0, 20)
             mx, tail = verify_shadow_extension(system, plan)
             assert mx <= eps + tail
@@ -163,7 +163,7 @@ def test_glue_extension_pairs(builtin_maps, rng):
 
 def test_glue_extension_depth_validation(doubling_map, rng):
     cfg = DecompositionConfig(0.75)
-    p = extend(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 5))
+    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 5))
     with pytest.raises(ValidationError):
         glue_extension(doubling_map, cfg, [(p, 5)], 1.0 / 8.0, 2.0, 20)
 
