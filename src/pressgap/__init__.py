@@ -9,15 +9,15 @@ cross-checks pressure against an independent transfer-operator computation.
 
 __version__ = "0.1.0"
 
-from .decomposition import (BadCollection, Classification,
-                            DecompositionConfig, GoodCollection,
-                            ObstructionSample, obstruction_sample)
+from .decomposition import (BadCollection, DecompositionConfig,
+                            GoodCollection, ObstructionSample,
+                            obstruction_sample)
 from .errors import (BranchSolveError, ConvergenceError, CoverError,
                      GluingError, MixingCapError, NodeCapError, PressgapError,
                      ValidationError)
-from .extension import (ExtensionConfig, ExtPoint, as_base_potential,
-                        bowen_bound, depth_for_tolerance, extend,
-                        lift_fiber_averaged, lift_projection, verify_bowen)
+from .extension import (ExtensionConfig, bowen_bound, depth_for_tolerance,
+                        extend, lift_fiber_averaged, lift_projection,
+                        verify_bowen)
 from .maps import (MapSystem, Potential, circle_dist, constant_potential,
                    doubling, geometric_potential, manneville_pomeau,
                    perturbed_doubling, tabulated_map, tabulated_potential,

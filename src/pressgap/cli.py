@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import (BadCollection, DecompositionConfig,
-                            GoodCollection, classify_logs, draw_good_segments,
+                            GoodCollection, draw_good_segments,
                             segment_log_sigma, split_index)
 from .errors import PressgapError, ValidationError
 from .extension import ExtensionConfig, lift_projection, verify_bowen
@@ -93,7 +93,12 @@ def build_map(cfg):
     if kind == "perturbed_doubling":
         return perturbed_doubling(m["delta"])
     if kind == "tabulated":
-        return tabulated_map(_table_field(cfg, "map", "values", list))
+        values = _table_field(cfg, "map", "values", list)
+        try:
+            return tabulated_map(values)
+        except ValidationError as exc:
+            # the API names its argument; the config names the field
+            raise ValidationError(f"map.{exc.field}", exc.message) from None
     raise ValidationError("map", f"unknown kind {kind!r}")
 
 
@@ -271,10 +276,10 @@ def cmd_decompose(cfg):
         logs = segment_log_sigma(system, np.array([seg.start for seg in group]),
                                  max(seg.length for seg in group))
         for seg, row in zip(group, logs):
-            row = row[:seg.length]
-            m = split_index(row, dec.log_sigma)
-            w.row(seg.start, seg.length, classify_logs(row, dec.log_sigma).value,
-                  m, seg.length - m)
+            # good when no suffix is bad, bad when the whole segment is
+            m = split_index(row[:seg.length], dec.log_sigma)
+            cls = "good" if m == seg.length else "bad" if m == 0 else "neither"
+            w.row(seg.start, seg.length, cls, m, seg.length - m)
     w.flush()
     return 0
 

@@ -8,7 +8,6 @@ splits into a good prefix followed by a bad suffix; the split index is the
 first time whose suffix is bad.
 """
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -38,12 +37,6 @@ class DecompositionConfig:
         return float(np.log(self.sigma))
 
 
-class Classification(enum.Enum):
-    GOOD = "good"
-    BAD = "bad"
-    NEITHER = "neither"
-
-
 @dataclass(frozen=True)
 class ObstructionSample:
     """Finite-horizon proxy for membership in the expansivity-obstruction set.
@@ -69,15 +62,6 @@ def segment_log_sigma(system, x, n):
     """log sigma(g^i x) for i = 0..n-1; rows over x when x is an array."""
     orbit = system.orbit(x, n)
     return np.log(system.branch_lipschitz(orbit.reshape(-1))).reshape(orbit.shape)
-
-
-def classify_logs(logs, log_sigma):
-    means = suffix_means(logs)
-    if np.all(means < log_sigma):
-        return Classification.GOOD
-    if means[0] >= log_sigma:
-        return Classification.BAD
-    return Classification.NEITHER
 
 
 def split_index(logs, log_sigma):

@@ -9,7 +9,6 @@ coordinates can add to a distance.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,23 +51,6 @@ def depth_for_tolerance(a, tol):
     while tail_bound(a, depth) >= tol:
         depth += 1
     return depth
-
-
-@dataclass(frozen=True)
-class ExtPoint:
-    """A truncated backward orbit: g(coords[i+1]) = coords[i]; the points
-    of the extension gluing plan.  The sampling code keeps backward orbits
-    as `extend`'s coordinate arrays instead."""
-
-    coords: Tuple[float, ...]
-
-    @property
-    def depth(self):
-        return len(self.coords) - 1
-
-    @property
-    def base(self):
-        return self.coords[0]
 
 
 def extend(system, x, branches):
@@ -143,32 +125,6 @@ def lift_fiber_averaged(psi, a):
                               holder_exponent=min(psi.holder_exponent, 1.0),
                               base=psi, a=float(a),
                               name=f"fiber[{psi.name}]")
-
-
-def as_base_potential(system, phi_hat, depth):
-    """Push a lifted potential down to the circle for pressure estimation.
-
-    Projection lifts evaluate through the base potential exactly.  For
-    fiber-averaged lifts the lifted value is taken on the lex-min backward
-    extension of each point (a declared, deterministic policy), vectorized
-    through depth branch-0 pullbacks.
-    """
-    from .maps import Potential
-
-    if phi_hat.mode == "projection":
-        return phi_hat.base
-    psi, a = phi_hat.base, phi_hat.a
-
-    def fn(x):
-        cur = np.asarray(x, dtype=float) % 1.0
-        total = psi(cur).astype(float)
-        for k in range(1, depth + 1):
-            cur = system.branch_solve(0, cur)
-            total = total + a ** (-k) * psi(cur)
-        return total
-
-    return Potential(fn, phi_hat.holder_constant, phi_hat.holder_exponent,
-                     name=f"{phi_hat.name}@lex-min")
 
 
 def birkhoff_hat(system, phi_hat, coords, ns):

@@ -567,14 +567,9 @@ def tabulated_potential(xs, values, holder_constant, holder_exponent):
         raise ValidationError("holder_constant", "must be finite and >= 0")
     if not 0.0 < holder_exponent <= 1.0:
         raise ValidationError("holder_exponent", "must lie in (0, 1]")
-    order = np.argsort(xs)
-    xs, values = xs[order], values[order]
-    # close the circle for interpolation
-    xp = np.concatenate([xs, [xs[0] + 1.0]])
-    vp = np.concatenate([values, [values[0]]])
 
     def fn(x):
-        return np.interp(np.asarray(x, dtype=float) % 1.0, xp, vp)
+        return np.interp(np.asarray(x, dtype=float) % 1.0, xs, values, period=1.0)
 
     return Potential(fn, float(holder_constant), float(holder_exponent),
                      name="tabulated")

@@ -6,9 +6,10 @@ chain;  each earlier segment bridges into the next tube by running the
 endpoint ball forward on the lift until it overlaps the tube entry (the
 covering property bounds the wait by the mixing time), intersecting, and
 pulling the intersection back.  Every time step of the glued orbit is
-represented by an explicit arc containing the true orbit point, so
-verification never iterates a floating-point orbit through expanding
-dynamics.  On the natural extension each segment's orbit is led by a stretch
+represented by an explicit arc [lo, lo + width] containing the true orbit
+point, a (lo, width) pair while the chain is built and a row of the plan's
+(T, 2) arc array after, so verification never iterates a floating-point
+orbit through expanding dynamics.  On the natural extension each segment's orbit is led by a stretch
 of its stored backward history, whose arcs are clipped to the shadowing
 ball; downstairs that stretch is empty, and both use one construction.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .decomposition import GoodCollection
 from .errors import GluingError, ValidationError
-from .extension import ExtPoint, depth_for_tolerance, tail_bound
+from .extension import depth_for_tolerance, extend, tail_bound
 from .maps import CIRCLE_DIAMETER, circle_dist
 from .orbits import OrbitSegment
 
@@ -30,40 +31,34 @@ _WIDTH_TOL = 1e-13
 _K0 = 1                     # glue_base's floor on segment lengths
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A short circle arc [lo, lo + width] kept in lift coordinates."""
+def _sup_distance(arcs, points):
+    """Upper bound for the sup over each arc [lo, lo + width], a row
+    (lo, width) of `arcs`, of the distance to the matching point; exact for
+    arcs shorter than a half circle."""
+    lo, width = arcs[:, 0], arcs[:, 1]
+    return np.maximum(circle_dist(lo % 1.0, points),
+                      circle_dist((lo + width) % 1.0, points))
 
-    lo: float
-    width: float
 
-    @property
-    def hi(self):
-        return self.lo + self.width
-
-    @property
-    def midpoint(self):
-        return (self.lo + 0.5 * self.width) % 1.0
-
-    def sup_distance(self, point):
-        """Upper bound for sup over the arc of d(point, .); exact for arcs
-        shorter than a half circle."""
-        ends = circle_dist(np.array([self.lo % 1.0, self.hi % 1.0]), point)
-        return float(ends.max())
+def _midpoint(arc):
+    lo, width = arc
+    return float((lo + 0.5 * width) % 1.0)
 
 
 def _forward_arc(system, arc):
-    lo = float(system.lift_real(np.float64(arc.lo)))
-    hi = float(system.lift_real(np.float64(arc.hi)))
-    return Arc(lo, hi - lo)
+    lo, width = arc
+    new_lo = float(system.lift_real(np.float64(lo)))
+    hi = float(system.lift_real(np.float64(lo + width)))
+    return new_lo, hi - new_lo
 
 
 def _pullback_arc(system, x, arc):
-    lo, hi = system.pullback(np.float64(x), np.array([arc.lo % 1.0, arc.hi % 1.0])).tolist()
+    lo, width = arc
+    lo, hi = system.pullback(np.float64(x), np.array([lo % 1.0, (lo + width) % 1.0])).tolist()
     width = (hi - lo) % 1.0
     if width > 0.5:
         width = 0.0  # collapsed arc: endpoints crossed by rounding noise
-    return Arc(lo, width)
+    return lo, width
 
 
 def _chain_pull(system, orbit_pts, end_arc, clip_radius, clip_until):
@@ -85,7 +80,8 @@ def _chain_pull(system, orbit_pts, end_arc, clip_radius, clip_until):
 
 
 def _clip_to_ball(arc, center, radius):
-    lo, hi = arc.lo, arc.hi
+    lo, width = arc
+    hi = lo + width
     m = math.floor(lo - (center - radius)) if radius else 0
     blo, bhi = center - radius + m, center + radius + m
     # shift the ball copy that overlaps the arc
@@ -95,15 +91,15 @@ def _clip_to_ball(arc, center, radius):
     clo, chi = max(lo, blo), min(hi, bhi)
     if chi - clo < -_WIDTH_TOL:
         return None
-    return Arc(clo, max(chi - clo, 0.0))
+    return clo, max(chi - clo, 0.0)
 
 
 def _bridge(system, source_center, radius, target, cap):
     """Smallest t <= cap with g^t(B(source_center, radius)) meeting `target`.
 
-    Returns (t, entry_arc, transit_arcs): entry_arc is the sub-arc of the
-    source ball whose t-th image lies inside the target; transit_arcs are
-    its forward images at steps 0..t.  The search runs the full-radius ball
+    Returns (t, transit): transit[0] is the entry, the sub-arc of the
+    source ball whose t-th image lies inside the target, and transit[k] is
+    its forward image at step k <= t.  The search runs the full-radius ball
     (the covering guarantee is tight at dyadic scales), then shaves a hair
     off the pulled-back entry so the seam sits strictly inside the ball.
     """
@@ -120,11 +116,10 @@ def _bridge(system, source_center, radius, target, cap):
             ends = system.lift_inverse(ends)
         e_lo, e_hi = ends.tolist()
         hair = min(1e-12, 0.25 * (e_hi - e_lo))
-        entry = Arc(e_lo + hair, max(e_hi - e_lo - 2.0 * hair, 0.0))
-        transit = [entry]
+        transit = [(e_lo + hair, max(e_hi - e_lo - 2.0 * hair, 0.0))]
         for _ in range(t):
             transit.append(_forward_arc(system, transit[-1]))
-        return t, entry, transit
+        return t, transit
     raise GluingError(
         f"no transition within cap={cap}; retry with a larger cap")
 
@@ -139,10 +134,12 @@ def _overlap(target, lo, hi):
     off the ball boundary.
     """
     ilo, ihi = lo + _WIDTH_TOL, hi - _WIDTH_TOL
-    m = math.floor(lo - target.lo)
+    t_lo, t_width = target
+    t_hi = t_lo + t_width
+    m = math.floor(lo - t_lo)
     best = None
     for shift in (m, m + 1, m + 2):
-        tlo, thi = target.lo + shift, target.hi + shift
+        tlo, thi = t_lo + shift, t_hi + shift
         if tlo > ihi:
             break
         clo, chi = max(ilo, tlo), min(ihi, thi)
@@ -165,19 +162,19 @@ def _glue(system, orbits, hist, radius, cap):
     transitions.
     """
     if len(orbits) == 1:
-        return (), (hist[0],), tuple(Arc(float(p), 0.0) for p in orbits[0])
+        return (), (hist[0],), np.stack([orbits[0], np.zeros(len(orbits[0]))], axis=1)
     ball = radius * _BALL_SHRINK
     k = len(orbits)
     chains = [None] * k
     bridges = [None] * k      # bridges[j] = (t, transit) out of segment j
     end = float(orbits[-1][-1])
-    chains[-1] = _chain_pull(system, orbits[-1], Arc(end - ball, 2 * ball),
+    chains[-1] = _chain_pull(system, orbits[-1], (end - ball, 2 * ball),
                              ball, hist[-1])
     for j in range(k - 2, -1, -1):
-        t, entry, transit = _bridge(system, float(orbits[j][-1]), radius,
-                                    chains[j + 1][0], cap)
+        t, transit = _bridge(system, float(orbits[j][-1]), radius,
+                             chains[j + 1][0], cap)
         bridges[j] = (t, transit)
-        chains[j] = _chain_pull(system, orbits[j], entry, ball, hist[j])
+        chains[j] = _chain_pull(system, orbits[j], transit[0], ball, hist[j])
     taus, offsets, timeline = [], [], []
     for j in range(k):
         offsets.append(len(timeline) + hist[j])
@@ -186,7 +183,7 @@ def _glue(system, orbits, hist, radius, cap):
             t, transit = bridges[j]
             timeline.extend(transit[1:t])  # transit[0] is chains[j][-1]
             taus.append(t + hist[j + 1])
-    return tuple(taus), tuple(offsets), tuple(timeline)
+    return tuple(taus), tuple(offsets), np.array(timeline)
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ class GluingPlan:
     glue_point: float
     schedule: Tuple[int, ...]          # s_j = sum n_i (i<=j) + sum tau_i (i<j)
     offsets: Tuple[int, ...]           # start time of each segment block
-    arcs: Tuple[Arc, ...]              # one arc per absolute time step
+    arcs: np.ndarray                   # (T, 2): (lo, width) per absolute time step
     sigma: float
 
     def to_dict(self):
@@ -239,7 +236,7 @@ def glue_base(system, cfg, segments, eps):
 
     orbits = [system.orbit(seg.start, seg.length + 1)[0] for seg in segments]
     taus, offsets, arcs = _glue(system, orbits, [0] * len(segments), eps, tau_cap)
-    glue_point = segments[0].start if len(segments) == 1 else arcs[0].midpoint
+    glue_point = segments[0].start if len(segments) == 1 else _midpoint(arcs[0])
     return GluingPlan(segments=segments, eps=float(eps), tau_cap=int(tau_cap),
                       transition_times=taus, glue_point=float(glue_point),
                       schedule=tuple(o + seg.length for o, seg in zip(offsets, segments)),
@@ -250,12 +247,11 @@ def verify_shadow(system, plan):
     """Max over segments and in-segment times of the distance from the
     reference orbit to the glued orbit's arc; the contract is <= plan.eps."""
     worst = 0.0
-    for j, seg in enumerate(plan.segments):
+    for seg, start in zip(plan.segments, plan.offsets):
         orbit = system.orbit(seg.start, seg.length)[0]
-        base = plan.offsets[j]
-        for m in range(seg.length):
-            worst = max(worst, plan.arcs[base + m].sup_distance(orbit[m]))
-    return float(worst)
+        arcs = plan.arcs[start:start + seg.length]
+        worst = max(worst, float(_sup_distance(arcs, orbit).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def verify_shadow(system, plan):
 
 @dataclass(frozen=True)
 class ExtensionGluingPlan:
-    ext_segments: Tuple[Tuple[ExtPoint, int], ...]
+    ext_segments: Tuple[Tuple[np.ndarray, int], ...]   # (coords, n)
     eps: float
     a: float
     depth: int
@@ -274,20 +270,20 @@ class ExtensionGluingPlan:
     history_depths: Tuple[int, ...]
     tau_cap: int
     transition_times: Tuple[int, ...]  # bridge + history synchronization
-    glue_point: ExtPoint
+    glue_point: np.ndarray             # coordinates x_0, ..., x_depth
     offsets: Tuple[int, ...]           # segment start indices in the timeline
-    arcs: Tuple[Arc, ...]
+    arcs: np.ndarray                   # (T, 2): (lo, width) per timeline step
 
     def to_dict(self):
         return {
-            "segments": [[list(p.coords), n] for p, n in self.ext_segments],
+            "segments": [[coords.tolist(), n] for coords, n in self.ext_segments],
             "eps": self.eps, "a": self.a, "depth": self.depth,
             "sigma": self.sigma, "base_scale": self.base_scale,
             "tau_sync": self.tau_sync,
             "history_depths": list(self.history_depths),
             "tau_cap": self.tau_cap,
             "transition_times": list(self.transition_times),
-            "glue_point": list(self.glue_point.coords),
+            "glue_point": self.glue_point.tolist(),
             "offsets": list(self.offsets),
         }
 
@@ -295,51 +291,52 @@ class ExtensionGluingPlan:
 def glue_extension(system, cfg, ext_segments, eps, a, depth):
     """Shadowing plan for good extension segments under the shift.
 
-    The base orbits are glued at the tighter scale eps (a-1) / (2a), and
-    each transition appends a synchronization stretch that walks down the
-    next segment's stored history, so that by the segment start the glued
+    Each segment is (coords, n): coords is a backward orbit x_0, x_1, ...,
+    one column of `extend`'s output, and n the segment length.  The base
+    orbits are glued at the tighter scale eps (a-1) / (2a), and each
+    transition appends a synchronization stretch that walks down the next
+    segment's stored history, so that by the segment start the glued
     point's recent past matches the target's history.  Transition times are
     therefore bounded by mixing time at the base scale plus the fiber
     synchronization time at eps/2.
     """
     if not 0.0 < eps <= system.epsilon0:
         raise ValidationError("eps", f"must lie in (0, epsilon0={system.epsilon0}]")
-    ext_segments = tuple((p, int(n)) for p, n in ext_segments)
+    ext_segments = tuple((np.asarray(coords, dtype=float), int(n))
+                         for coords, n in ext_segments)
     if not ext_segments:
         raise ValidationError("segments", "need at least one segment")
     good = GoodCollection(cfg)
-    for p, n in ext_segments:
-        if p.depth < depth:
+    for coords, n in ext_segments:
+        if coords.size <= depth:
             raise ValidationError("segments", "extension segments need history "
                                   f"down to the truncation depth {depth}")
-        if not good.contains(system, p.coords[0], n):
+        if not good.contains(system, coords[0], n):
             raise ValidationError("segments", "projected segment is not good")
     delta = eps * (a - 1.0) / (2.0 * a)
     tau_sync = depth_for_tolerance(a, eps / 2.0)
-    hist = [min(tau_sync, p.depth, depth) for p, _ in ext_segments]
+    hist = [min(tau_sync, coords.size - 1, depth) for coords, _ in ext_segments]
     # augmented orbit of each segment: deep history first, then the forward leg
-    aug_orbits = [np.concatenate([np.array(p.coords[1:h + 1][::-1]),
-                                  system.orbit(p.coords[0], n + 1)[0]])
-                  for (p, n), h in zip(ext_segments, hist)]
+    aug_orbits = [np.concatenate([coords[h:0:-1], system.orbit(coords[0], n + 1)[0]])
+                  for (coords, n), h in zip(ext_segments, hist)]
     cap_bridge = (system.mixing_time(min(delta, system.epsilon0))
                   if len(ext_segments) > 1 else 0)
     taus, offsets, arcs = _glue(system, aug_orbits, hist, delta, cap_bridge)
 
     if len(ext_segments) == 1:
         # the segment's own point shadows itself exactly
-        z = ExtPoint(ext_segments[0][0].coords[:depth + 1])
+        z = ext_segments[0][0][:depth + 1]
     else:
         # a genuine backward orbit through the synchronized history arcs
         # (pulled back along the same local inverses the chain used), then
         # extended lex-min below the stored history
         h0 = hist[0]
-        coords = [arcs[h0].midpoint]
+        z = [_midpoint(arcs[h0])]
         for i in range(1, h0 + 1):
             ref = aug_orbits[0][h0 - i]
-            coords.append(float(system.pullback(np.float64(ref), np.float64(coords[-1]))))
-        z = ExtPoint(tuple(coords))
-        while z.depth < depth:
-            z = ExtPoint(z.coords + (float(system.branch_solve(0, np.float64(z.coords[-1]))),))
+            z.append(float(system.pullback(np.float64(ref), np.float64(z[-1]))))
+        tail = extend(system, z[-1:], np.zeros((1, depth - h0), dtype=int))
+        z = np.concatenate([z, tail[1:, 0]])
     return ExtensionGluingPlan(
         ext_segments=ext_segments, eps=float(eps), a=float(a), depth=int(depth),
         sigma=cfg.sigma, base_scale=float(delta), tau_sync=int(tau_sync),
@@ -353,31 +350,29 @@ def verify_shadow_extension(system, plan):
 
     Timeline arcs stand in for the glued orbit's coordinates where they
     exist; before the timeline start the glue point's stored history is
-    used.  The contract is max <= eps (up to the reported truncation tail).
+    used.  Coordinate i of a point shifted m times is its orbit's point at
+    time s = m - i, so each segment's distance terms are computed once per
+    s in [-K, n) and summed over i for all m at once.
+    The contract is max <= eps (up to the reported truncation tail).
     """
     a, depth = plan.a, plan.depth
     weights = a ** -np.arange(depth + 1)
-    tail = tail_bound(a, depth)
     z = plan.glue_point
     h0 = plan.history_depths[0]
     worst = 0.0
-    for j, (p, n) in enumerate(plan.ext_segments):
-        ref_fwd = system.orbit(p.coords[0], n)[0]
-        start = plan.offsets[j]
-        for m in range(n):
-            total = 0.0
-            for i in range(depth + 1):
-                # coordinate i of the shifted reference point
-                ref = ref_fwd[m - i] if i <= m else p.coords[i - m]
-                t_idx = start + m - i
-                if t_idx >= 0:
-                    d = plan.arcs[t_idx].sup_distance(float(ref))
-                else:
-                    back = h0 - t_idx  # index into the glue point's history
-                    if back <= z.depth:
-                        d = float(circle_dist(z.coords[back], float(ref)))
-                    else:
-                        d = CIRCLE_DIAMETER
-                total += weights[i] * d
-            worst = max(worst, total)
-    return float(worst), float(tail)
+    for (coords, n), start in zip(plan.ext_segments, plan.offsets):
+        # time s of the reference orbit: g^s x_0, or x_(-s) for s < 0
+        ref = np.concatenate([coords[depth:0:-1], system.orbit(coords[0], n)[0]])
+        t = start + np.arange(-depth, n)     # timeline index of each s
+        back = h0 - t                        # glue point coordinate for t < 0
+        dist = np.full(t.size, CIRCLE_DIAMETER)
+        timed = t >= 0
+        dist[timed] = _sup_distance(plan.arcs[t[timed]], ref[timed])
+        held = ~timed & (back < z.size)
+        dist[held] = circle_dist(z[back[held]], ref[held])
+        # coordinate i of shift m reads dist[depth + m - i]
+        totals = np.zeros(n)
+        for i, w in enumerate(weights):
+            totals += w * dist[depth - i:depth - i + n]
+        worst = max(worst, float(totals.max()))
+    return worst, float(tail_bound(a, depth))

@@ -7,7 +7,9 @@ window scans for segment classification.  The exceptions are the package's
 earlier code, kept so that the faster paths can be compared with it bit for
 bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
 dense cover, the one-point samplers for good segments, backward orbits
-and Bowen companions, the per-point extension Birkhoff sum, the one-point
+(on the one-point type `ExtPoint`) and Bowen companions, the per-point
+extension Birkhoff sum, the per-time shadow verifiers and the
+per-coordinate extension glue point, the one-point
 solenoid fibers, metric-equivalence sampler and attractor Bowen check (on
 a point type of their own, `AttractorPoint`, converted to and from the
 package's batches by `as_batch` and `batch_rows`), the fixed-step
@@ -17,23 +19,27 @@ the Arnoldi start that restarts from a single Ritz vector.  `ext_points`,
 `ext_point` and `ext_columns` read the columns of the package's
 backward-orbit arrays as ExtPoints.
 The last section holds one-segment and one-point helpers that no package
-code calls: Birkhoff sums, Bowen distances, classification, decomposition
-and pullback chains of one segment, the greedy separated set of a
-collection's pool (through the package's greedy kernel), and the extension
-shift, its inverse and the truncated extension metric.
+code calls: Birkhoff sums, Bowen distances, good/bad/neither
+classification, decomposition and pullback chains of one segment, the
+greedy separated set of a collection's pool (through the package's greedy
+kernel), and the extension shift, its inverse and the truncated extension
+metric.
 """
 
+import enum
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from pressgap import kernels
-from pressgap.decomposition import classify_logs, segment_log_sigma, split_index
+from pressgap.decomposition import GoodCollection, segment_log_sigma, split_index
 from pressgap.errors import ConvergenceError, ValidationError
-from pressgap.extension import ExtPoint, extend, tail_bound
-from pressgap.maps import circle_dist, zero_potential
-from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
+from pressgap.extension import depth_for_tolerance, extend, tail_bound
+from pressgap.maps import CIRCLE_DIAMETER, circle_dist, zero_potential
+from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool, suffix_means
+from pressgap.specification import _glue, _midpoint
 from pressgap.transfer import (_BREAKDOWN, _MAX_APPLICATIONS, _TOL, EigenData,
                                _basis_norm, _dot, _norm, _power_finish,
                                apply_adjoint, apply_operator)
@@ -270,6 +276,18 @@ def random_branches(rng, degree, depth, rows=None):
     return np.array([row() for _ in range(rows)], dtype=int).reshape(rows, depth)
 
 
+@dataclass(frozen=True)
+class ExtPoint:
+    """A truncated backward orbit: g(coords[i+1]) = coords[i]; the one-point
+    form of the references here."""
+
+    coords: Tuple[float, ...]
+
+    @property
+    def depth(self):
+        return len(self.coords) - 1
+
+
 def extend_scalar(system, x, depth, policy="lex-min", rng=None, branches=None):
     """Reference backward orbit: one single-point branch solve per step."""
     coords = [float(np.asarray(x) % 1.0)]
@@ -309,7 +327,6 @@ def random_good_segments_scalar(system, dec, rng, count, length_range,
     """Reference good-segment sampler: each attempt draws x, then n, and
     classifies (x, n) on its own.  Returns (segments, attempts made) and
     raises as the CLI does when the attempts run out first."""
-    from pressgap.decomposition import GoodCollection
     from pressgap.orbits import OrbitSegment
 
     good = GoodCollection(dec)
@@ -384,11 +401,7 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     """Reference Bowen-property sampler: each accepted sample's backward
     orbit and companion are built one point at a time, interleaved with
     the random draws."""
-    import math
-
-    from pressgap.decomposition import GoodCollection
     from pressgap.extension import BowenReport, bowen_bound
-    from pressgap.maps import CIRCLE_DIAMETER
 
     rng = np.random.default_rng(seed)
     good = GoodCollection(dec_cfg)
@@ -415,6 +428,91 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     slack = 1e-9 * n_hi
     return BowenReport(empirical_max=float(worst), bound=bound,
                        truncation_slack=float(slack), samples=used)
+
+
+# ---------------------------------------------------------------------------
+# gluing references: one arc, one time and one coordinate at a time
+# ---------------------------------------------------------------------------
+
+def arc_sup_distance(arc, point):
+    """Sup over the arc [lo, lo + width] of d(point, .), from its ends."""
+    lo, width = arc
+    ends = circle_dist(np.array([lo % 1.0, (lo + width) % 1.0]), point)
+    return float(ends.max())
+
+
+def verify_shadow_loop(system, plan):
+    """Reference `verify_shadow`: one arc distance per in-segment time."""
+    worst = 0.0
+    for j, seg in enumerate(plan.segments):
+        orbit = system.orbit(seg.start, seg.length)[0]
+        base = plan.offsets[j]
+        for m in range(seg.length):
+            worst = max(worst, arc_sup_distance(plan.arcs[base + m].tolist(), orbit[m]))
+    return float(worst)
+
+
+def verify_shadow_extension_loop(system, plan):
+    """Reference `verify_shadow_extension`: the distance of coordinate i at
+    shift m, weighted and added over i, for every (m, i) of every segment."""
+    a, depth = plan.a, plan.depth
+    weights = a ** -np.arange(depth + 1)
+    tail = tail_bound(a, depth)
+    z = ExtPoint(tuple(plan.glue_point.tolist()))
+    h0 = plan.history_depths[0]
+    worst = 0.0
+    for j, (coords, n) in enumerate(plan.ext_segments):
+        p = ExtPoint(tuple(coords.tolist()))
+        ref_fwd = system.orbit(p.coords[0], n)[0]
+        start = plan.offsets[j]
+        for m in range(n):
+            total = 0.0
+            for i in range(depth + 1):
+                # coordinate i of the shifted reference point
+                ref = ref_fwd[m - i] if i <= m else p.coords[i - m]
+                t_idx = start + m - i
+                if t_idx >= 0:
+                    d = arc_sup_distance(plan.arcs[t_idx].tolist(), float(ref))
+                else:
+                    back = h0 - t_idx  # index into the glue point's history
+                    if back <= z.depth:
+                        d = float(circle_dist(z.coords[back], float(ref)))
+                    else:
+                        d = CIRCLE_DIAMETER
+                total += weights[i] * d
+            worst = max(worst, total)
+    return float(worst), float(tail)
+
+
+def glue_extension_points(system, cfg, ext_segments, eps, a, depth):
+    """Reference `glue_extension` on (ExtPoint, n) segments, through the
+    package's `_glue`: the glue point is pulled back one coordinate at a
+    time and extended lex-min by one branch-0 solve per coordinate.
+    Returns (transition times, offsets, arcs, glue point)."""
+    good = GoodCollection(cfg)
+    for p, n in ext_segments:
+        assert p.depth >= depth and good.contains(system, p.coords[0], n)
+    delta = eps * (a - 1.0) / (2.0 * a)
+    tau_sync = depth_for_tolerance(a, eps / 2.0)
+    hist = [min(tau_sync, p.depth, depth) for p, _ in ext_segments]
+    aug_orbits = [np.concatenate([np.array(p.coords[1:h + 1][::-1]),
+                                  system.orbit(p.coords[0], n + 1)[0]])
+                  for (p, n), h in zip(ext_segments, hist)]
+    cap_bridge = (system.mixing_time(min(delta, system.epsilon0))
+                  if len(ext_segments) > 1 else 0)
+    taus, offsets, arcs = _glue(system, aug_orbits, hist, delta, cap_bridge)
+    if len(ext_segments) == 1:
+        z = ExtPoint(ext_segments[0][0].coords[:depth + 1])
+    else:
+        h0 = hist[0]
+        coords = [_midpoint(arcs[h0])]
+        for i in range(1, h0 + 1):
+            ref = aug_orbits[0][h0 - i]
+            coords.append(float(system.pullback(np.float64(ref), np.float64(coords[-1]))))
+        z = ExtPoint(tuple(coords))
+        while z.depth < depth:
+            z = ExtPoint(z.coords + (float(system.branch_solve(0, np.float64(z.coords[-1]))),))
+    return taus, offsets, arcs, z
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +876,23 @@ def in_sigma_window(system, cfg, x, j, n):
         raise ValidationError("j", "window index must satisfy 0 <= j <= n-1")
     logs = segment_log_sigma(system, x, n)[0]
     return bool(np.mean(logs[j:]) < cfg.log_sigma)
+
+
+class Classification(enum.Enum):
+    GOOD = "good"
+    BAD = "bad"
+    NEITHER = "neither"
+
+
+def classify_logs(logs, log_sigma):
+    """Good when every trailing window beats log sigma, bad when the full
+    window fails it, else neither."""
+    means = suffix_means(logs)
+    if np.all(means < log_sigma):
+        return Classification.GOOD
+    if means[0] >= log_sigma:
+        return Classification.BAD
+    return Classification.NEITHER
 
 
 def classify_segment(system, cfg, seg):

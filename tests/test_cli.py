@@ -212,9 +212,13 @@ def test_sample_counts_are_rejected_first(args, field, tmp_path, capsys, monkeyp
 # subcommand, as written by the one-at-a-time samplers and per-point
 # Birkhoff sums that the block samplers replaced; the glue digest was
 # retaken when branch solves started from the tabulated inverse lift, which
-# moved two glue points by 1 and 3 ulp and one verified_max by 64 ulp
+# moved two glue points by 1 and 3 ulp and one verified_max by 64 ulp; the
+# decompose digest was taken when its class column still came from
+# classifying the log sigma row apart from the split
 _MP = ["--map", "manneville_pomeau", "--alpha", "0.5", "--seed", "3"]
 _GOLDEN = {
+    "decompose.csv": (["decompose", "--samples", "150"],
+                      "1b7d7d98548ed2a8109439c6b5db85701ef6ee28e629c48513a2fe076e234178"),
     "glue.json": (["glue", "--sigma", "0.9", "--eps", "0.03125", "--samples", "6"],
                   "87ac4e7db022c429ee36c96cbcac42b56fb40c2ad6a9ecda88f2f2bc822c21c5"),
     "extension.csv": (["extension", "--potential", "geometric", "--samples", "25"],
@@ -500,6 +504,9 @@ def test_tabulated_fields_are_checked(tmp_path, capsys):
     for doc, field in (({"map": {"kind": "tabulated"}}, "map.values"),
                        ({"map": {"kind": "tabulated", "values": "abc"}}, "map.values"),
                        ({"map": {"kind": "tabulated", "values": [0, "x"]}}, "map.values"),
+                       ({"map": {"kind": "tabulated",
+                                 "values": [1.5 * i / 16 for i in range(17)]}},
+                        "map.values"),
                        ({"potential": dict(pot, xs=None)}, "potential.xs"),
                        ({"potential": dict(pot, values=3)}, "potential.values"),
                        ({"potential": dict(pot, holder_constant="1")},

@@ -3,15 +3,16 @@ import pytest
 
 import pressgap as pg
 from pressgap import cli
-from pressgap.decomposition import (BadCollection, Classification,
-                                    DecompositionConfig, GoodCollection,
-                                    draw_good_segments, obstruction_sample,
-                                    segment_log_sigma, split_index)
+from pressgap.decomposition import (BadCollection, DecompositionConfig,
+                                    GoodCollection, draw_good_segments,
+                                    obstruction_sample, segment_log_sigma,
+                                    split_index)
 from pressgap.errors import ValidationError
 from pressgap.maps import TWO_PI
 from pressgap.orbits import OrbitSegment
 
-from oracles import (brute_split, classify_segment, contraction_profile,
+from oracles import (Classification, brute_split, classify_segment,
+                     contraction_profile,
                      decompose, in_sigma_window, is_bad, is_good,
                      random_good_segments_scalar)
 

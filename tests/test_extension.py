@@ -7,14 +7,13 @@ import pressgap as pg
 from pressgap import extension
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import ValidationError
-from pressgap.extension import (ExtensionConfig, ExtPoint, as_base_potential,
-                                birkhoff_hat, bowen_bound, depth_for_tolerance,
-                                extend, lift_fiber_averaged, lift_projection,
-                                tail_bound, verify_bowen)
+from pressgap.extension import (ExtensionConfig, birkhoff_hat, bowen_bound,
+                                depth_for_tolerance, extend, lift_fiber_averaged,
+                                lift_projection, tail_bound, verify_bowen)
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist
 from pressgap.orbits import OrbitSegment
 
-from oracles import (birkhoff_hat_scalar, birkhoff_sum, classify_segment,
+from oracles import (ExtPoint, birkhoff_hat_scalar, birkhoff_sum, classify_segment,
                      ext_columns, ext_point, ext_points,
                      extend_scalar, hat_distance, hat_g, hat_g_inverse,
                      hat_orbit_coords, random_branches, verify_bowen_scalar)
@@ -237,31 +236,6 @@ def test_depth_for_tolerance():
         assert tail_bound(a, k) < tol
         if k > 0:
             assert tail_bound(a, k - 1) >= tol
-
-
-def test_as_base_potential(mp_map, sin_potential, rng):
-    proj = lift_projection(sin_potential)
-    assert as_base_potential(mp_map, proj, 8) is sin_potential
-    fib = lift_fiber_averaged(sin_potential, 2.0)
-    base = as_base_potential(mp_map, fib, 8)
-    for _ in range(20):
-        x = float(rng.random())
-        assert float(base(x)) == pytest.approx(_value(fib, ext_point(mp_map, x, [0] * 8)),
-                                               abs=1e-12)
-
-
-def test_extension_pressure_of_bad_collection(mp_map, sin_potential):
-    # pressure of the bad collection with a genuinely extension-dependent
-    # potential, evaluated through the declared lex-min policy
-    from pressgap.decomposition import BadCollection, DecompositionConfig
-    from pressgap.pressure import pressure_at_scale
-
-    fib = lift_fiber_averaged(sin_potential, 2.0)
-    base = as_base_potential(mp_map, fib, 10)
-    est = pressure_at_scale(mp_map, base, BadCollection(DecompositionConfig(0.9)),
-                            1.0 / 32.0, 8)
-    assert not est.is_empty
-    assert np.isfinite(est.rate)
 
 
 def _tabulated_map():

@@ -182,6 +182,21 @@ def test_tabulated_potential_roundtrip():
     assert one(np.array([0.1, 0.7])).tolist() == [2.0, 2.0]
 
 
+def test_tabulated_potential_wraps_below_the_first_sample():
+    # below 0.2 the potential interpolates across 1 -> 0, from 2 at 0.5 to
+    # 1 at 1.2, instead of holding the first value
+    pot = pg.tabulated_potential([0.2, 0.5], [1.0, 2.0], 1.0, 1.0)
+    assert pot(0.0) == pytest.approx(2.0 - 0.5 / 0.7)
+    assert pot(0.1) == pytest.approx(2.0 - 0.6 / 0.7)
+    assert pot(0.99) == pytest.approx(2.0 - 0.49 / 0.7)
+    assert pot(np.array([0.2, 0.35, 0.5])).tolist() == [1.0, 1.5, 2.0]
+    # continuous across 0, and independent of the order of the samples
+    assert pot(1.0 - 1e-12) == pytest.approx(pot(0.0), abs=1e-11)
+    swapped = pg.tabulated_potential([0.5, 0.2], [2.0, 1.0], 1.0, 1.0)
+    x = np.linspace(-1.0, 2.0, 301)
+    assert swapped(x).tolist() == pot(x).tolist()
+
+
 @pytest.mark.parametrize("xs, constant, exponent, field", [
     ([], 1.0, 1.0, "xs"),
     ([0.2, 1.5], 1.0, 1.0, "xs"),

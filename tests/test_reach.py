@@ -18,7 +18,6 @@ PENDING = {
     "decomposition.obstruction_sample",
     "decomposition.ObstructionSample.hits",
     "transfer.check_equilibrium",
-    "extension.as_base_potential",
     "extension.lift_fiber_averaged",
     "specification.glue_extension",
     "specification.verify_shadow_extension",

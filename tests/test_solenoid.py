@@ -8,13 +8,12 @@ from pressgap import solenoid
 from pressgap.cli import main
 from pressgap.decomposition import DecompositionConfig
 from pressgap.errors import NodeCapError, ValidationError
-from pressgap.extension import ExtPoint
 from pressgap.solenoid import (AttractorBatch, SolenoidSystem, apply_f,
                                attractor_bowen_bound, attractor_bowen_check,
                                conjugacy_h, d_attractor, fiber_point,
                                fiber_sample, holonomy, metric_equivalence)
 
-from oracles import (AttractorPoint, apply_f_scalar, as_batch,
+from oracles import (AttractorPoint, ExtPoint, apply_f_scalar, as_batch,
                      attractor_bowen_check_scalar, batch_rows,
                      conjugacy_h_scalar, d_attractor_scalar, ext_columns,
                      fiber_point_scalar, fiber_sample_scalar, hat_g,

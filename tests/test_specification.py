@@ -6,12 +6,13 @@ import pytest
 import pressgap as pg
 from pressgap.decomposition import DecompositionConfig, GoodCollection
 from pressgap.errors import GluingError, ValidationError
-from pressgap.extension import depth_for_tolerance
+from pressgap.extension import depth_for_tolerance, extend
 from pressgap.orbits import OrbitSegment
-from pressgap.specification import (Arc, _pullback_arc, glue_base, glue_extension,
+from pressgap.specification import (_pullback_arc, glue_base, glue_extension,
                                     verify_shadow, verify_shadow_extension)
 
-from oracles import ext_point, random_branches
+from oracles import (ExtPoint, glue_extension_points, random_branches,
+                     verify_shadow_extension_loop, verify_shadow_loop)
 
 
 def _good_segments(system, cfg, rng, count, lo=5, hi=20):
@@ -22,6 +23,11 @@ def _good_segments(system, cfg, rng, count, lo=5, hi=20):
         if good.contains(system, seg.start, seg.length):
             out.append(seg)
     return out
+
+
+def _column(system, x, branches):
+    """The backward orbit of x along the branches: a column of `extend`."""
+    return extend(system, [x], [branches])[:, 0]
 
 
 def test_single_segment_trivial(doubling_map):
@@ -120,7 +126,7 @@ def test_fiber_sync_time_example(doubling_map, rng):
     assert depth_for_tolerance(2.0, 1.0 / 4.0) == 3
     assert depth_for_tolerance(4.0, 1.0 / 16.0) == 2
     # the extension gluing synchronizes fibers at eps/2
-    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
+    p = _column(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
     plan = glue_extension(doubling_map, DecompositionConfig(0.75), [(p, 8)],
                           1.0 / 8.0, 2.0, 20)
     assert plan.tau_sync == 5
@@ -128,7 +134,7 @@ def test_fiber_sync_time_example(doubling_map, rng):
 
 def test_glue_extension_single(doubling_map, rng):
     cfg = DecompositionConfig(0.75)
-    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
+    p = _column(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 20))
     plan = glue_extension(doubling_map, cfg, [(p, 8)], 1.0 / 8.0, 2.0, 20)
     mx, tail = verify_shadow_extension(doubling_map, plan)
     assert mx == 0.0
@@ -148,7 +154,7 @@ def test_glue_extension_pairs(builtin_maps, rng):
                 n = int(rng.integers(5, 13))
                 if good.contains(system, x, n):
                     branches = random_branches(rng, system.degree, 20)
-                    pts.append((ext_point(system, x, branches), n))
+                    pts.append((_column(system, x, branches), n))
             plan = glue_extension(system, cfg, pts, eps, 2.0, 20)
             mx, tail = verify_shadow_extension(system, plan)
             assert mx <= eps + tail
@@ -163,7 +169,7 @@ def test_glue_extension_pairs(builtin_maps, rng):
 
 def test_glue_extension_depth_validation(doubling_map, rng):
     cfg = DecompositionConfig(0.75)
-    p = ext_point(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 5))
+    p = _column(doubling_map, 0.3, random_branches(rng, doubling_map.degree, 5))
     with pytest.raises(ValidationError):
         glue_extension(doubling_map, cfg, [(p, 5)], 1.0 / 8.0, 2.0, 20)
 
@@ -177,8 +183,46 @@ def test_pullback_arc_matches_endpoint_pullbacks(builtin_maps, rng):
     for system in builtin_maps:
         for _ in range(40):
             x, lo, width = rng.random(), 2.0 * rng.random() - 0.5, 0.05 * rng.random()
-            arc = _pullback_arc(system, x, Arc(lo, width))
+            arc = _pullback_arc(system, x, (lo, width))
             ends = [float(system.pullback(np.float64(x), np.float64(v % 1.0)))
                     for v in (lo, lo + width)]
             width = (ends[1] - ends[0]) % 1.0
-            assert (arc.lo, arc.width) == (ends[0], width if width <= 0.5 else 0.0)
+            assert arc == (ends[0], width if width <= 0.5 else 0.0)
+
+
+def _tabulated_map():
+    grid = np.linspace(0.0, 1.0, 65)
+    return pg.tabulated_map(2.0 * grid + (0.5 / (2.0 * np.pi)) * np.sin(2.0 * np.pi * grid))
+
+
+def test_vectorized_verifiers_match_loop_references(builtin_maps, rng):
+    # 30 base and 30 extension plans of 1 to 3 segments on each of four
+    # maps; the verifiers and the extension glue point are compared with
+    # their per-time and per-coordinate references bit for bit
+    for system in [*builtin_maps, _tabulated_map()]:
+        cfg = DecompositionConfig(0.9 if "manneville" in system.name else 0.75)
+        good = GoodCollection(cfg)
+        for trial in range(30):
+            eps = min((1.0 / 16.0, 1.0 / 32.0)[trial % 2], system.epsilon0)
+            count = 1 + trial % 3
+            plan = glue_base(system, cfg, _good_segments(system, cfg, rng, count, hi=14), eps)
+            assert verify_shadow(system, plan) == verify_shadow_loop(system, plan)
+            assert plan.arcs.dtype == np.float64 and plan.arcs.shape[1] == 2
+
+            a, depth = (2.0, 3.0)[trial % 2], 20
+            segs = []
+            while len(segs) < count:
+                x, n = float(rng.random()), int(rng.integers(5, 13))
+                if good.contains(system, x, n):
+                    segs.append((_column(system, x,
+                                         random_branches(rng, system.degree, depth)), n))
+            plan = glue_extension(system, cfg, segs, min(1.0 / 8.0, system.epsilon0),
+                                  a, depth)
+            assert (verify_shadow_extension(system, plan)
+                    == verify_shadow_extension_loop(system, plan))
+            points = [(ExtPoint(tuple(coords.tolist())), n) for coords, n in segs]
+            taus, offsets, arcs, z = glue_extension_points(
+                system, cfg, points, plan.eps, a, depth)
+            assert (plan.transition_times, plan.offsets) == (taus, offsets)
+            assert np.array_equal(plan.arcs, arcs)
+            assert tuple(plan.glue_point.tolist()) == z.coords
