@@ -81,6 +81,11 @@ def bad_mask(logs, log_sigma):
     return suffix_means(logs)[..., 0] >= log_sigma
 
 
+def _check_length(n):
+    if n < 1:
+        raise ValidationError("n", f"segment length {n} must be >= 1")
+
+
 class GoodCollection:
     """Segments whose every trailing window beats the threshold."""
 
@@ -102,6 +107,7 @@ class GoodCollection:
         return worst < self.cfg.log_sigma
 
     def contains(self, system, x, n):
+        _check_length(n)
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
 
 
@@ -130,6 +136,7 @@ class BadCollection:
         return first >= self.cfg.log_sigma
 
     def contains(self, system, x, n):
+        _check_length(n)
         return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
 
 

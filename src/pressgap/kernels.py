@@ -147,25 +147,33 @@ def greedy_separated(orbits, order, eps):
 # pairwise Bowen distance matrix (small candidate pools only)
 # ---------------------------------------------------------------------------
 
+# Elements per temporary of `pairwise_bowen`: 2^15 float64s (256 KB) keep a
+# row block and its two temporaries in a 2 MB per-core L2 cache while the
+# block runs through every column.
+_BOWEN_BLOCK = 1 << 15
+
+
 def pairwise_bowen(orbits):
     """Full matrix of Bowen distances between orbit rows.
 
     Built one time step at a time: the circle distances of one column, then
-    a running max, in row blocks that keep the two temporaries at most
-    8 MB each.  x - y is exactly -(y - x) and max, min and abs are exact,
-    so the matrix is exactly symmetric and does not depend on the order of
-    the columns.
+    a running max, in row blocks that keep the two temporaries at
+    `_BOWEN_BLOCK` elements (256 KB) each, or one row when a row is longer.
+    x - y is exactly -(y - x) and max, min and abs are exact, so the matrix
+    is exactly symmetric, does not depend on the order of the columns, and
+    is bitwise the same for every block size.
     """
     orbits = np.asarray(orbits, dtype=np.float64)
     n = orbits.shape[0]
     out = np.zeros((n, n))
-    block = max(1, (1 << 20) // max(1, n))
+    block = max(1, _BOWEN_BLOCK // max(1, n))
     d_buf = np.empty((min(n, block), n))
     wrap_buf = np.empty_like(d_buf)
+    cols = np.ascontiguousarray(orbits.T)
     for lo in range(0, n, block):
         rows = out[lo:lo + block]
         d, wrap = d_buf[:rows.shape[0]], wrap_buf[:rows.shape[0]]
-        for col in orbits.T:
+        for col in cols:
             np.subtract(col[lo:lo + block, None], col[None, :], out=d)
             np.abs(d, out=d)
             np.subtract(1.0, d, out=wrap)

@@ -301,9 +301,9 @@ class MapSystem:
         i.e. the continuation of x under the inverse branch defined on the
         ball around g(x).
         """
-        x = np.asarray(x, dtype=float)
-        delta = circle_signed(self.forward(x), y)
-        return self.lift_inverse(self._lift(x % 1.0) + delta) % 1.0
+        v = self._lift(np.asarray(x, dtype=float) % 1.0)
+        # v % 1.0 is forward(x), from the one lift evaluation
+        return self.lift_inverse(v + circle_signed(v % 1.0, y)) % 1.0
 
     # -- derived fields -----------------------------------------------------
 

@@ -8,6 +8,7 @@ chain.  The greedy value is a lower bound for the separated-set supremum and
 the greedy set is simultaneously a spanning set of the pool.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,30 +197,68 @@ def greedy_cover(orbits, eps, tie_weights, target):
     points (ties: smaller tie weight, then smaller index) until at least
     `target` points are covered.  Returns selected indices in pick order.
 
-    The counts are exact integers: they start as the ball sizes and lose
-    the newly covered points after each pick.  The cover matrix is exactly
-    symmetric, so the balls around the newly covered points hold the
-    rows whose counts drop.
+    The balls are read once from the `pairwise_bowen` matrix, as neighbour
+    lists.  The gains (uncovered points per ball) are exact integers: they
+    start as the ball sizes, and covering a point takes one from the gain
+    of each ball that holds it, which by the matrix's exact symmetry are
+    the balls around the point.  When the newly covered points' balls hold
+    more than N entries together, their rows of the cover matrix are
+    counted in one pass instead, so no pick walks more than N entries in
+    Python.
+
+    The picks are those of a rescan of every ball at every pick (Minoux's
+    lazy greedy).  A heap holds one (-gain, tie rank) entry per candidate
+    not yet picked, the tie rank being the candidate's place in one lexsort
+    by (tie weight, index): NaN last, 0.0 and -0.0 equal, the order a
+    lexsort of any subset of tied candidates gives them.  A stored gain is
+    never below the current one, since gains only fall.  So when the top
+    entry's stored gain is current, no candidate has a larger gain, nor the
+    same gain and a smaller rank, and the top is the pick; a stale top is
+    pushed back with its current gain and the heap read again.
     """
     n_cand = orbits.shape[0]
     if n_cand == 0:
         raise CoverError("empty candidate pool")
     cover = kernels.pairwise_bowen(orbits) <= eps
-    gains = cover.sum(axis=1)
-    uncovered = np.ones(n_cand, dtype=bool)
+    sizes = np.count_nonzero(cover, axis=1)
+    # row-major positions of the cover matrix's entries; the columns of
+    # row i, in order, are near[starts[i]:ends[i]]
+    near = np.flatnonzero(cover)
+    np.remainder(near, n_cand, out=near)
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    by_rank = np.lexsort((np.arange(n_cand), np.asarray(tie_weights)))
+    heap = list(zip((-sizes[by_rank]).tolist(), range(n_cand)))
+    heapq.heapify(heap)
+    by_rank = by_rank.tolist()
+    sizes = sizes.tolist()
+    gains = sizes[:]
+    uncovered = [True] * n_cand
     covered = 0
     chosen = []
     while covered < target:
-        best = gains.max()
-        if best <= 0:
+        while heap:
+            stored, rank = heap[0]
+            i = by_rank[rank]
+            best = gains[i]
+            if stored == -best:
+                break
+            heapq.heapreplace(heap, (-best, rank))
+        if not heap or best <= 0:
             raise CoverError(f"cover stalled at {covered} < target {target} points")
-        tied = np.flatnonzero(gains == best)
-        i = int(tied[np.lexsort((tied, tie_weights[tied]))[0]])
+        heapq.heappop(heap)
         chosen.append(i)
-        newly = np.flatnonzero(uncovered & cover[i])
-        covered += newly.size
-        uncovered[newly] = False
-        gains -= cover[newly].sum(axis=0)
+        newly = [j for j in near[starts[i]:ends[i]].tolist() if uncovered[j]]
+        for j in newly:
+            uncovered[j] = False
+        covered += len(newly)
+        if sum(sizes[j] for j in newly) <= n_cand:
+            for j in newly:
+                for k in near[starts[j]:ends[j]].tolist():
+                    gains[k] -= 1
+        else:
+            lost = np.count_nonzero(cover[newly], axis=0).tolist()
+            gains = [g - d for g, d in zip(gains, lost)]
     return np.asarray(chosen, dtype=int)
 
 

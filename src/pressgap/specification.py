@@ -28,7 +28,7 @@ from .orbits import OrbitSegment
 
 _BALL_SHRINK = 1.0 - 1e-9   # tube end balls sit a hair inside the scale
 _WIDTH_TOL = 1e-13
-_K0 = 1                     # glue_base's floor on segment lengths
+_K0 = 1                     # the gluing floor on segment lengths
 
 
 def _sup_distance(arcs, points):
@@ -292,13 +292,14 @@ def glue_extension(system, cfg, ext_segments, eps, a, depth):
     """Shadowing plan for good extension segments under the shift.
 
     Each segment is (coords, n): coords is a backward orbit x_0, x_1, ...,
-    one column of `extend`'s output, and n the segment length.  The base
-    orbits are glued at the tighter scale eps (a-1) / (2a), and each
-    transition appends a synchronization stretch that walks down the next
-    segment's stored history, so that by the segment start the glued
-    point's recent past matches the target's history.  Transition times are
-    therefore bounded by mixing time at the base scale plus the fiber
-    synchronization time at eps/2.
+    one column of `extend`'s output, and n the segment length, which must
+    exceed the floor _K0 as in `glue_base`.  The base orbits are glued at
+    the tighter scale eps (a-1) / (2a), and each transition appends a
+    synchronization stretch that walks down the next segment's stored
+    history, so that by the segment start the glued point's recent past
+    matches the target's history.  Transition times are therefore bounded
+    by mixing time at the base scale plus the fiber synchronization time
+    at eps/2.
     """
     if not 0.0 < eps <= system.epsilon0:
         raise ValidationError("eps", f"must lie in (0, epsilon0={system.epsilon0}]")
@@ -308,6 +309,9 @@ def glue_extension(system, cfg, ext_segments, eps, a, depth):
         raise ValidationError("segments", "need at least one segment")
     good = GoodCollection(cfg)
     for coords, n in ext_segments:
+        if n <= _K0:
+            raise ValidationError("segments",
+                                  f"segment lengths must exceed the floor k0={_K0}")
         if coords.size <= depth:
             raise ValidationError("segments", "extension segments need history "
                                   f"down to the truncation depth {depth}")

@@ -76,6 +76,14 @@ def test_good_and_bad_are_exclusive(mp_map, rng):
     assert not np.any(gm & bm)
 
 
+@pytest.mark.parametrize("coll", [GoodCollection, BadCollection])
+@pytest.mark.parametrize("n", [0, -1])
+def test_contains_rejects_lengths_below_one(mp_map, coll, n):
+    with pytest.raises(ValidationError, match="^n: ") as err:
+        coll(DecompositionConfig(0.75)).contains(mp_map, 0.3, n)
+    assert err.value.field == "n"
+
+
 def test_concatenation_property(builtin_maps, rng):
     # good o good (at the matching break point) is good, zero violations
     for system in builtin_maps:

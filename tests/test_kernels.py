@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pressgap as pg
 from pressgap import kernels
 from pressgap.decomposition import BadCollection, DecompositionConfig
 from pressgap.orbits import (DEFAULT_ANCHOR, FullCollection, _candidate_pool,
-                             greedy_cover)
+                             greedy_cover, partition_sum_span)
 from pressgap.pressure import katok_sn
 
 from oracles import (greedy_cover_counts, greedy_cover_dense,
@@ -224,6 +225,30 @@ def test_pairwise_bowen_matches_broadcast_reference(pool):
     assert np.array_equal(d, d.T)
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (37, 5), (300, 4)])
+def test_pairwise_bowen_is_bitwise_the_same_for_every_block_size(shape):
+    orbits = np.random.default_rng(shape[0]).random(shape)
+    ref = pairwise_bowen_broadcast(orbits)
+    # one row per block, and the whole matrix in one block
+    for block in (1, shape[0] ** 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BOWEN_BLOCK", block)
+            d = kernels.pairwise_bowen(orbits)
+        assert np.array_equal(d, ref) and np.array_equal(d, d.T)
+
+
+def test_pairwise_bowen_memory_is_the_output_and_a_few_blocks():
+    orbits = np.random.default_rng(3).random((1000, 6))
+    tracemalloc.start()
+    try:
+        d = kernels.pairwise_bowen(orbits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.nbytes == 8 * 10**6
+    assert peak <= d.nbytes + 2**20
+
+
 # ---------------------------------------------------------------------------
 # greedy covers
 # ---------------------------------------------------------------------------
@@ -319,3 +344,67 @@ def test_katok_does_not_depend_on_the_blas_kernel():
                              check=True)
         values.append(out.stdout.strip())
     assert values[0] == values[1] == "287.0"
+
+
+# Outputs of the cover path, taken from the matrix-rescan cover: the heap
+# cover and the row-blocked distance matrix must reproduce them bit for bit.
+_SPAN_PINS = {
+    ("doubling", 0.5): "6.238324625039508",
+    ("doubling", 0.1875): "6.238324625039508",
+    ("doubling", 0.8125): "6.238324625039508",
+    ("mp", 0.5): "-0.14936727261870297",
+    ("mp", 0.1875): "0.19504907747428124",
+    ("mp", 0.8125): "-0.34192271598793944",
+}
+_KATOK_PINS = {1420954724: "287.0", 5: "293.0", 2024: "278.0"}
+_PICKS_DIGEST = "3090c1367b1d8586fcb644b7dea09dfc282ca51277b907e36857f40bcba22335"
+
+
+@pytest.mark.parametrize("name, anchor", sorted(_SPAN_PINS))
+def test_spanning_sum_is_pinned(doubling_map, mp_map, name, anchor):
+    system = {"doubling": doubling_map, "mp": mp_map}[name]
+    phi = (pg.zero_potential() if name == "doubling"
+           else pg.geometric_potential(mp_map, 1.0))
+    value = partition_sum_span(system, phi, FullCollection(), 9, 1.0 / 32.0,
+                               anchor=anchor, log=True)
+    assert repr(value) == _SPAN_PINS[name, anchor]
+
+
+@pytest.mark.parametrize("seed", sorted(_KATOK_PINS))
+def test_katok_is_pinned(mp_map, seed):
+    starts = np.random.default_rng(seed).uniform(0.05, 0.95, size=50)
+    sample = mp_map.orbit(starts, 20).ravel()
+    value = katok_sn(mp_map, pg.zero_potential(), sample, 1.0 / 32.0, 0.9, 6)
+    assert repr(value) == _KATOK_PINS[seed]
+
+
+def test_cover_picks_are_pinned(doubling_map, mp_map):
+    digest = hashlib.sha256()
+    for system in (doubling_map, mp_map):
+        for anchor in (0.5, 0.1875):
+            orbits = pg.CylinderTree(system, 9, anchor=anchor).orbit_matrix(9, 9)
+            weights = (pg.geometric_potential(mp_map, 1.0)(orbits).sum(axis=1)
+                       if system is mp_map else np.zeros(orbits.shape[0]))
+            picks = greedy_cover(orbits, 1.0 / 32.0, weights, orbits.shape[0])
+            digest.update(picks.astype(np.int64).tobytes())
+    assert digest.hexdigest() == _PICKS_DIGEST
+
+
+@pytest.mark.parametrize("m, eps_cells", [(24, 1), (24, 3), (40, 2), (16, 5)])
+def test_cover_ties_with_nan_signed_zero_and_repeated_weights(m, eps_cells):
+    # lattice points i/m under doubling: every ball holds the same number
+    # of points, so the tie weights decide the picks; NaN sorts last and
+    # 0.0 and -0.0 tie, leaving the index to decide.  At m = 16 the first
+    # pick's newly covered balls hold more than m entries, so the gains
+    # drop by whole cover-matrix rows.
+    x0 = np.arange(m) / m
+    orbits = np.stack([x0, (2 * x0) % 1.0], axis=1)
+    eps = eps_cells / m
+    base = np.array([np.nan, 0.0, -0.0, 1.0, 1.0, -2.0, np.nan, -0.0])
+    for shift in range(base.size):
+        tie_weights = np.resize(np.roll(base, shift), m)
+        for target in (1, m // 2, m):
+            picks = greedy_cover(orbits, eps, tie_weights, target)
+            ref = greedy_cover_dense(orbits, eps, np.ones(m), tie_weights,
+                                     float(target))
+            assert np.array_equal(picks, ref)

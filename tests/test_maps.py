@@ -97,6 +97,27 @@ def test_pullback_inverts_forward(builtin_maps, rng):
         assert np.max(circle_dist(system.forward(zs), ys)) < 1e-10
 
 
+def test_pullback_evaluates_the_lift_at_x_once(builtin_maps, rng, monkeypatch):
+    for system in builtin_maps:
+        xs = rng.random(50)
+        ys = (system.forward(xs) + 0.5 * system.epsilon0) % 1.0
+        # the two-evaluation form: forward(x), then the lift at x again
+        ref = system.lift_inverse(system._lift(xs % 1.0)
+                                  + circle_signed(system.forward(xs), ys)) % 1.0
+        lift = system._lift
+        at_x = []
+
+        def counting_lift(u):
+            at_x.append(np.shape(u) == xs.shape and np.array_equal(u, xs % 1.0))
+            return lift(u)
+
+        monkeypatch.setattr(system, "_lift", counting_lift)
+        zs = system.pullback(xs, ys)
+        monkeypatch.undo()
+        assert sum(at_x) == 1
+        assert np.array_equal(zs, ref)
+
+
 def test_mixing_time_doubling(doubling_map):
     assert doubling_map.mixing_time(1.0 / 16.0) == 3
     assert doubling_map.mixing_time(1.0 / 4.0) == 1

@@ -174,6 +174,16 @@ def test_glue_extension_depth_validation(doubling_map, rng):
         glue_extension(doubling_map, cfg, [(p, 5)], 1.0 / 8.0, 2.0, 20)
 
 
+@pytest.mark.parametrize("length", [0, -1])
+def test_glue_extension_rejects_lengths_at_or_below_the_floor(doubling_map, length):
+    p = _column(doubling_map, 0.3, [0] * 20)
+    with pytest.raises(ValidationError, match="segments: segment lengths must "
+                                              "exceed the floor") as err:
+        glue_extension(doubling_map, DecompositionConfig(0.75), [(p, length)],
+                       0.125, 2.0, 20)
+    assert err.value.field == "segments"
+
+
 def test_glue_extension_needs_a_segment(doubling_map):
     with pytest.raises(ValidationError, match="segments: need at least one segment"):
         glue_extension(doubling_map, DecompositionConfig(0.75), [], 1.0 / 8.0, 2.0, 20)
