@@ -173,6 +173,9 @@ def validate(cfg):
         else:
             for sub, sub_default in default.items():
                 _check_type(f"{key}.{sub}", cfg[key].get(sub, sub_default), sub_default)
+    for field in _LIST_FIELDS:
+        if cfg[field] == []:
+            raise ValidationError(field, "must not be empty")
     if not 0.0 < cfg["sigma"] < 1.0:
         raise ValidationError("sigma", f"{cfg['sigma']} outside (0, 1)")
     for s in cfg["sigma_grid"] or []:

@@ -90,12 +90,9 @@ class ExtensionPotential:
     last axis to one value per row.
     """
 
-    mode: str
     evaluate: callable
     holder_constant: float
     holder_exponent: float
-    base: object = None      # the circle potential the lift was built from
-    a: float = 0.0           # coordinate weight base for fiber-averaged lifts
     name: str = "lifted"
 
 
@@ -105,10 +102,10 @@ def lift_projection(phi):
     def evaluate(rows):
         return phi(rows[..., 0])
 
-    return ExtensionPotential(mode="projection", evaluate=evaluate,
+    return ExtensionPotential(evaluate=evaluate,
                               holder_constant=phi.holder_constant,
                               holder_exponent=phi.holder_exponent,
-                              base=phi, name=f"proj[{phi.name}]")
+                              name=f"proj[{phi.name}]")
 
 
 def lift_fiber_averaged(psi, a):
@@ -120,10 +117,9 @@ def lift_fiber_averaged(psi, a):
     def evaluate(rows):
         return np.sum(a ** -np.arange(rows.shape[-1]) * psi(rows), axis=-1)
 
-    return ExtensionPotential(mode="fiber-averaged", evaluate=evaluate,
+    return ExtensionPotential(evaluate=evaluate,
                               holder_constant=psi.holder_constant * a / (a - 1.0),
                               holder_exponent=min(psi.holder_exponent, 1.0),
-                              base=psi, a=float(a),
                               name=f"fiber[{psi.name}]")
 
 

@@ -116,11 +116,30 @@ class CylinderTree:
         """(full-window mean, largest trailing-window mean) of log sigma
         along each depth-`depth` representative's length-n orbit, cached
         per (n, depth).  A row is a good segment iff the largest mean beats
-        log sigma, and a bad one iff the full-window mean does not."""
+        log sigma, and a bad one iff the full-window mean does not.
+
+        Dropping the leading address digit is one step of the map, so times
+        1..n-1 of row `addr` are the (n - 1, depth - 1) row
+        `addr % degree**(depth - 1)`: the sum is the level's log sigma plus
+        that row's sum, and the largest mean is the larger of sum / n and
+        that row's largest, O(rows) down to the n = 1 base.  This is bitwise
+        `suffix_means(log_sigma_matrix(n, depth))`: its reversed cumsum adds
+        time 0 last to the same time-1.. sum, and division and max are
+        exact.  Needs depth >= n, as `tree_depth` guarantees."""
         if (n, depth) not in self._window_means:
-            means = suffix_means(self.log_sigma_matrix(n, depth))
-            self._window_means[n, depth] = (means[:, 0].copy(), means.max(axis=1))
-        return self._window_means[n, depth]
+            if n == 1:
+                logs = self.log_sigma_matrix(1, depth)[:, 0]
+                entry = (logs, logs, logs)
+            else:
+                self.window_means(n - 1, depth - 1)
+                prev_sums, _, prev_worst = self._window_means[n - 1, depth - 1]
+                shape = (self.system.degree, prev_sums.size)
+                sums = (self._log_sigma_level(depth).reshape(shape) + prev_sums).ravel()
+                first = sums / n
+                worst = np.maximum(first.reshape(shape), prev_worst).ravel()
+                entry = (sums, first, worst)
+            self._window_means[n, depth] = entry
+        return self._window_means[n, depth][1:]
 
 
 def suffix_means(logs):

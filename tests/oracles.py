@@ -361,20 +361,22 @@ def hat_orbit_coords(system, p, steps):
     return out
 
 
-def lifted_value_scalar(phi_hat, coords):
-    """A projection or fiber-averaged lift at one coordinate tuple."""
-    if phi_hat.mode == "projection":
-        return float(phi_hat.base(np.float64(coords[0])))
+def lifted_value_scalar(phi, a, coords):
+    """The lift of the circle potential phi at one coordinate tuple: its
+    projection lift when a is None, else its fiber-averaged lift of base a."""
+    if a is None:
+        return float(phi(np.float64(coords[0])))
     c = np.asarray(coords)
-    return float(np.sum(phi_hat.a ** -np.arange(c.size) * phi_hat.base(c)))
+    return float(np.sum(a ** -np.arange(c.size) * phi(c)))
 
 
-def birkhoff_hat_scalar(system, phi_hat, p, n):
-    """Reference extension Birkhoff sum: the lift at each of the n forward
-    shifts of p, added one at a time to a total that starts at 0.0."""
+def birkhoff_hat_scalar(system, phi, a, p, n):
+    """Reference extension Birkhoff sum: the lift of phi (see
+    `lifted_value_scalar`) at each of the n forward shifts of p, added one
+    at a time to a total that starts at 0.0."""
     total = 0.0
     for coords in hat_orbit_coords(system, p, n - 1):
-        total += lifted_value_scalar(phi_hat, coords)
+        total += lifted_value_scalar(phi, a, coords)
     return total
 
 
@@ -397,10 +399,12 @@ def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
 
 
 def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
-                        n_range=(5, 20), seed=0):
+                        n_range=(5, 20), seed=0, *, phi, lift_a):
     """Reference Bowen-property sampler: each accepted sample's backward
     orbit and companion are built one point at a time, interleaved with
-    the random draws."""
+    the random draws.  phi_hat is the lift of phi (projection when lift_a
+    is None, else fiber-averaged of base lift_a) and gives the bound's
+    Hoelder data; the sums are taken from phi and lift_a."""
     from pressgap.extension import BowenReport, bowen_bound
 
     rng = np.random.default_rng(seed)
@@ -421,8 +425,8 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
             continue
         x_hat = extend_scalar(system, x, ext_cfg.depth, policy="random", rng=rng)
         y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync)
-        diff = abs(birkhoff_hat_scalar(system, phi_hat, x_hat, n)
-                   - birkhoff_hat_scalar(system, phi_hat, y_hat, n))
+        diff = abs(birkhoff_hat_scalar(system, phi, lift_a, x_hat, n)
+                   - birkhoff_hat_scalar(system, phi, lift_a, y_hat, n))
         worst = max(worst, diff)
         used += 1
     slack = 1e-9 * n_hi

@@ -323,35 +323,50 @@ def test_pressure_builds_one_tree(tmp_path, monkeypatch):
     assert builds == [10]
 
 
-def _count_log_sigma_matrices(monkeypatch):
-    keys = []
+def _count_window_work(monkeypatch):
+    """(n, depth) of every `log_sigma_matrix` call, and of every window-means
+    entry when it enters its tree's cache."""
+    matrices, entries = [], []
     build = orbits.CylinderTree.log_sigma_matrix
+    means = orbits.CylinderTree.window_means
 
     def counting_build(self, n, depth=None):
-        keys.append((n, depth))
+        matrices.append((n, depth))
         return build(self, n, depth)
 
+    def counting_means(self, n, depth):
+        fresh = (n, depth) not in self._window_means
+        out = means(self, n, depth)
+        if fresh:
+            entries.append((n, depth))
+        return out
+
     monkeypatch.setattr(orbits.CylinderTree, "log_sigma_matrix", counting_build)
-    return keys
+    monkeypatch.setattr(orbits.CylinderTree, "window_means", counting_means)
+    return matrices, entries
 
 
 def test_gap_report_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
-    # three sigmas share the bad pools' window means of each n
-    keys = _count_log_sigma_matrices(monkeypatch)
+    # three sigmas share the bad pools' window means of each n, and each
+    # (n, n + 4) entry is derived from (n - 1, n + 3) down to one n = 1 matrix
+    matrices, entries = _count_window_work(monkeypatch)
     assert run(["gap-report", "--map", "manneville_pomeau",
                 "--sigma-grid", "0.6,0.75,0.9", "--n-max", "10",
                 "--out", str(tmp_path / "g.csv")]) == 0
-    assert keys == [(n, n + 4) for n in range(1, 11)]
+    assert matrices == [(1, 5)]
+    assert entries == [(n, n + 4) for n in range(1, 11)]
 
 
 def test_pressure_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
-    # two eps values share the good (depth n) and bad (depth n + 4) means
-    keys = _count_log_sigma_matrices(monkeypatch)
+    # two eps values share the good (depth n) and bad (depth n + 4) means;
+    # one n = 1 matrix per depth offset, and each entry is built once
+    matrices, entries = _count_window_work(monkeypatch)
     assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "10",
                 "--eps-list", "0.0625,0.03125",
                 "--out", str(tmp_path / "p.csv")]) == 0
-    assert sorted(keys) == sorted({(n, d) for n in range(1, 11) for d in (n, n + 4)})
-    assert len(keys) == 20
+    assert sorted(matrices) == [(1, 1), (1, 5)]
+    assert sorted(entries) == sorted({(n, d) for n in range(1, 11) for d in (n, n + 4)})
+    assert len(entries) == 20
 
 
 def test_pressure_rows_match_unshared_trees(tmp_path):
@@ -477,6 +492,25 @@ def test_config_field_types(tmp_path, capsys):
         cfg.write_text(text)
         assert run(["pressure", "--config", str(cfg)]) == 1
         assert "validation error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pressure", "gap-report"])
+def test_empty_config_lists_are_rejected(command, tmp_path, capsys):
+    # an empty list is not the scalar field's one value; an empty flag
+    # still leaves the configured list as it is
+    cfg = tmp_path / "cfg.json"
+    for doc, field in (({"eps_list": []}, "eps_list"), ({"sigma_grid": []}, "sigma_grid"),
+                       ({"eps_list": [], "sigma_grid": []}, "sigma_grid")):
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--n-max", "4", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {field}: must not be empty" in err
+        assert "Traceback" not in err
+    cfg.write_text(json.dumps({"eps_list": []}))
+    assert run([command, "--n-max", "4", "--eps-list", "", "--config", str(cfg)]) == 1
+    assert "validation error: eps_list:" in capsys.readouterr().err
+    assert run([command, "--n-max", "4", "--eps-list", "0.0625", "--config", str(cfg),
+                "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_config_numbers_are_not_coerced(tmp_path):

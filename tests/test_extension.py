@@ -151,8 +151,9 @@ def test_birkhoff_hat_batch_matches_per_point_sums(lift_kind, builtin_maps,
                                                    sin_potential):
     for system in builtin_maps + [_tabulated_map()]:
         for phi in (sin_potential, pg.geometric_potential(system, 1.0)):
-            lift = (lift_projection(phi) if lift_kind == "projection"
-                    else lift_fiber_averaged(phi, 1.5))
+            lift_a = None if lift_kind == "projection" else 1.5
+            lift = (lift_projection(phi) if lift_a is None
+                    else lift_fiber_averaged(phi, lift_a))
             rng = np.random.default_rng(2)
             # a start at 0.0 summed once: MP's geometric potential is -0.0
             # there, and a sum from 0.0 makes it +0.0
@@ -164,7 +165,7 @@ def test_birkhoff_hat_batch_matches_per_point_sums(lift_kind, builtin_maps,
                 sums = birkhoff_hat(system, lift, coords, ns)
                 assert sums.shape == (20,)
                 for p, n, total in zip(ext_columns(coords), ns.tolist(), sums):
-                    ref = np.float64(birkhoff_hat_scalar(system, lift, p, n))
+                    ref = np.float64(birkhoff_hat_scalar(system, phi, lift_a, p, n))
                     assert total.tobytes() == ref.tobytes(), (system, phi, n)
     mp = builtin_maps[1]
     geo = lift_projection(pg.geometric_potential(mp, 1.0))
@@ -285,8 +286,8 @@ def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map
     dec = DecompositionConfig(0.9)
     monkeypatch.setattr(extension, "_LENGTH_RANGE", (3, 12))
     cases = 0
-    for a, lift in ((2.0, lift_projection(sin_potential)),
-                    (1.5, lift_fiber_averaged(sin_potential, 1.5))):
+    for a, lift_a, lift in ((2.0, None, lift_projection(sin_potential)),
+                            (1.5, 1.5, lift_fiber_averaged(sin_potential, 1.5))):
         for eps in (1.0 / 16.0, 1.0 / 32.0):
             sync = max(4, math.ceil(math.log(CIRCLE_DIAMETER * 4.0 / eps) / math.log(a)))
             # truncation depths below, at and above the companion's sync depth
@@ -294,5 +295,6 @@ def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map
                 for seed in (cases, 100 + cases):
                     args = (system, ExtensionConfig(a, depth), dec, lift, eps, 6)
                     assert verify_bowen(*args, seed=seed) == verify_bowen_scalar(
-                        *args, n_range=(3, 12), seed=seed), (a, eps, depth, seed)
+                        *args, n_range=(3, 12), seed=seed, phi=sin_potential,
+                        lift_a=lift_a), (a, eps, depth, seed)
                 cases += 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgap as pg
-from pressgap import kernels
+from pressgap import kernels, orbits
 from pressgap.decomposition import (BadCollection, DecompositionConfig, GoodCollection,
                                     bad_mask, good_mask)
 from pressgap.errors import NodeCapError, ValidationError
@@ -119,6 +119,40 @@ def test_pool_masks_and_member_rows_match_the_full_matrices(name):
                          rng.integers(logs.shape[0], size=40)):
                 assert tree.orbit_matrix(n, depth, rows).tobytes() == full[rows].tobytes()
                 assert tree.orbit_matrix(n, depth, rows).shape == (rows.size, n)
+
+
+def _assert_window_means_match_suffix_means(tree, n, depth):
+    first, worst = tree.window_means(n, depth)
+    means = suffix_means(tree.log_sigma_matrix(n, depth))
+    assert first.tobytes() == means[:, 0].tobytes(), (n, depth)
+    assert worst.tobytes() == means.max(axis=1).tobytes(), (n, depth)
+
+
+@pytest.mark.parametrize("name", sorted(POOL_MAPS))
+def test_window_means_are_bitwise_the_suffix_means_of_log_sigma_rows(name):
+    # longest windows first, so each diagonal is also built from a cold cache
+    system = POOL_MAPS[name]
+    tree = CylinderTree(system, tree_depth(system, 10, 4))
+    for n in range(10, 0, -1):
+        for depth in sorted({n, n + 4, tree.depth}):
+            if depth <= tree.depth:
+                _assert_window_means_match_suffix_means(tree, n, depth)
+
+
+@pytest.mark.parametrize("name", ["doubling", "table"])
+def test_window_means_match_under_node_cap_depth_cuts(name, monkeypatch):
+    # a small cap cuts the refined depth, so depth - n varies along n
+    monkeypatch.setattr(orbits, "DEFAULT_NODE_CAP", 1 << 8)
+    system = POOL_MAPS[name]
+    top = tree_depth(system, 1, 64)
+    tree = CylinderTree(system, top)
+    offsets = set()
+    for n in range(top, 0, -1):
+        for refine in (0, 4):
+            depth = tree_depth(system, n, refine)
+            offsets.add(depth - n)
+            _assert_window_means_match_suffix_means(tree, n, depth)
+    assert len(offsets) > 2
 
 
 def test_node_cap():
