@@ -50,8 +50,9 @@ class CylinderTree:
     branch address read most-significant-first in base `degree`.  Forward
     orbits of representatives are exact level lookups: dropping the leading
     address digit is one application of the map.  The log sigma field is
-    cached per level, and its window means per (n, depth), so every
-    collection, sigma and eps served by one tree classifies each pool once.
+    cached per level, its window means per (n, depth) and the Bowen
+    conflicts per (n, depth, eps), so every collection, sigma and eps served
+    by one tree classifies each pool once and finds each pair set once.
     """
 
     def __init__(self, system, depth, anchor=DEFAULT_ANCHOR):
@@ -70,6 +71,7 @@ class CylinderTree:
         self.levels = levels
         self._log_sigma_levels = {}
         self._window_means = {}
+        self._conflicts = {}
 
     def _log_sigma_level(self, k):
         if k not in self._log_sigma_levels:
@@ -141,6 +143,52 @@ class CylinderTree:
             self._window_means[n, depth] = entry
         return self._window_means[n, depth][1:]
 
+    def conflicts(self, n, depth, eps):
+        """Address pairs of the depth-`depth` representatives at Bowen
+        distance < eps over n time steps, as a (2, K) int32 array with each
+        unordered pair once, cached per (n, depth, eps).
+
+        Times 1..n-1 of address b * M + s, M = degree**(depth - 1), are the
+        (n - 1, depth - 1) row s.  So a pair conflicts iff its time-0 circle
+        distance is below eps and its suffixes are equal or a previous
+        pair: each entry tests the same-suffix pairs and the previous pairs
+        under every two leading digits at time 0 only, in O(rows +
+        conflicts), down to the one-column search at n = 1.  Each test is
+        the Bowen distance's own test of one column, so the pairs are
+        exactly those of `pairwise_bowen(orbit_matrix(n, depth)) < eps`.
+        Needs depth >= n.  Raises NodeCapError, naming eps, before a step
+        with more than 64 * DEFAULT_NODE_CAP candidate pairs.
+        """
+        key = (n, depth, float(eps))
+        if key not in self._conflicts:
+            budget = 64 * DEFAULT_NODE_CAP
+            x = self.levels[depth]
+            if n == 1:
+                entry = kernels.close_pairs(x, eps, budget)
+            else:
+                i, j = self.conflicts(n - 1, depth - 1, eps)
+                degree = self.system.degree
+                m = x.size // degree
+                count = degree * degree * i.size + m * degree * (degree - 1) // 2
+                if count > budget:
+                    raise NodeCapError(f"eps {eps!r}: {count} candidate pairs at "
+                                       f"(n, depth) = ({n}, {depth}) exceed the "
+                                       f"pair budget {budget}")
+                # time 0 of the addresses with leading digit b, by suffix
+                heads = [x[b * m:(b + 1) * m] for b in range(degree)]
+                found = []
+                for b in range(degree):
+                    for c in range(degree):
+                        if b < c:
+                            s = np.flatnonzero(kernels.circle_close(
+                                heads[b], heads[c], eps)).astype(np.int32)
+                            found.append(np.stack((s + b * m, s + c * m)))
+                        near = kernels.circle_close(heads[b][i], heads[c][j], eps)
+                        found.append(np.stack((i[near] + b * m, j[near] + c * m)))
+                entry = np.concatenate(found, axis=1)
+            self._conflicts[key] = entry
+        return self._conflicts[key]
+
 
 def suffix_means(logs):
     """Trailing-window means: out[j] = mean(logs[j:]), along the last axis."""
@@ -162,12 +210,14 @@ def tree_depth(system, n, refine=0):
 
 def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     """The collection's members among the cylinder-tree representatives,
-    their length-n orbits and Birkhoff weights, and the greedy order.
+    their length-n orbits and Birkhoff weights, the greedy order, and the
+    members' conflicts as (2, K) pool-row pairs.
 
     Membership-filtered collections may refine the pool with deeper-tree
     representatives (finer resolution, same cylinders); a passed tree is
     used when it is deep enough and shares the anchor.  Only the members'
-    orbit rows are gathered.
+    orbit rows are gathered, and the conflicts are the tree's pairs with
+    both ends members, so one tree entry serves every collection and sigma.
     """
     if not 0 < eps < np.inf:
         raise ValidationError("eps", "must be positive and finite")
@@ -180,7 +230,13 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     weights = np.asarray(phi(orbits)).sum(axis=1)
     # descending weight, then candidate (address) order
     order = np.lexsort((np.arange(points.size), -weights))
-    return points, orbits, weights, order
+    pairs = np.empty((2, 0), dtype=np.int32)
+    if rows.size > 1:
+        local = np.full(tree.levels[depth].size, -1, dtype=np.int32)
+        local[rows] = np.arange(rows.size, dtype=np.int32)
+        pairs = local[tree.conflicts(n, depth, eps)]
+        pairs = pairs[:, (pairs >= 0).all(axis=0)]
+    return points, orbits, weights, order, pairs
 
 
 def _log_sum_exp(values):
@@ -200,11 +256,11 @@ def partition_sum_sep(system, phi, coll, n, eps, anchor=DEFAULT_ANCHOR,
     separated subsets of the pool.  With ``log=True`` the stable log-sum is
     returned (-inf for empty pools).
     """
-    points, orbits, weights, order = _candidate_pool(
+    points, orbits, weights, order, pairs = _candidate_pool(
         system, coll, n, eps, phi, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
-    keep = kernels.greedy_separated(orbits, order, eps)
+    keep = kernels.greedy_separated(orbits, order, pairs)
     log_sum = _log_sum_exp(weights[keep])
     return log_sum if log else float(np.exp(log_sum))
 
@@ -292,13 +348,13 @@ def partition_sum_span(system, phi, coll, n, eps, anchor=DEFAULT_ANCHOR,
     estimate an upper bound for the spanning infimum restricted to
     constructed covers and guarantees span <= sep on identical inputs.
     """
-    points, orbits, weights, order = _candidate_pool(
+    points, orbits, weights, order, pairs = _candidate_pool(
         system, coll, n, eps, phi, anchor, tree=tree)
     if points.size == 0:
         return -np.inf if log else 0.0
     if points.size ** 2 > DEFAULT_NODE_CAP * 64:
         raise NodeCapError("pool too large for pairwise cover matrix")
     chosen = greedy_cover(orbits, eps, weights, points.size)
-    keep = kernels.greedy_separated(orbits, order, eps)
+    keep = kernels.greedy_separated(orbits, order, pairs)
     log_sum = min(_log_sum_exp(weights[chosen]), _log_sum_exp(weights[keep]))
     return log_sum if log else float(np.exp(log_sum))

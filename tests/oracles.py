@@ -5,9 +5,10 @@ package: bisection on explicit functions, exhaustive subset search for
 separated sets, dense-point interval images for covering times, and direct
 window scans for segment classification.  The exceptions are the package's
 earlier code, kept so that the faster paths can be compared with it bit for
-bit: the quadratic separated-set kernel, the broadcast Bowen matrix and the
-dense cover, the one-point samplers for good segments, backward orbits
-(on the one-point type `ExtPoint`) and Bowen companions, the per-point
+bit: the quadratic separated-set kernel, the broadcast Bowen matrix, the
+conflict pairs read from it, the dense cover, the one-point samplers for
+good segments, backward orbits (on the one-point type `ExtPoint`) and Bowen
+companions, the per-point
 extension Birkhoff sum, the per-time shadow verifiers and the
 per-coordinate extension glue point, the one-point
 solenoid fibers, metric-equivalence sampler and attractor Bowen check (on
@@ -216,6 +217,20 @@ def pairwise_bowen_broadcast(orbits):
         d = np.minimum(d, 1.0 - d)
         out[lo:hi] = d.max(axis=2)
     return out
+
+
+def bowen_pairs(orbits, eps):
+    """Reference conflicts: the row pairs (i, j), i < j, of the broadcast
+    Bowen matrix below eps, as a (2, K) array in row-major order."""
+    near = np.triu(pairwise_bowen_broadcast(orbits) < eps, 1)
+    return np.array(np.nonzero(near), dtype=np.int64).reshape(2, -1)
+
+
+def pair_set(pairs):
+    """The unordered pairs of a (2, K) pair array, as a set of (min, max)
+    tuples."""
+    pairs = np.asarray(pairs)
+    return set(zip(np.minimum(*pairs).tolist(), np.maximum(*pairs).tolist()))
 
 
 def greedy_cover_dense(orbits, eps, masses, tie_weights, target_mass):
@@ -866,11 +881,11 @@ def separated_set(system, coll, n, eps):
     cylinder-tree pool, in selection order, picked by the package's kernel
     as `partition_sum_sep` picks it for the zero potential (address
     order)."""
-    points, orbits, _, order = _candidate_pool(system, coll, n, eps,
-                                               zero_potential(), DEFAULT_ANCHOR)
+    points, orbits, _, order, pairs = _candidate_pool(
+        system, coll, n, eps, zero_potential(), DEFAULT_ANCHOR)
     if points.size == 0:
         return np.empty(0)
-    keep = kernels.greedy_separated(orbits, order, eps)
+    keep = kernels.greedy_separated(orbits, order, pairs)
     return points[order][keep[order]]
 
 

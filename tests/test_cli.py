@@ -242,6 +242,12 @@ _PRESSURE_GOLDEN = {
     "pressure-doubling-zero.csv": (
         ["pressure", "--map", "doubling", "--potential", "zero", "--n-max", "10"],
         "ea092a0b51c526545a397f530e6aba0cc50b0a836a8cd06452d04577c5c554f5"),
+    # a dense regime (several conflicts per row), taken from the screen of
+    # every time-0 window pair that the tree's conflict recursion replaced
+    "pressure-mp-dense.csv": (
+        ["pressure", "--map", "manneville_pomeau", "--eps-list", "0.25,0.3",
+         "--n-max", "10"],
+        "810226aeea54d0b3c5bc7a785f7829e825804cfd26e828ba197f87eefac70f19"),
 }
 
 
@@ -367,6 +373,57 @@ def test_pressure_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
     assert sorted(matrices) == [(1, 1), (1, 5)]
     assert sorted(entries) == sorted({(n, d) for n in range(1, 11) for d in (n, n + 4)})
     assert len(entries) == 20
+
+
+def _count_conflict_entries(monkeypatch):
+    """(n, depth, eps) of every conflict entry when it enters its tree's
+    cache."""
+    entries = []
+    conflicts = orbits.CylinderTree.conflicts
+
+    def counting_conflicts(self, n, depth, eps):
+        fresh = (n, depth, eps) not in self._conflicts
+        out = conflicts(self, n, depth, eps)
+        if fresh:
+            entries.append((n, depth, eps))
+        return out
+
+    monkeypatch.setattr(orbits.CylinderTree, "conflicts", counting_conflicts)
+    return entries
+
+
+def test_gap_report_builds_each_conflict_entry_once(tmp_path, monkeypatch):
+    # three sigmas share the bad pools' pairs of each n, and each (n, n + 4)
+    # entry is derived from (n - 1, n + 3) down to one n = 1 search
+    entries = _count_conflict_entries(monkeypatch)
+    assert run(["gap-report", "--map", "manneville_pomeau",
+                "--sigma-grid", "0.6,0.75,0.9", "--n-max", "10",
+                "--out", str(tmp_path / "g.csv")]) == 0
+    assert sorted(entries) == sorted({(n, d, 0.03125) for n in range(1, 11)
+                                      for d in (n, n + 4)})
+    assert len(entries) == 20
+
+
+def test_pressure_builds_each_conflict_entry_once(tmp_path, monkeypatch):
+    # the full, good and bad pools of both eps values share the entries of
+    # their (n, depth, eps)
+    entries = _count_conflict_entries(monkeypatch)
+    assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "10",
+                "--eps-list", "0.0625,0.03125",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert sorted(entries) == sorted({(n, d, eps) for n in range(1, 11)
+                                      for d in (n, n + 4)
+                                      for eps in (0.0625, 0.03125)})
+    assert len(entries) == 40
+
+
+def test_conflicts_over_the_pair_budget_exit_2_naming_eps(capsys, monkeypatch):
+    # a cap of 2^10 nodes still holds the depth-10 tree of n_max 6, and its
+    # 64 * 2^10 pair budget is far below the pairs of eps 0.5
+    monkeypatch.setattr(orbits, "DEFAULT_NODE_CAP", 1 << 10)
+    assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "6",
+                "--eps", "0.5"]) == 2
+    assert "eps 0.5:" in capsys.readouterr().err
 
 
 def test_pressure_rows_match_unshared_trees(tmp_path):

@@ -18,8 +18,9 @@ from pressgap.orbits import (DEFAULT_ANCHOR, FullCollection, _candidate_pool,
                              greedy_cover, partition_sum_span)
 from pressgap.pressure import katok_sn
 
-from oracles import (greedy_cover_counts, greedy_cover_dense,
-                     greedy_separated_quadratic, pairwise_bowen_broadcast)
+from oracles import (bowen_pairs, greedy_cover_counts, greedy_cover_dense,
+                     greedy_separated_quadratic, pair_set,
+                     pairwise_bowen_broadcast)
 
 
 def _random_instance(seed, n_cand=60, n_steps=6):
@@ -43,7 +44,7 @@ def _bowen(orbits, i, j):
 @given(seed=st.integers(0, 100_000))
 def test_greedy_separated_semantics(seed):
     orbits, order, eps = _random_instance(seed, n_cand=40, n_steps=4)
-    keep = kernels.greedy_separated(orbits, order, eps)
+    keep = kernels.greedy_separated(orbits, order, bowen_pairs(orbits, eps))
     kept = [i for i in order if keep[i]]
     # pairwise separated
     for a in range(len(kept)):
@@ -63,12 +64,19 @@ PAIR_CHUNKS = (kernels._PAIR_CHUNK, 3)
 
 
 def greedy_at_each_chunk(orbits, order, eps):
-    """The kernel's keep-masks under each budget in PAIR_CHUNKS."""
+    """The kernel's keep-masks on the reference conflicts, one per budget in
+    PAIR_CHUNKS; under each budget the one-column search must also find
+    exactly the reference pairs of time 0."""
+    pairs = bowen_pairs(orbits, eps)
+    first = pair_set(bowen_pairs(orbits[:, :1], eps))
     masks = []
     for chunk in PAIR_CHUNKS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "_PAIR_CHUNK", chunk)
-            masks.append(kernels.greedy_separated(orbits, order, eps))
+            found = kernels.close_pairs(orbits[:, 0], eps, orbits.shape[0] ** 2)
+            masks.append(kernels.greedy_separated(orbits, order, pairs))
+        assert found.dtype == np.int32 and found.shape == (2, len(first))
+        assert pair_set(found) == first
     return masks
 
 
@@ -180,22 +188,24 @@ def test_tree_pools_match_quadratic_reference(request, map_name, coll):
     phi = pg.geometric_potential(system, 1.0)
     for n in (1, 5, 9):
         for eps in (1.0 / 16.0, 1.0 / 32.0):
-            _, orbits, _, by_weight = _candidate_pool(
+            _, orbits, _, by_weight, pairs = _candidate_pool(
                 system, coll, n, eps, phi, DEFAULT_ANCHOR)
             for order in (np.arange(orbits.shape[0]), by_weight):
-                keep = kernels.greedy_separated(orbits, order, eps)
+                keep = kernels.greedy_separated(orbits, order, pairs)
                 assert np.array_equal(
                     keep, greedy_separated_quadratic(orbits, order, eps))
 
 
 def test_greedy_memory_stays_bounded(doubling_map):
-    # a depth-14 pool has millions of time-0 window pairs; they are screened
-    # a chunk at a time, so the peak stays a few MB
-    orbits = pg.CylinderTree(doubling_map, 14).orbit_matrix(14)
+    # a depth-14 pool has millions of time-0 window pairs; its conflicts
+    # come level by level from the tree in O(rows + conflicts), so the peak
+    # stays a few MB
+    tree = pg.CylinderTree(doubling_map, 14)
+    orbits = tree.orbit_matrix(14)
     order = np.arange(orbits.shape[0])
     tracemalloc.start()
     try:
-        kernels.greedy_separated(orbits, order, 1.0 / 32.0)
+        kernels.greedy_separated(orbits, order, tree.conflicts(14, 14, 1.0 / 32.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

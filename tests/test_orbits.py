@@ -14,8 +14,9 @@ from pressgap.maps import TWO_PI, circle_dist
 from pressgap.orbits import (CylinderTree, FullCollection, partition_sum_sep,
                              partition_sum_span, suffix_means, tree_depth)
 
-from oracles import (birkhoff_sum, bowen_distance, max_separated_cardinality,
-                     separated_set)
+from oracles import (birkhoff_sum, bowen_distance, bowen_pairs,
+                     greedy_separated_quadratic, max_separated_cardinality,
+                     pair_set, pairwise_bowen_broadcast, separated_set)
 
 
 def test_birkhoff_examples(doubling_map):
@@ -155,6 +156,59 @@ def test_window_means_match_under_node_cap_depth_cuts(name, monkeypatch):
     assert len(offsets) > 2
 
 
+EPS_NAMES = ("1/32", "1/8", "0.3", "exact")
+
+
+@pytest.mark.parametrize("name", sorted(POOL_MAPS))
+def test_conflicts_are_the_pairs_of_the_bowen_matrix(name):
+    # each (n, depth, eps) entry, built from a cold cache longest n first,
+    # holds each unordered pair below eps once; "exact" is one pair's own
+    # Bowen distance, which the strict test must drop.  The greedy walk on
+    # a pool's share of the pairs keeps the quadratic reference's rows.
+    system = POOL_MAPS[name]
+    top = 6 if system.degree == 2 else 3
+    trees = {e: CylinderTree(system, top + 4) for e in EPS_NAMES}
+    tree = trees["1/8"]
+    for n in range(top, 0, -1):
+        for depth in (n, n + 4):
+            dist = pairwise_bowen_broadcast(tree.orbit_matrix(n, depth))
+            upper = dist[np.triu_indices_from(dist, 1)]
+            exact = float(np.sort(upper)[upper.size // 3])
+            for eps_name, eps in zip(EPS_NAMES, (1.0 / 32.0, 1.0 / 8.0, 0.3, exact)):
+                pairs = trees[eps_name].conflicts(n, depth, eps)
+                ref = np.array(np.nonzero(np.triu(dist < eps, 1)))
+                assert pairs.dtype == np.int32 and pairs.shape == ref.shape, (n, depth)
+                assert pair_set(pairs) == pair_set(ref), (n, depth, eps_name)
+                if eps_name == "exact":
+                    assert ref.shape[1] < upper.size - np.count_nonzero(upper > eps)
+    phi = pg.geometric_potential(system, 1.0)
+    bad = BadCollection(DecompositionConfig(0.9))
+    for n in range(1, top + 1):
+        for coll in (FullCollection(), bad):
+            _, rows, _, order, pairs = orbits._candidate_pool(
+                system, coll, n, 1.0 / 8.0, phi, orbits.DEFAULT_ANCHOR, tree=tree)
+            keep = kernels.greedy_separated(rows, order, pairs)
+            assert keep.tobytes() == greedy_separated_quadratic(
+                rows, order, 1.0 / 8.0).tobytes(), (n, coll.name)
+
+
+def test_conflicts_beyond_the_pair_budget_raise_naming_eps(monkeypatch):
+    # a cap of 2^4 nodes allows 64 * 16 = 1024 candidate pairs.  At eps 0.5
+    # the depth-6 level has 2016 window pairs, so the one-column search
+    # refuses it; the depth-5 level's 480 pairs pass, and the depth-6 step
+    # from them refuses its 4 * 480 + 32 candidates.  At eps 1/16 every step
+    # down from (4, 8) fits.
+    tree = CylinderTree(pg.doubling(), 10)
+    monkeypatch.setattr(orbits, "DEFAULT_NODE_CAP", 1 << 4)
+    assert tree.conflicts(4, 8, 1.0 / 16.0).shape[1] == 256
+    with pytest.raises(NodeCapError, match=r"eps 0\.5: 2016 candidate pairs"):
+        tree.conflicts(1, 6, 0.5)
+    with pytest.raises(NodeCapError,
+                       match=r"eps 0\.5: 1952 candidate pairs at \(n, depth\) = \(2, 6\)"):
+        tree.conflicts(2, 6, 0.5)
+    assert tree.conflicts(1, 5, 0.5).shape[1] == 480
+
+
 def test_node_cap():
     with pytest.raises(NodeCapError):
         CylinderTree(pg.doubling(), 19)
@@ -248,7 +302,8 @@ def test_separated_property_random_pools(seed, n):
     rng = np.random.default_rng(seed)
     pool = rng.random(30)
     eps = 0.05 + 0.4 * rng.random()
-    keep = kernels.greedy_separated(system.orbit(pool, n), np.arange(pool.size), eps)
+    rows = system.orbit(pool, n)
+    keep = kernels.greedy_separated(rows, np.arange(pool.size), bowen_pairs(rows, eps))
     e = pool[keep]
     for i in range(len(e)):
         for j in range(i + 1, len(e)):

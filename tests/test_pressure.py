@@ -11,6 +11,8 @@ from pressgap.orbits import (DEFAULT_NODE_CAP, FullCollection, greedy_cover,
 from pressgap.pressure import (GapReport, ct_hypothesis_check, gap_report,
                                growth_fit, katok_sn, pressure_at_scale)
 
+from oracles import bowen_pairs
+
 LOG2 = np.log(2.0)
 
 
@@ -103,7 +105,8 @@ def test_chain_inequality(mp_map):
     # with the zero potential each partition sum counts its set: the greedy
     # separated set of the pool, and the smaller of it and the greedy cover
     rows = mp_map.orbit(pts, n)
-    keep = kernels.greedy_separated(rows, np.arange(pts.size), delta)
+    keep = kernels.greedy_separated(rows, np.arange(pts.size),
+                                    bowen_pairs(rows, delta))
     sep = np.count_nonzero(keep)
     span = min(greedy_cover(rows, delta, np.zeros(pts.size), pts.size).size, sep)
     bad = BadCollection(cfg)
