@@ -4,7 +4,8 @@ their inverse-limit extensions, and solenoid attractors.
 The toolkit classifies orbit segments by hyperbolic-time windows, estimates
 topological pressure on segment collections, constructs shadowing orbits for
 lists of good segments, bounds Birkhoff variation over Bowen balls, and
-cross-checks pressure against an independent transfer-operator computation.
+computes pressure independently from a transfer operator; the acceptance
+tests, not the pressure commands, compare the two.
 """
 
 __version__ = "0.1.0"

@@ -57,7 +57,8 @@ DEFAULTS = {
 }
 
 # orbit points per segment_log_sigma call in decompose, which bounds the
-# memory of the call's orbit rows and their sigma field
+# memory of the call's orbit rows; the sigma field under them is solved in
+# blocks of its own whatever this size
 _DECOMPOSE_POINTS = 1 << 12
 
 # transfer CSV rows formatted per chunk

@@ -28,6 +28,9 @@ _SOLVE_CAP = 100
 # a map without a closed-form solve tabulates its lift at this many uniform
 # points of [0, 1]; the inverse read off the table starts every branch solve
 _START_NODES = 2 ** 14 + 1
+# batched root solves run on consecutive blocks of at most this many roots,
+# so that every temporary of a block stays in cache
+_BLOCK = 1 << 12
 
 # `mixing_time` checks covering on a grid of this many ball centres and
 # gives up after this many steps
@@ -221,7 +224,9 @@ class MapSystem:
         `branch` is one branch id for every point, or an integer array of
         per-point ids shaped like y, each in [0, degree) (out-of-range ids
         are the caller's to reject; `extension.extend` does); either
-        way every point is solved in one call.  The root is found by a
+        way every point is solved in one call, on consecutive blocks of at
+        most _BLOCK points, so a batch's temporaries stay block-sized
+        whatever its length.  The root is found by a
         safeguarded Newton iteration on the point's branch cut interval
         (see `_bracketed_solve`), started from the inverse of the lift
         table sampled at _START_NODES nodes when the map is built, linearly
@@ -246,7 +251,18 @@ class MapSystem:
         branch = np.asarray(branch)
         if branch.ndim:
             branch = branch.reshape(-1)
-        target = flat + branch
+        if flat.size <= _BLOCK:
+            return self._solve_block(branch, flat).reshape(y.shape)
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, _BLOCK):
+            hi = lo + _BLOCK
+            out[lo:hi] = self._solve_block(branch[lo:hi] if branch.ndim else branch,
+                                           flat[lo:hi])
+        return out.reshape(y.shape)
+
+    def _solve_block(self, branch, y):
+        """`branch_solve` on a 1-d y of at most _BLOCK points."""
+        target = y + branch
         lo, hi = self.branch_cuts[branch], self.branch_cuts[branch + 1]
         # start at the tabulated inverse lift: the start only has to be
         # finite and inside the bracket, which (with the root check) is
@@ -254,7 +270,7 @@ class MapSystem:
         start = np.maximum(np.minimum(np.interp(target, *self._start_table), hi), lo)
         x = _bracketed_solve(self._lift, self._deriv, target, lo, hi, start)
         self._check_root(x, target, branch)
-        return x.reshape(y.shape)
+        return x
 
     def _check_root(self, x, target, branch=None):
         """Raise BranchSolveError unless G - target changes sign within
@@ -316,17 +332,31 @@ class MapSystem:
         the two ends, raised to the declared value of every peak of 1/g'
         (`inv_deriv_peaks`) that lies in the arc, found as one range max
         over the peaks sorted when the map is built (`_peak_max_in`), so its
-        cost does not grow with the number of peaks.  Nothing is sampled or
+        cost does not grow with the number of peaks.  The points are taken
+        _BLOCK / 2 at a time, so their end solves make one block of
+        `branch_solve`.  Nothing is sampled or
         inflated, so the sup is exact up to rounding: the 2 ulp of the end
         solves and one division.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-        v = self._lift(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        flat, half = x.reshape(-1), max(_BLOCK // 2, 1)
+        if flat.size <= half:
+            out = self._sigma_block(flat)
+        else:
+            out = np.empty_like(flat)
+            for lo in range(0, flat.size, half):
+                out[lo:lo + half] = self._sigma_block(flat[lo:lo + half])
+        return out.reshape(x.shape) if out.size != 1 else float(out[0])
+
+    def _sigma_block(self, x):
+        """`branch_lipschitz` on a 1-d x of at most _BLOCK / 2 points, whose
+        two ends make one block of root solves."""
+        v = self._lift(x % 1.0)
         ends = self.lift_inverse(np.stack([v - self.epsilon0, v + self.epsilon0]))
         out = (1.0 / self._deriv(ends % 1.0)).max(axis=0)
         if self._peak_points.size:
             out = np.maximum(out, self._peak_max_in(*ends))
-        return out if out.size > 1 else float(out[0])
+        return out
 
     def _peak_max_in(self, zlo, zhi):
         """Largest declared peak value in each arc [zlo, zhi], -inf for none.

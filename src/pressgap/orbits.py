@@ -75,12 +75,8 @@ class CylinderTree:
 
     def _log_sigma_level(self, k):
         if k not in self._log_sigma_levels:
-            pts = self.levels[k]
-            out = np.empty(pts.size)
-            for lo in range(0, pts.size, 1 << 15):
-                hi = min(pts.size, lo + (1 << 15))
-                out[lo:hi] = self.system.branch_lipschitz(pts[lo:hi])
-            self._log_sigma_levels[k] = np.log(out)
+            # level k >= 1 holds degree**k >= 2 points, so sigma is an array
+            self._log_sigma_levels[k] = np.log(self.system.branch_lipschitz(self.levels[k]))
         return self._log_sigma_levels[k]
 
     def orbit_matrix(self, n=None, depth=None, rows=None):

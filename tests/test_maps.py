@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -347,28 +349,98 @@ def test_branch_solve_root_quality(name, data, y):
 @pytest.mark.parametrize("system", [pg.manneville_pomeau(0.5), pg.manneville_pomeau(0.9),
                                     pg.perturbed_doubling(PD_DELTA)], ids=repr)
 def test_tabulated_start_settles_in_few_iterations(system, monkeypatch):
-    # each solver iteration evaluates G once on its open points, and the
-    # root check twice on every point
-    calls = []
-    lift = system._lift
+    # each block of a solve runs the solver, whose iterations evaluate G
+    # once on the block's open points, and then the root check, which
+    # evaluates G twice on every point of the block
+    blocks = []
+    lift, solve = system._lift, maps._bracketed_solve
 
     def counted(x):
-        calls.append(np.size(x))
+        blocks[-1].append(np.size(x))
         return lift(x)
 
+    def solve_block(*args):
+        blocks.append([])
+        return solve(*args)
+
     monkeypatch.setattr(system, "_lift", counted)
+    monkeypatch.setattr(maps, "_bracketed_solve", solve_block)
     rng = np.random.default_rng(7)
     evaluations = points = 0
     for branch in range(system.degree):
         y = np.concatenate([rng.random(10_000), [0.0, 1.0 - 2.0 ** -53, 1e-300, 1e-12]])
-        calls.clear()
+        blocks.clear()
         x = system.branch_solve(branch, y)
-        loop = calls[:-2]
-        assert calls[-2:] == [y.size, y.size] and len(loop) <= 3
-        evaluations += sum(loop)
+        # the first iteration evaluates G on the whole block
+        sizes = [calls[0] for calls in blocks]
+        assert len(blocks) == -(-y.size // maps._BLOCK) > 1 and sum(sizes) == y.size
+        for calls, size in zip(blocks, sizes):
+            loop = calls[:-2]
+            assert calls[-2:] == [size, size] and len(loop) <= 3
+            evaluations += sum(loop)
         points += y.size
         assert _sign_change_nearby(system, x, y + branch)
     assert evaluations / points <= 2.1
+
+
+@pytest.mark.parametrize("system", [pg.doubling()] + list(SOLVE_MAPS.values()), ids=repr)
+def test_empty_inputs_give_empty_arrays(system):
+    for shape in [(0,), (2, 0)]:
+        y = np.empty(shape)
+        assert system.branch_solve(0, y).shape == shape
+        assert system.branch_solve(np.zeros(shape, dtype=int), y).shape == shape
+        assert system.lift_inverse(y).shape == shape
+        assert system.inverse_branches(y).shape == (system.degree,) + shape
+        assert system.branch_lipschitz(y).shape == shape
+
+
+def _solve_all(system, y, branch, tree):
+    """Every batched inverse-branch result on y, as bytes."""
+    out = [system.branch_solve(1, y), system.branch_solve(branch, y),
+           system.branch_solve(branch.reshape(5, -1), y.reshape(5, -1)),
+           system.lift_inverse(3.0 * y - 1.0), system.inverse_branches(y),
+           system.branch_lipschitz(y)]
+    out += tree.levels + [tree.log_sigma_matrix(tree.depth)]
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_MAPS))
+def test_blocked_solves_match_the_unsplit_call(name, monkeypatch):
+    # the mp and perturbed maps are degree 2, the table degree 3
+    system = SOLVE_MAPS[name]
+    rng = np.random.default_rng(11)
+    y = np.concatenate([rng.random(195), [0.0, 1.0 - 2.0 ** -53, 1e-300, 1e-12, 0.5]])
+    branch = rng.integers(0, system.degree, y.size)
+    depth = 6 if system.degree == 2 else 4
+    bad = np.full(10, 0.25)
+    bad[8] = np.nan
+    bad_branch = np.zeros(10, dtype=int)
+    bad_branch[8] = system.degree - 1
+    monkeypatch.setattr(maps, "_BLOCK", 1 << 30)
+    ref = _solve_all(system, y, branch, pg.CylinderTree(system, depth))
+    with pytest.raises(BranchSolveError) as unsplit:
+        system.branch_solve(bad_branch, bad)
+    assert f"branch {system.degree - 1} solve at target" in str(unsplit.value)
+    for block in (1, 2, 3, 7, 64):
+        monkeypatch.setattr(maps, "_BLOCK", block)
+        assert _solve_all(system, y, branch, pg.CylinderTree(system, depth)) == ref
+        # the NaN is in a later block but for the 64-point one
+        with pytest.raises(BranchSolveError) as split:
+            system.branch_solve(bad_branch, bad)
+        assert str(split.value) == str(unsplit.value)
+
+
+@pytest.mark.parametrize("points", [2 ** 14, 2 ** 16])
+def test_branch_lipschitz_working_set_is_a_few_blocks(mp_map, points):
+    x = np.random.default_rng(5).random(points)
+    mp_map.branch_lipschitz(x[:10])
+    tracemalloc.start()
+    try:
+        sigma = mp_map.branch_lipschitz(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sigma.nbytes < 2 * 2 ** 20
 
 
 def test_closed_form_maps_build_no_start_table():
