@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .decomposition import (BadCollection, DecompositionConfig,
                             GoodCollection, draw_good_segments,
-                            segment_log_sigma, split_index)
+                            segment_log_sigma, split_indices)
 from .errors import PressgapError, ValidationError
 from .extension import ExtensionConfig, lift_projection, verify_bowen
 from .maps import (BUILTIN_MAPS, constant_potential, doubling,
@@ -273,15 +273,15 @@ def cmd_decompose(cfg):
                          int(rng.integers(cfg["length_min"], cfg["length_max"] + 1)))
             for _ in range(cfg["samples"])]
     # the log-sigma field of a block of starts at their longest length;
-    # each segment is classified on its own prefix of its row
+    # each segment is split on its own prefix of its row
     block = max(1, _DECOMPOSE_POINTS // cfg["length_max"])
     for first in range(0, len(segs), block):
         group = segs[first:first + block]
+        lengths = [seg.length for seg in group]
         logs = segment_log_sigma(system, np.array([seg.start for seg in group]),
-                                 max(seg.length for seg in group))
-        for seg, row in zip(group, logs):
-            # good when no suffix is bad, bad when the whole segment is
-            m = split_index(row[:seg.length], dec.log_sigma)
+                                 max(lengths))
+        splits = split_indices(logs, lengths, dec.log_sigma).tolist()
+        for seg, m in zip(group, splits):
             cls = "good" if m == seg.length else "bad" if m == 0 else "neither"
             w.row(seg.start, seg.length, cls, m, seg.length - m)
     w.flush()

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .orbits import OrbitSegment, suffix_means
+from .orbits import OrbitSegment
 
 # `draw_good_segments` classifies a first block of 2 count + 2 draws and
 # doubles the block while acceptances fall short, up to this many draws;
@@ -64,26 +64,30 @@ def segment_log_sigma(system, x, n):
     return np.log(system.branch_lipschitz(orbit.reshape(-1))).reshape(orbit.shape)
 
 
-def split_index(logs, log_sigma):
-    """Smallest m whose suffix is bad; len(logs) when no suffix is bad."""
-    means = suffix_means(logs)
-    bad = np.flatnonzero(means >= log_sigma)
-    return int(bad[0]) if bad.size else len(logs)
+def split_indices(logs, ns, log_sigma):
+    """Split index of each segment: for row r of `logs`, of length ns[r],
+    the smallest j < ns[r] with mean(logs[r, j:ns[r]]) >= log_sigma, or
+    ns[r] when there is none.
+
+    A segment is good when its index is its length and bad when it is 0;
+    any segment is a good prefix followed by a bad suffix.  Entries from
+    ns[r] on are read as 0.0, whatever they hold, so each window sum of the
+    one reversed cumulative sum is bitwise that of the row's own prefix.
+    """
+    ns = np.asarray(ns)
+    cols = np.arange(logs.shape[1])
+    live = cols < ns[:, None]
+    sums = np.cumsum(np.where(live, logs, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    bad = live & (sums / np.maximum(ns[:, None] - cols, 1) >= log_sigma)
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), ns)
 
 
-def good_mask(logs, log_sigma):
-    """Row mask: which orbit rows are good segments."""
-    return np.all(suffix_means(logs) < log_sigma, axis=-1)
-
-
-def bad_mask(logs, log_sigma):
-    """Row mask: which orbit rows are bad segments."""
-    return suffix_means(logs)[..., 0] >= log_sigma
-
-
-def _check_length(n):
+def _segment_split(system, x, n, log_sigma):
+    """`split_indices` of the one segment (x, n)."""
     if n < 1:
         raise ValidationError("n", f"segment length {n} must be >= 1")
+    logs = segment_log_sigma(system, np.atleast_1d(x), n)
+    return int(split_indices(logs, [n], log_sigma)[0])
 
 
 class GoodCollection:
@@ -95,20 +99,15 @@ class GoodCollection:
         self.cfg = cfg
         self.name = f"good({cfg.sigma:g})"
 
-    def member_mask(self, system, points, n):
-        logs = segment_log_sigma(system, np.asarray(points), n)
-        return good_mask(logs, self.cfg.log_sigma)
-
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`:
-        `good_mask` of their log sigma rows, since every mean of a row is
-        below log sigma exactly when the largest is."""
+        """Member mask of the depth-`depth` representatives of `tree`: every
+        trailing-window mean of a row is below log sigma exactly when the
+        largest is."""
         _, worst = tree.window_means(n, depth)
         return worst < self.cfg.log_sigma
 
     def contains(self, system, x, n):
-        _check_length(n)
-        return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
+        return _segment_split(system, x, n, self.cfg.log_sigma) == n
 
 
 class BadCollection:
@@ -125,19 +124,14 @@ class BadCollection:
         self.cfg = cfg
         self.name = f"bad({cfg.sigma:g})"
 
-    def member_mask(self, system, points, n):
-        logs = segment_log_sigma(system, np.asarray(points), n)
-        return bad_mask(logs, self.cfg.log_sigma)
-
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`:
-        `bad_mask` of their log sigma rows."""
+        """Member mask of the depth-`depth` representatives of `tree`: the
+        full-window mean of a row is at least log sigma."""
         first, _ = tree.window_means(n, depth)
         return first >= self.cfg.log_sigma
 
     def contains(self, system, x, n):
-        _check_length(n)
-        return bool(self.member_mask(system, np.atleast_1d(x), n)[0])
+        return _segment_split(system, x, n, self.cfg.log_sigma) == 0
 
 
 def draw_good_segments(system, cfg, rng, count, length_range, max_attempts):
@@ -167,12 +161,12 @@ def draw_good_segments(system, cfg, rng, count, length_range, max_attempts):
             ns.append(int(rng.integers(lo, hi + 1)))
             states.append(rng.bit_generator.state)
         logs = segment_log_sigma(system, np.array(xs), max(ns))
-        for i, (x, n, row) in enumerate(zip(xs, ns, logs)):
-            if good_mask(row[:n], cfg.log_sigma):
-                found.append(OrbitSegment(x, n))
-                if len(found) == count:
-                    rng.bit_generator.state = states[i]
-                    return found, attempts + i + 1
+        good = np.flatnonzero(split_indices(logs, ns, cfg.log_sigma) == ns)
+        good = good[:count - len(found)]
+        found += [OrbitSegment(xs[i], ns[i]) for i in good]
+        if len(found) == count:
+            rng.bit_generator.state = states[good[-1]]
+            return found, attempts + int(good[-1]) + 1
         attempts += size
         block = min(2 * block, _DRAW_BLOCK_CAP)
     return found, attempts

@@ -98,35 +98,6 @@ def _bracketed_solve(lift, deriv, target, lo, hi, x):
         f"(first open target {target[0]!r})")
 
 
-def _wrap_bound(p):
-    """Largest float t <= p - 1 + 2**-54: for zlo in (-1, 1), the float
-    zlo - p is -1 or below exactly when zlo <= t, the tie at -1 + 2**-54
-    rounding to -1."""
-    t = math.fsum((p, -1.0, 2.0 ** -54))
-    if math.fsum((t, -p, 1.0, -2.0 ** -54)) > 0.0:
-        t = math.nextafter(t, -math.inf)
-    return t
-
-
-def _range_max_table(values):
-    """Sparse table of range maxima, and the row and span to read per range
-    width.  Row k, column i holds the max of values[i : i + 2**k], so a
-    range of width w >= 1 from i to j is the max of rows[k][i] and
-    rows[k][j - 2**k] for k = row[w], 2**k = span[w]; width 0 reads the
-    last row, which is -inf throughout."""
-    rows = [values]
-    while 2 << (len(rows) - 1) <= values.size:
-        half = 1 << (len(rows) - 1)
-        rows.append(np.maximum(rows[-1][:-half], rows[-1][half:]))
-    table = np.full((len(rows) + 1, values.size + 1), -np.inf)
-    for k, row in enumerate(rows):
-        table[k, :row.size] = row
-    width = np.arange(values.size + 1)
-    row = np.frexp(np.maximum(width, 1))[1] - 1
-    row[0] = len(rows)
-    return table, row, np.where(width > 0, 1 << row, 0)
-
-
 class MapSystem:
     """A topologically exact degree-D monotone circle cover.
 
@@ -166,13 +137,6 @@ class MapSystem:
         self._peaks = [(float(p), float(v)) for p, v in inv_deriv_peaks]
         if any(not 0.0 <= p < 1.0 for p, _ in self._peaks):
             raise ValidationError("inv_deriv_peaks", "peak points must lie in [0, 1)")
-        by_point = sorted(self._peaks)
-        self._peak_points = pts = np.array([p for p, _ in by_point])
-        # see `_peak_max_in`: entry j of these lifts has value j mod P
-        self._peak_starts = np.concatenate([[_wrap_bound(p) for p in pts], pts])
-        self._peak_lifts = np.concatenate([pts - 1.0, pts, pts + 1.0])
-        self._peak_max, self._peak_row, self._peak_span = _range_max_table(
-            np.tile([v for _, v in by_point], 3))
         self.branch_cuts = self._solve_cuts()
         self._start_table = None if exact_branch_solve is not None else self._tabulate()
 
@@ -330,15 +294,13 @@ class MapSystem:
         It is the sup of 1/g' over the pulled-back ball [zlo, zhi], whose
         two ends come from one `lift_inverse` call: the larger of 1/g' at
         the two ends, raised to the declared value of every peak of 1/g'
-        (`inv_deriv_peaks`) that lies in the arc, found as one range max
-        over the peaks sorted when the map is built (`_peak_max_in`), so its
-        cost does not grow with the number of peaks.  The points are taken
-        _BLOCK / 2 at a time, so their end solves make one block of
-        `branch_solve`.  Nothing is sampled or
-        inflated, so the sup is exact up to rounding: the 2 ulp of the end
-        solves and one division.
+        (`inv_deriv_peaks`) that lies in the arc, one pass per peak.  The
+        points are taken _BLOCK / 2 at a time, so their end solves make one
+        block of `branch_solve`.  Nothing is sampled or inflated, so the sup
+        is exact up to rounding: the 2 ulp of the end solves and one
+        division.  A 0-d x gives a float, any other x an array of its shape.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         flat, half = x.reshape(-1), max(_BLOCK // 2, 1)
         if flat.size <= half:
             out = self._sigma_block(flat)
@@ -346,7 +308,7 @@ class MapSystem:
             out = np.empty_like(flat)
             for lo in range(0, flat.size, half):
                 out[lo:lo + half] = self._sigma_block(flat[lo:lo + half])
-        return out.reshape(x.shape) if out.size != 1 else float(out[0])
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     def _sigma_block(self, x):
         """`branch_lipschitz` on a 1-d x of at most _BLOCK / 2 points, whose
@@ -354,29 +316,12 @@ class MapSystem:
         v = self._lift(x % 1.0)
         ends = self.lift_inverse(np.stack([v - self.epsilon0, v + self.epsilon0]))
         out = (1.0 / self._deriv(ends % 1.0)).max(axis=0)
-        if self._peak_points.size:
-            out = np.maximum(out, self._peak_max_in(*ends))
+        zlo, zhi = ends
+        for point, value in self._peaks:
+            # the peak's first lift at or above zlo
+            inside = np.ceil(zlo - point) + point <= zhi
+            out = np.where(inside, np.maximum(out, value), out)
         return out
-
-    def _peak_max_in(self, zlo, zhi):
-        """Largest declared peak value in each arc [zlo, zhi], -inf for none.
-
-        Peak p is in the arc when ceil(zlo - p) + p <= zhi, in floats.  As
-        zlo lies in (-1, 1), c = ceil(zlo - p) is 1 for the points below
-        zlo, -1 for those with zlo <= `_wrap_bound(p)`, and 0 between, so
-        the c + p to test are a window of P consecutive entries of the
-        sorted lifts p - 1, p, p + 1 of the P points, starting at the count
-        of those bounds and points below zlo.  The window's lifts <= zhi are
-        its leading run, whose value is one range max.  (The run is never
-        negative, as zlo <= zhi, and the arc is shorter than a turn; a run
-        past the window would only repeat its values.)
-        """
-        start = np.searchsorted(self._peak_starts, zlo, side="left")
-        stop = np.searchsorted(self._peak_lifts, zhi, side="right")
-        width = stop - start
-        k = self._peak_row[width]
-        return np.maximum(self._peak_max[k, start],
-                          self._peak_max[k, stop - self._peak_span[width]])
 
     def mixing_time(self, eps):
         """Smallest N with g^N(B_eps(y)) = X for every y on a verification

@@ -75,7 +75,6 @@ class CylinderTree:
 
     def _log_sigma_level(self, k):
         if k not in self._log_sigma_levels:
-            # level k >= 1 holds degree**k >= 2 points, so sigma is an array
             self._log_sigma_levels[k] = np.log(self.system.branch_lipschitz(self.levels[k]))
         return self._log_sigma_levels[k]
 
@@ -120,9 +119,10 @@ class CylinderTree:
         1..n-1 of row `addr` are the (n - 1, depth - 1) row
         `addr % degree**(depth - 1)`: the sum is the level's log sigma plus
         that row's sum, and the largest mean is the larger of sum / n and
-        that row's largest, O(rows) down to the n = 1 base.  This is bitwise
-        `suffix_means(log_sigma_matrix(n, depth))`: its reversed cumsum adds
-        time 0 last to the same time-1.. sum, and division and max are
+        that row's largest, O(rows) down to the n = 1 base.  These are
+        bitwise the trailing-window means of the `log_sigma_matrix(n, depth)`
+        rows that `decomposition.split_indices` tests: their reversed cumsum
+        adds time 0 last to the same time-1.. sum, and division and max are
         exact.  Needs depth >= n, as `tree_depth` guarantees."""
         if (n, depth) not in self._window_means:
             if n == 1:
@@ -184,14 +184,6 @@ class CylinderTree:
                 entry = np.concatenate(found, axis=1)
             self._conflicts[key] = entry
         return self._conflicts[key]
-
-
-def suffix_means(logs):
-    """Trailing-window means: out[j] = mean(logs[j:]), along the last axis."""
-    logs = np.asarray(logs, dtype=float)
-    n = logs.shape[-1]
-    tail_sums = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
-    return tail_sums / np.arange(n, 0, -1)
 
 
 def tree_depth(system, n, refine=0):

@@ -15,7 +15,8 @@ solenoid fibers, metric-equivalence sampler and attractor Bowen check (on
 a point type of their own, `AttractorPoint`, converted to and from the
 package's batches by `as_batch` and `batch_rows`), the fixed-step
 bisection inverse-branch solver, the per-peak pass of the sigma field, the
-plain forward/adjoint power iteration for transfer-operator eigendata, and
+trailing-window means of log sigma rows (`suffix_means`), the plain
+forward/adjoint power iteration for transfer-operator eigendata, and
 the Arnoldi start that restarts from a single Ritz vector.  `ext_points`,
 `ext_point` and `ext_columns` read the columns of the package's
 backward-orbit arrays as ExtPoints.
@@ -35,11 +36,11 @@ from typing import Tuple
 import numpy as np
 
 from pressgap import kernels
-from pressgap.decomposition import GoodCollection, segment_log_sigma, split_index
+from pressgap.decomposition import GoodCollection, segment_log_sigma, split_indices
 from pressgap.errors import ConvergenceError, ValidationError
 from pressgap.extension import depth_for_tolerance, extend, tail_bound
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist, zero_potential
-from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool, suffix_means
+from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
 from pressgap.specification import _glue, _midpoint
 from pressgap.transfer import (_BREAKDOWN, _MAX_APPLICATIONS, _TOL, EigenData,
                                _basis_norm, _dot, _norm, _power_finish,
@@ -889,6 +890,14 @@ def separated_set(system, coll, n, eps):
     return points[order][keep[order]]
 
 
+def suffix_means(logs):
+    """Trailing-window means: out[j] = mean(logs[j:]), along the last axis."""
+    logs = np.asarray(logs, dtype=float)
+    n = logs.shape[-1]
+    tail_sums = np.cumsum(logs[..., ::-1], axis=-1)[..., ::-1]
+    return tail_sums / np.arange(n, 0, -1)
+
+
 def in_sigma_window(system, cfg, x, j, n):
     """True iff the trailing average over [j, n) beats log sigma."""
     if not 0 <= j <= n - 1:
@@ -937,7 +946,7 @@ def decompose(system, cfg, seg):
     """Split (x, n) into a good prefix and bad suffix at the first bad-suffix
     index; either part may be empty."""
     logs = segment_log_sigma(system, seg.start, seg.length)[0]
-    m = split_index(logs, cfg.log_sigma)
+    m = int(split_indices(logs[None], [seg.length], cfg.log_sigma)[0])
     return Decomposition(g_len=m, s_len=seg.length - m)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pressgap as pg
 from pressgap.decomposition import (DecompositionConfig, GoodCollection,
                                     draw_good_segments, segment_log_sigma,
-                                    split_index)
+                                    split_indices)
 from pressgap.errors import ConvergenceError
 from pressgap.extension import (ExtensionConfig, lift_projection, tail_bound,
                                 verify_bowen)
@@ -76,13 +76,13 @@ def test_criterion_03_variational_cross_check():
     assert report(3, ok, f"|rate - log lambda| = {diff:.4f} (tol 0.1)")
 
 
-def _contraction_violations(system, cfg, segs, rng):
+def _contraction_violations(system, cfg, starts, splits, rng):
     """Zero-tolerance check of the sigma^(n-k) pullback contraction over the
-    good prefixes of the supplied segments, batched by prefix length."""
+    good prefixes, of lengths `splits`, of the segments from `starts`,
+    batched by prefix length."""
     eps = system.epsilon0
     by_len = {}
-    for x, logs in segs:
-        m = split_index(logs, cfg.log_sigma)
+    for x, m in zip(starts.tolist(), splits.tolist()):
         if m >= 1:
             by_len.setdefault(m, []).append(x)
     bad = 0
@@ -112,10 +112,10 @@ def test_criterion_04_decomposition_suite():
         for sigma in (0.6, 0.75, 0.9):
             cfg = DecompositionConfig(sigma)
             good = GoodCollection(cfg)
-            for x, logs in segs[:1500]:
+            splits = split_indices(logs_all, lengths, cfg.log_sigma)
+            for (x, logs), m in zip(segs[:1500], splits.tolist()):
                 n = len(logs)
                 # (b) split minimality vs the brute-force oracle
-                m = split_index(logs, cfg.log_sigma)
                 if m != brute_split(logs, cfg.log_sigma):
                     violations["split"] += 1
                 # (c) the split parts classify as claimed
@@ -132,7 +132,7 @@ def test_criterion_04_decomposition_suite():
                         violations["concat"] += 1
             # (d) inverse-branch contraction along good prefixes
             violations["contract"] += _contraction_violations(
-                system, cfg, segs, rng)
+                system, cfg, starts, splits, rng)
     ok = not any(violations.values())
     assert report(4, ok, f"violations={violations} over {total} segments, "
                          "sigma in {0.6, 0.75, 0.9}, both maps")

@@ -6,7 +6,7 @@ from pressgap import cli
 from pressgap.decomposition import (BadCollection, DecompositionConfig,
                                     GoodCollection, draw_good_segments,
                                     obstruction_sample, segment_log_sigma,
-                                    split_index)
+                                    split_indices)
 from pressgap.errors import ValidationError
 from pressgap.maps import TWO_PI
 from pressgap.orbits import OrbitSegment
@@ -14,7 +14,7 @@ from pressgap.orbits import OrbitSegment
 from oracles import (Classification, brute_split, classify_segment,
                      contraction_profile,
                      decompose, in_sigma_window, is_bad, is_good,
-                     random_good_segments_scalar)
+                     random_good_segments_scalar, suffix_means)
 
 _GRID = np.linspace(0.0, 1.0, 65)
 DRAW_MAPS = {
@@ -70,10 +70,8 @@ def test_classification_matches_oracle(builtin_maps, rng):
 def test_good_and_bad_are_exclusive(mp_map, rng):
     cfg = DecompositionConfig(0.9)
     good, bad = GoodCollection(cfg), BadCollection(cfg)
-    pts = rng.random(300)
-    gm = good.member_mask(mp_map, pts, 9)
-    bm = bad.member_mask(mp_map, pts, 9)
-    assert not np.any(gm & bm)
+    for x in rng.random(300):
+        assert not (good.contains(mp_map, x, 9) and bad.contains(mp_map, x, 9))
 
 
 @pytest.mark.parametrize("coll", [GoodCollection, BadCollection])
@@ -130,6 +128,21 @@ def test_decompose_against_bruteforce(builtin_maps, rng):
                     assert not is_bad(logs[m:], cfg.log_sigma)
 
 
+def test_split_indices_match_the_brute_split_on_ragged_rows(rng):
+    # multiples of 1/8 sum exactly, so every mean is one rounded division
+    # in both; the thresholds include each trailing mean of one row (the
+    # edge of >=), rows of length 1, and NaN and +-inf past each length
+    width = 12
+    logs = rng.integers(-16, 9, (300, width)) / 8.0
+    ns = rng.integers(1, width + 1, 300)
+    ns[:20], ns[20] = 1, width
+    pad = np.arange(width) >= ns[:, None]
+    logs[pad] = rng.choice([np.nan, np.inf, -np.inf], int(pad.sum()))
+    for log_sigma in [np.log(0.6), np.log(0.9), *suffix_means(logs[20])]:
+        want = [brute_split(row[:n], log_sigma) for row, n in zip(logs, ns)]
+        assert split_indices(logs, ns, log_sigma).tolist() == want
+
+
 def test_window_algebra(rng):
     # if all windows of the full segment pass up to m and the suffix at m
     # fails, then every window of the prefix passes (weighted-average fact)
@@ -137,7 +150,7 @@ def test_window_algebra(rng):
     for _ in range(300):
         n = int(rng.integers(2, 20))
         logs = rng.normal(-0.25, 0.4, n)
-        m = split_index(logs, log_sigma)
+        m = split_indices(logs[None], [n], log_sigma)[0]
         if 0 < m < n:
             assert is_good(logs[:m], log_sigma)
 

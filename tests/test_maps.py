@@ -12,7 +12,7 @@ from pressgap.errors import BranchSolveError, MixingCapError, ValidationError
 from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
 from oracles import (bisect_root, branch_lipschitz_loop, branch_solve_bisect,
-                     covering_time_dense, peak_max_loop)
+                     covering_time_dense)
 
 # sigma(x) is the sup of 1/g' over the pulled-back ball up to rounding: the
 # end solves' 2 ulp, the evaluation of g' at the ends and one division
@@ -79,7 +79,7 @@ def test_branch_lipschitz_consistency(builtin_maps, rng):
     # d(inv(y), inv(z)) <= sigma(x) d(y, z) on the ball around g(x)
     for system in builtin_maps:
         xs = rng.random(200)
-        sig = np.atleast_1d(system.branch_lipschitz(xs))
+        sig = system.branch_lipschitz(xs)
         gx = system.forward(xs)
         for _ in range(5):
             u = gx + system.epsilon0 * (2 * rng.random(200) - 1)
@@ -394,6 +394,15 @@ def test_empty_inputs_give_empty_arrays(system):
         assert system.branch_lipschitz(y).shape == shape
 
 
+@pytest.mark.parametrize("system", [pg.doubling()] + list(SOLVE_MAPS.values()), ids=repr)
+def test_branch_lipschitz_keeps_one_point_shapes(system):
+    for shape in [(1,), (1, 1)]:
+        sigma = system.branch_lipschitz(np.full(shape, 0.3))
+        assert isinstance(sigma, np.ndarray) and sigma.shape == shape
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(system.branch_lipschitz(x)) is float
+
+
 def _solve_all(system, y, branch, tree):
     """Every batched inverse-branch result on y, as bytes."""
     out = [system.branch_solve(1, y), system.branch_solve(branch, y),
@@ -660,12 +669,11 @@ def test_branch_lipschitz_reaches_the_perturbed_peak():
 def test_branch_lipschitz_is_elementwise(name, xs):
     system = SIGMA_MAPS[name]
     x = np.asarray(xs)
-    batch = np.atleast_1d(system.branch_lipschitz(x))
+    batch = system.branch_lipschitz(x)
     for i in range(x.size):
         single = system.branch_lipschitz(x[i:i + 1])
         scalar = system.branch_lipschitz(np.float64(x[i]))
-        assert batch[i].tobytes() == np.float64(single).tobytes() \
-            == np.float64(scalar).tobytes()
+        assert batch[i].tobytes() == single.tobytes() == np.float64(scalar).tobytes()
 
 
 def _sin_table(nodes):
@@ -688,30 +696,12 @@ def test_branch_lipschitz_matches_the_per_peak_loop(name):
     nodes = np.linspace(0.0, 1.0, 1025)[:-1]
     xs = [rng.random(4000), np.array([0.0, 1e-300, 1.0 - 2.0 ** -53, 0.5]),
           nodes, np.nextafter(nodes, 1.0), np.nextafter(nodes, -1.0) % 1.0]
-    peaks = system._peak_points
+    peaks = np.array([p for p, _ in system._peaks])
     for side in (-1.0, 1.0):
         y = (system._lift(peaks) + side * system.epsilon0) % 1.0
         xs += [system.branch_solve(b, y) for b in range(system.degree)]
     x = np.concatenate(xs)
     assert system.branch_lipschitz(x).tobytes() == branch_lipschitz_loop(system, x).tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(PEAK_MAPS))
-def test_peak_lookup_matches_the_loop_on_float_edges(name):
-    # arcs whose ends sit on, or an ulp off, each peak's lifts p - 1, p and
-    # p + 1 and the bound where zlo - p rounds to -1; the perturbed map's
-    # peak at 1/2 puts zlo - p exactly on the tie -1 + 2**-54
-    system = PEAK_MAPS[name]
-    pts = system._peak_points[:64]
-    centres = np.concatenate([pts - 1.0, pts, pts + 1.0,
-                              [maps._wrap_bound(p) for p in pts], [0.0, -0.0]])
-    ends = np.unique(np.concatenate([centres, np.nextafter(centres, -np.inf),
-                                     np.nextafter(centres, np.inf)]))
-    zlo, zhi = (a.ravel() for a in np.meshgrid(ends, ends, indexing="ij"))
-    arcs = (zlo > -1.0) & (zlo < 1.0) & (zlo <= zhi) & (zhi - zlo < 1.0)
-    zlo, zhi = zlo[arcs], zhi[arcs]
-    expected = peak_max_loop(system, zlo, zhi, np.full(zlo.shape, -np.inf))
-    assert system._peak_max_in(zlo, zhi).tobytes() == expected.tobytes()
 
 
 def test_peak_points_must_lie_on_the_circle():

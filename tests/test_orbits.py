@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 import pressgap as pg
 from pressgap import kernels, orbits
 from pressgap.decomposition import (BadCollection, DecompositionConfig, GoodCollection,
-                                    bad_mask, good_mask)
+                                    split_indices)
 from pressgap.errors import NodeCapError, ValidationError
 from pressgap.maps import TWO_PI, circle_dist
 from pressgap.orbits import (CylinderTree, FullCollection, partition_sum_sep,
-                             partition_sum_span, suffix_means, tree_depth)
+                             partition_sum_span, tree_depth)
 
 from oracles import (birkhoff_sum, bowen_distance, bowen_pairs,
                      greedy_separated_quadratic, max_separated_cardinality,
-                     pair_set, pairwise_bowen_broadcast, separated_set)
+                     pair_set, pairwise_bowen_broadcast, separated_set,
+                     suffix_means)
 
 
 def test_birkhoff_examples(doubling_map):
@@ -108,8 +109,9 @@ def test_pool_masks_and_member_rows_match_the_full_matrices(name):
                 cfg = SimpleNamespace(sigma=0.5, log_sigma=float(log_sigma))
                 good = GoodCollection(cfg).pool_mask(tree, n, depth)
                 bad = BadCollection(cfg).pool_mask(tree, n, depth)
-                assert good.tobytes() == good_mask(logs, cfg.log_sigma).tobytes()
-                assert bad.tobytes() == bad_mask(logs, cfg.log_sigma).tobytes()
+                splits = split_indices(logs, np.full(logs.shape[0], n), cfg.log_sigma)
+                assert good.tobytes() == (splits == n).tobytes()
+                assert bad.tobytes() == (splits == 0).tobytes()
                 if log_sigma == first:
                     assert bad[r]
                 if log_sigma == worst:

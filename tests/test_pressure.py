@@ -110,7 +110,7 @@ def test_chain_inequality(mp_map):
     sep = np.count_nonzero(keep)
     span = min(greedy_cover(rows, delta, np.zeros(pts.size), pts.size).size, sep)
     bad = BadCollection(cfg)
-    assert np.all(bad.member_mask(mp_map, pts, n))
+    assert all(bad.contains(mp_map, x, n) for x in pts)
     sep_bad = partition_sum_sep(mp_map, zero, bad, n, delta)
     assert katok <= span + 1e-9
     assert span <= sep + 1e-9

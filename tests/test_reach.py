@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package is reached,
 and every public method or property of a public class is read, by package
-code or the benchmark harness; tests alone do not count."""
+code or the benchmark harness; every private module-level function, class
+and constant is read by package code.  Tests alone do not count."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,11 @@ PENDING = {
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _modules():
+    # `pressgap/__init__.py` re-exports names and is no caller
+    return {p.stem: _parse(p) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
 
 
 def _outside_reads(tree):
@@ -71,8 +77,7 @@ def _public_members(tree):
 
 
 def _unreached():
-    modules = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")
-               if p.name != "__init__.py"}
+    modules = _modules()
     bench = [_parse(path) for path in BENCH.glob("*.py")]
     outside = {pair for tree in bench for pair in _outside_reads(tree)}
     # a member is read by name: an attribute anywhere in the package or
@@ -99,9 +104,44 @@ def _unreached():
 
 
 def test_every_public_definition_is_reached():
-    # `pressgap/__init__.py` re-exports names and is no caller; a name only
-    # tests use belongs in tests/oracles.py
+    # a name only tests use belongs in tests/oracles.py
     assert _unreached() == PENDING
+
+
+def _private_definitions(tree):
+    """(name, node) of every private function, class and constant defined
+    at the top of `tree`; dunder names belong to Python."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unread_private():
+    modules = _modules()
+    imported = {(module, name) for source, tree in modules.items()
+                for module, name in _outside_reads(tree) if module != source}
+    unread = set()
+    for module, tree in modules.items():
+        loads = list(_global_loads(tree))
+        for name, node in _private_definitions(tree):
+            inside = set(map(id, ast.walk(node)))
+            if (module, name) not in imported and not any(
+                    load.id == name and id(load) not in inside for load in loads):
+                unread.add(f"{module}.{name}")
+    return unread
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a private name only tests or the benchmark read is dead package code
+    assert _unread_private() == set()
 
 
 def _defaulted(module, tree):
@@ -148,8 +188,7 @@ def _call_name(call):
 
 
 def _unset_parameters():
-    modules = {p.stem: _parse(p) for p in PACKAGE.glob("*.py")
-               if p.name != "__init__.py"}
+    modules = _modules()
     calls = {}
     for tree in [*modules.values(), *map(_parse, BENCH.glob("*.py"))]:
         for node in ast.walk(tree):
