@@ -4,8 +4,9 @@ their inverse-limit extensions, and solenoid attractors.
 The toolkit classifies orbit segments by hyperbolic-time windows, estimates
 topological pressure on segment collections, constructs shadowing orbits for
 lists of good segments, bounds Birkhoff variation over Bowen balls, and
-computes pressure independently from a transfer operator; the acceptance
-tests, not the pressure commands, compare the two.
+estimates pressure from a transfer operator (Fourier collocation on analytic
+maps and potentials, a grid elsewhere); the acceptance tests, not the
+pressure commands, compare the two.
 """
 
 __version__ = "0.1.0"
@@ -35,4 +36,4 @@ from .specification import (ExtensionGluingPlan, GluingPlan, glue_base,
                             glue_extension, verify_shadow,
                             verify_shadow_extension)
 from .transfer import (EigenData, OperatorGrid, build_operator,
-                       check_equilibrium, leading_eigen)
+                       collocation_eigen, collocation_estimate, leading_eigen)

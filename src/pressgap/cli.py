@@ -31,7 +31,8 @@ from .solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                        check_fiber_depth, conjugacy_h, fiber_point,
                        fiber_sample, metric_equivalence)
 from .specification import glue_base, verify_shadow
-from .transfer import build_operator, check_grid_size, leading_eigen
+from .transfer import (build_operator, check_grid_size, collocation_estimate,
+                       leading_eigen)
 
 DEFAULTS = {
     "map": {"kind": "doubling", "alpha": 0.5, "delta": 0.75},
@@ -331,16 +332,25 @@ def cmd_glue(cfg):
 def cmd_transfer(cfg):
     system = build_map(cfg)
     phi = build_potential(cfg, system)
-    op = build_operator(system, phi, cfg["grid_size"])
-    eigen = leading_eigen(op)
+    # the grid is the fallback of collocation, so it is checked first
+    check_grid_size(cfg["grid_size"], system.degree)
+    found = (collocation_estimate(system, phi)
+             if system.analytic and phi.analytic else None)
+    if found is None:
+        op = build_operator(system, phi, cfg["grid_size"])
+        nodes, eigen, method = op.nodes, leading_eigen(op), ""
+    else:
+        eigen, uncertainty = found
+        nodes = np.arange(eigen.eigenfunction.size) / eigen.eigenfunction.size
+        method = f" method=collocation nodes={nodes.size} uncertainty={fmt(uncertainty)}"
     w = Writer(cfg["out"], cfg, ["node", "x", "h", "nu", "density"])
     w.lines[0] += (f" lambda={fmt(eigen.lam)} log_lambda={fmt(eigen.log_lam)}"
-                   f" iterations={eigen.iterations} residual={fmt(eigen.residual)}")
-    cols = (op.nodes, eigen.eigenfunction, eigen.eigenmeasure,
+                   f" iterations={eigen.iterations} residual={fmt(eigen.residual)}{method}")
+    cols = (nodes, eigen.eigenfunction, eigen.eigenmeasure,
             eigen.equilibrium_density)
     # "%.17g" gives the bytes of fmt; each chunk of rows becomes one string,
     # so the Python floats and row strings alive at a time stay few
-    for lo in range(0, op.size, _ROW_CHUNK):
+    for lo in range(0, nodes.size, _ROW_CHUNK):
         chunk = [c[lo:lo + _ROW_CHUNK].tolist() for c in cols]
         w.lines.append("\n".join(
             "%d,%.17g,%.17g,%.17g,%.17g" % row

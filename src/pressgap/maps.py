@@ -120,10 +120,12 @@ class MapSystem:
         missing peak gives too small a sigma.
     exact_branch_solve : callable, optional
         Closed-form (branch, y) -> preimage, bypassing the root solver.
+    analytic : bool, optional
+        Real-analytic and uniformly expanding: `transfer` may collocate.
     """
 
     def __init__(self, name, lift, lift_deriv, degree, epsilon0, inv_deriv_peaks,
-                 exact_branch_solve=None):
+                 exact_branch_solve=None, analytic=False):
         if degree < 2:
             raise ValidationError("degree", "need at least two branches")
         if not 0.0 < epsilon0 <= 0.25:
@@ -131,6 +133,7 @@ class MapSystem:
         self.name = name
         self.degree = int(degree)
         self.epsilon0 = float(epsilon0)
+        self.analytic = bool(analytic)
         self._lift = lift
         self._deriv = lift_deriv
         self._exact_solve = exact_branch_solve
@@ -374,6 +377,7 @@ def doubling():
         epsilon0=0.25,
         inv_deriv_peaks=(),
         exact_branch_solve=_doubling_solve,
+        analytic=True,
     )
 
 
@@ -406,6 +410,7 @@ def perturbed_doubling(delta=0.75):
         degree=2,
         epsilon0=0.25,
         inv_deriv_peaks=[(0.5, 1.0 / (2.0 - d))],
+        analytic=True,
     )
 
 
@@ -476,6 +481,7 @@ class Potential:
     holder_exponent: float
     name: str = "potential"
     wrap_jump: float = 0.0
+    analytic: bool = False     # real-analytic on the whole circle
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -483,13 +489,13 @@ class Potential:
 
 def zero_potential():
     return Potential(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                     0.0, 1.0, name="zero")
+                     0.0, 1.0, name="zero", analytic=True)
 
 
 def constant_potential(c):
     c = float(c)
     return Potential(lambda x: np.full_like(np.asarray(x, dtype=float), c),
-                     0.0, 1.0, name=f"constant({c:g})")
+                     0.0, 1.0, name=f"constant({c:g})", analytic=True)
 
 
 def geometric_potential(system, t=1.0):
@@ -517,8 +523,8 @@ def geometric_potential(system, t=1.0):
     jump = float(abs(fn(np.float64(0.0)) - fn(np.float64(1.0 - 1e-12))))
     if jump < 1e-9:
         jump = 0.0
-    return Potential(fn, 1.05 * c_est, alpha,
-                     name=f"geometric({t:g})", wrap_jump=jump)
+    return Potential(fn, 1.05 * c_est, alpha, name=f"geometric({t:g})",
+                     wrap_jump=jump, analytic=system.analytic)
 
 
 def tabulated_potential(xs, values, holder_constant, holder_exponent):

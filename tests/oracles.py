@@ -16,10 +16,11 @@ a point type of their own, `AttractorPoint`, converted to and from the
 package's batches by `as_batch` and `batch_rows`), the fixed-step
 bisection inverse-branch solver, the per-peak pass of the sigma field, the
 trailing-window means of log sigma rows (`suffix_means`), the plain
-forward/adjoint power iteration for transfer-operator eigendata, and
-the Arnoldi start that restarts from a single Ritz vector.  `ext_points`,
-`ext_point` and `ext_columns` read the columns of the package's
-backward-orbit arrays as ExtPoints.
+forward/adjoint power iteration for transfer-operator eigendata, the
+invariance and pressure check of a grid's equilibrium density
+(`check_equilibrium`), and the Arnoldi start that restarts from a single
+Ritz vector.  `ext_points`, `ext_point` and `ext_columns` read the columns
+of the package's backward-orbit arrays as ExtPoints.
 The last section holds one-segment and one-point helpers that no package
 code calls: Birkhoff sums, Bowen distances, good/bad/neither
 classification, decomposition and pullback chains of one segment, the
@@ -771,6 +772,28 @@ def leading_eigen_power(op, tol=1e-13, max_iters=20000):
     return EigenData(lam=lam, log_lam=float(np.log(lam)), eigenfunction=h,
                      eigenmeasure=nu, equilibrium_density=dens,
                      iterations=it_f + it_a, residual=residual)
+
+
+@dataclass(frozen=True)
+class EquilibriumReport:
+    invariance_defect: float
+    pressure_match: float
+
+
+def check_equilibrium(system, op, eigen, test_functions, pressure_rate=None):
+    """Invariance defect of the discrete equilibrium density of `system`'s
+    grid operator, and the match between log lambda and an externally
+    supplied pressure rate."""
+    mu = eigen.equilibrium_density
+    gx = system.forward(op.nodes)
+    defect = 0.0
+    for psi in test_functions:
+        fwd = float(np.sum(mu * psi(gx)))
+        here = float(np.sum(mu * psi(op.nodes)))
+        defect = max(defect, abs(fwd - here))
+    match = (float("nan") if pressure_rate is None
+             else abs(eigen.log_lam - pressure_rate))
+    return EquilibriumReport(invariance_defect=defect, pressure_match=match)
 
 
 # Arnoldi basis dimension of the single-vector restart

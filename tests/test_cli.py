@@ -1,13 +1,16 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pressgap as pg
-from pressgap import cli, orbits
+from pressgap import cli, orbits, transfer
 from pressgap.cli import fmt, main
 from pressgap.decomposition import DecompositionConfig
 
@@ -91,12 +94,83 @@ def test_glue_json_plans(tmp_path):
 
 
 def test_transfer_csv(tmp_path):
+    # doubling with the zero potential is analytic: the table lists the
+    # collocation nodes, not the grid
     out = tmp_path / "t.csv"
     assert run(["transfer", "--grid-size", "64", "--out", str(out)]) == 0
     lines = read(out).splitlines()
     assert "lambda=2" in lines[0]
+    assert "method=collocation nodes=63 uncertainty=" in lines[0]
+    assert lines[1] == "node,x,h,nu,density"
+    assert len(lines) == 65
+
+
+def test_transfer_grid_csv(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["transfer", "--map", "manneville_pomeau", "--grid-size", "64",
+                "--out", str(out)]) == 0
+    lines = read(out).splitlines()
+    assert "method=" not in lines[0] and "uncertainty=" not in lines[0]
     assert lines[1] == "node,x,h,nu,density"
     assert len(lines) == 66
+
+
+@pytest.mark.parametrize("kind", ["doubling", "perturbed_doubling",
+                                  "manneville_pomeau", "tabulated"])
+@pytest.mark.parametrize("potential", ["zero", "constant", "geometric", "tabulated"])
+def test_transfer_method_follows_the_analytic_declarations(kind, potential, tmp_path):
+    cfg = {"map": {"kind": kind, "values": list(np.linspace(0.0, 2.0, 9))},
+           "potential": {"kind": potential, "c": -0.3, "t": 0.5,
+                         "xs": [0.0, 0.5], "values": [0.0, 0.1],
+                         "holder_constant": 0.4, "holder_exponent": 1.0},
+           "grid_size": 256}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "t.csv"
+    assert run(["transfer", "--config", str(config), "--out", str(out)]) == 0
+    lines = read(out).splitlines()
+    analytic = kind in ("doubling", "perturbed_doubling") and potential != "tabulated"
+    assert ("method=collocation nodes=63" in lines[0]) == analytic
+    assert len(lines) == (63 if analytic else 256) + 2
+
+
+def test_transfer_falls_back_to_the_grid_byte_for_byte(tmp_path, monkeypatch):
+    # the digest of this run before collocation existed; PD 0.75 at t = 0.5
+    # has a collocation uncertainty of about 1e-14, above a tolerance of 0
+    monkeypatch.setattr(transfer, "_COLLOCATION_TOL", 0.0)
+    out = tmp_path / "t.csv"
+    assert run(["transfer", "--map", "perturbed_doubling", "--potential",
+                "geometric", "--potential-t", "0.5", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "2762c18dedc16894f3fb52248b80c71ce0198b58b7e333db6475e524da5e5807")
+
+
+def test_small_grid_size_fails_before_collocation(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("transfer work ran before validation")
+
+    monkeypatch.setattr(cli, "collocation_estimate", fail)
+    monkeypatch.setattr(cli, "build_operator", fail)
+    assert run(["transfer", "--grid-size", "8", "--out", str(tmp_path / "t.csv")]) == 1
+    assert "validation error: grid_size: need >= 16" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["doubling", "manneville_pomeau"])
+def test_weight_overflow_prints_only_the_validation_error(kind, tmp_path):
+    # in a fresh process, so that numpy's warning filter has not yet seen
+    # the overflow
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "pressgap.cli", "transfer",
+                           "--map", kind, "--potential", "constant",
+                           "--potential-c", "1e308",
+                           "--out", str(tmp_path / "t.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == ("validation error: potential: weights must be "
+                           "finite and positive\n")
 
 
 def test_transfer_rows_match_fmt(tmp_path):
@@ -263,6 +337,22 @@ _SOLENOID_GOLDEN = {
 }
 
 
+# the benchmark's Manneville-Pomeau transfer run, which solves the grid,
+# taken before collocation existed, and a perturbed-doubling run, which
+# collocation solves, taken when it came in
+_TRANSFER_GOLDEN = {
+    "transfer-mp-grid.csv": (
+        ["transfer", "--map", "manneville_pomeau", "--alpha", "0.5",
+         "--potential", "geometric", "--potential-t", "1",
+         "--grid-size", "8192", "--seed", "0"],
+        "fb3e5ea46edab2ead444e8b3c5691f84f0e59fe00162d4088b9a6514c2d84098"),
+    "transfer-pd-collocation.csv": (
+        ["transfer", "--map", "perturbed_doubling", "--potential", "geometric",
+         "--potential-t", "0.5"],
+        "371433d3d4031c7a30b4b3b66344fa19ed852eec637a22808bcf887f7c5744c3"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_sampling_outputs_are_unchanged(name, tmp_path):
     args, digest = _GOLDEN[name]
@@ -282,6 +372,14 @@ def test_pressure_outputs_are_unchanged(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(_SOLENOID_GOLDEN))
 def test_solenoid_outputs_are_unchanged(name, tmp_path):
     args, digest = _SOLENOID_GOLDEN[name]
+    out = tmp_path / name
+    assert run(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSFER_GOLDEN))
+def test_transfer_outputs_are_unchanged(name, tmp_path):
+    args, digest = _TRANSFER_GOLDEN[name]
     out = tmp_path / name
     assert run(args + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

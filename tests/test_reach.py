@@ -12,13 +12,11 @@ PACKAGE = Path(pressgap.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public names no caller reaches yet, each waiting on a ROADMAP item that
-# wires it into the CLI: the obstruction set and its hits (item 6), the
-# transfer cross-check in `check` (item 1) and pressure on the natural
-# extension (item 2)
+# wires it into the CLI: the obstruction set and its hits (item 6) and
+# pressure on the natural extension (item 2)
 PENDING = {
     "decomposition.obstruction_sample",
     "decomposition.ObstructionSample.hits",
-    "transfer.check_equilibrium",
     "extension.lift_fiber_averaged",
     "specification.glue_extension",
     "specification.verify_shadow_extension",

@@ -15,10 +15,10 @@ from pressgap import transfer
 from pressgap.errors import ConvergenceError, NodeCapError, ValidationError
 from pressgap.orbits import DEFAULT_NODE_CAP, FullCollection
 from pressgap.pressure import pressure_at_scale
-from pressgap.transfer import (apply_operator, build_operator,
-                               check_equilibrium, leading_eigen)
+from pressgap.transfer import apply_operator, build_operator, leading_eigen
 
-from oracles import leading_eigen_power, leading_eigen_single_restart
+from oracles import (check_equilibrium, leading_eigen_power,
+                     leading_eigen_single_restart)
 
 
 def test_operator_action_examples(doubling_map):
@@ -90,7 +90,7 @@ def test_equilibrium_invariance(doubling_map):
     op = build_operator(doubling_map, pg.zero_potential(), 4096)
     eigen = leading_eigen(op)
     rep = check_equilibrium(
-        op, eigen,
+        doubling_map, op, eigen,
         [lambda x: np.sin(2 * np.pi * x), lambda x: np.full_like(x, 3.0)],
         pressure_rate=math.log(2.0))
     assert rep.invariance_defect < 1e-6
@@ -100,7 +100,7 @@ def test_equilibrium_invariance(doubling_map):
 def test_constant_test_function_zero_defect(doubling_map):
     op = build_operator(doubling_map, pg.zero_potential(), 512)
     eigen = leading_eigen(op)
-    rep = check_equilibrium(op, eigen, [lambda x: np.full_like(x, 1.0)])
+    rep = check_equilibrium(doubling_map, op, eigen, [lambda x: np.full_like(x, 1.0)])
     assert rep.invariance_defect == 0.0
 
 
@@ -325,19 +325,94 @@ def test_thick_restart_halves_applications_at_the_phase_transition(mp_map):
 def test_eigendata_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 16384 nodes a threaded OpenBLAS splits a product with the Arnoldi
     # basis between two threads, so a BLAS product in the solver would
-    # change the CSV; at 2048 nodes it runs on one thread either way
+    # change the CSV; at 2048 nodes it runs on one thread either way.  The
+    # collocation run writes its 63-node table.
     src = str(Path(pg.__file__).resolve().parents[1])
-    outputs = []
-    for threads in (1, min(2, os.cpu_count() or 1)):
-        env = dict(os.environ)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"eigen-{threads}.csv"
-        subprocess.run([sys.executable, "-m", "pressgap.cli", "transfer",
-                        "--map", "manneville_pomeau", "--potential", "geometric",
-                        "--grid-size", "16384", "--out", str(out)],
-                       env=env, capture_output=True, timeout=120, check=True)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    runs = {"grid": ["--map", "manneville_pomeau", "--potential", "geometric",
+                     "--grid-size", "16384"],
+            "collocation": ["--map", "perturbed_doubling", "--potential",
+                            "geometric", "--potential-t", "0.5"]}
+    for name, args in runs.items():
+        outputs = []
+        for threads in (1, min(2, os.cpu_count() or 1)):
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"{name}-{threads}.csv"
+            subprocess.run([sys.executable, "-m", "pressgap.cli", "transfer",
+                            *args, "--out", str(out)],
+                           env=env, capture_output=True, timeout=120, check=True)
+            outputs.append(out.read_bytes())
+        assert (b"method=collocation" in outputs[0]) == (name == "collocation")
+        assert outputs[0] == outputs[1], name
+
+
+# ---------------------------------------------------------------------------
+# Fourier collocation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [-0.3, 0.5])
+def test_collocation_is_exact_for_constant_potentials(doubling_map, c):
+    eigen = transfer.collocation_eigen(doubling_map, pg.constant_potential(c), 63)
+    assert abs(eigen.log_lam - (math.log(2.0) + c)) <= 1e-13
+    assert eigen.residual < 1e-13
+
+
+def test_collocation_is_exact_at_the_geometric_potential(perturbed_map):
+    # t = 1: Lebesgue measure is conformal, so lambda = 1
+    phi = pg.geometric_potential(perturbed_map, 1.0)
+    eigen = transfer.collocation_eigen(perturbed_map, phi, 63)
+    assert abs(eigen.log_lam) < 1e-13
+    # nu is the trapezoidal rule, the quadrature of Lebesgue measure
+    assert np.allclose(eigen.eigenmeasure, 1.0 / 63, rtol=0, atol=1e-13)
+
+
+def test_collocation_matches_the_grid_at_half_the_geometric_potential(perturbed_map):
+    phi = pg.geometric_potential(perturbed_map, 0.5)
+    eigen, uncertainty = transfer.collocation_estimate(perturbed_map, phi)
+    grid = leading_eigen(build_operator(perturbed_map, phi, 16384))
+    assert abs(eigen.log_lam - grid.log_lam) <= 1e-9
+    assert abs(eigen.log_lam - 0.34232098478045) <= 1e-12
+    assert 0.0 < uncertainty <= transfer._COLLOCATION_TOL
+    assert eigen.eigenfunction.size == transfer._COLLOCATION_NODES[-1]
+
+
+def test_collocation_needs_an_odd_node_count(doubling_map):
+    for n in (1, 2, 64):
+        with pytest.raises(ValidationError, match="n"):
+            transfer.collocation_eigen(doubling_map, pg.zero_potential(), n)
+
+
+def test_collocation_calls_lapack_only_on_the_projected_matrices(perturbed_map,
+                                                                 monkeypatch):
+    sizes = []
+    for name in ("eig", "qr"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, real=real, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    transfer.collocation_eigen(perturbed_map,
+                               pg.geometric_potential(perturbed_map, 0.5), 63)
+    assert sizes and max(sizes) <= transfer._KRYLOV_DIM
+
+
+def _cosine_potential(a):
+    return pg.Potential(lambda x: a * np.cos(2.0 * np.pi * x), 2.0 * np.pi * a,
+                        1.0, analytic=True)
+
+
+def test_collocation_estimate_falls_back_where_it_does_not_check_out(doubling_map):
+    # 0.5 cos 2 pi x checks out; at 0.8 the eigenmeasure's weights go
+    # negative and a power step loses positivity; on PD 0.95 at t = 0.5 the
+    # 31- and 63-node values differ by 1.6e-10
+    assert transfer.collocation_estimate(doubling_map, _cosine_potential(0.5))
+    with pytest.raises(ConvergenceError, match="positivity"):
+        transfer.collocation_eigen(doubling_map, _cosine_potential(0.8), 63)
+    assert transfer.collocation_estimate(doubling_map, _cosine_potential(0.8)) is None
+    pd = pg.perturbed_doubling(0.95)
+    assert transfer.collocation_estimate(pd, pg.geometric_potential(pd, 0.5)) is None
