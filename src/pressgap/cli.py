@@ -368,9 +368,10 @@ def cmd_extension(cfg):
     report = verify_bowen(system, ext, dec, phi_hat, cfg["eps"],
                           cfg["samples"], seed=cfg["seed"])
     w = Writer(cfg["out"], cfg, ["sigma", "a", "alpha", "eps", "bound",
-                                 "empirical_max", "slack", "within"])
+                                 "empirical_max", "slack", "within", "samples"])
     w.row(dec.sigma, ext.a, phi_hat.holder_exponent, cfg["eps"], report.bound,
-          report.empirical_max, report.truncation_slack, int(report.within_bound))
+          report.empirical_max, report.truncation_slack, int(report.within_bound),
+          report.samples)
     w.flush()
     return 0 if report.within_bound else 2
 

@@ -213,12 +213,13 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples, seed=0):
     segments of the lengths in _LENGTH_RANGE and constructed Bowen-ball
     companions.
 
-    Every random draw is made first, sample by sample: each good segment
-    comes from one `draw_good_segments` call, which classifies its
-    draws in blocks but leaves the generator as a one-at-a-time draw
-    does, and the segment's branches and companion draw follow it.  Then
-    the backward orbits and companions of all accepted samples are built
-    together, and their Birkhoff sums taken in two `birkhoff_hat` calls.
+    Every random draw is made first, each kind in one block: all good
+    segments from one `draw_good_segments` call with a budget of 60 draws
+    per sample, then each sample's x branches, then every companion's
+    uniform, then each sample's y branches.  Then the backward orbits and
+    companions of all accepted samples are built together, and their
+    Birkhoff sums taken in two `birkhoff_hat` calls.  When the budget runs
+    out first, fewer samples are used; `BowenReport.samples` says how many.
     Returns a BowenReport carrying the closed-form bound plus the truncation
     slack for depth-K evaluation of the lifted potential.
     """
@@ -235,25 +236,16 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples, seed=0):
     n_hi = min(n_hi, ext_cfg.depth)
     depth = ext_cfg.depth
 
-    def draw_branches(count):
-        return [int(rng.integers(system.degree)) for _ in range(count)]
-
-    xs, ns, x_branches, draws, y_branches = [], [], [], [], []
-    budget = 60 * n_samples
-    while len(xs) < n_samples:
-        found, used = draw_good_segments(system, dec_cfg, rng, 1,
-                                         (n_lo, n_hi), budget)
-        if not found:
-            break
-        budget -= used
-        xs.append(found[0].start)
-        ns.append(found[0].length)
-        x_branches.append(draw_branches(depth))
-        draws.append(rng.random())
-        y_branches.append(draw_branches(depth - min(sync, depth)))
-    if not xs:
+    found, _ = draw_good_segments(system, dec_cfg, rng, n_samples,
+                                  (n_lo, n_hi), 60 * n_samples)
+    if not found:
         raise ValidationError("n_samples", "no good segments found to sample")
-    x_hats = extend(system, np.array(xs), x_branches)
+    count = len(found)
+    ns = [seg.length for seg in found]
+    x_branches = rng.integers(system.degree, size=(count, depth))
+    draws = rng.random(count)
+    y_branches = rng.integers(system.degree, size=(count, depth - min(sync, depth)))
+    x_hats = extend(system, [seg.start for seg in found], x_branches)
     y_hats = _bowen_companions(system, x_hats, ns, draws, eps, sync, y_branches)
     diffs = np.abs(birkhoff_hat(system, phi_hat, x_hats, ns)
                    - birkhoff_hat(system, phi_hat, y_hats, ns))
@@ -264,4 +256,4 @@ def verify_bowen(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples, seed=0):
     # only absorbs root-solve noise
     slack = 1e-9 * n_hi
     return BowenReport(empirical_max=float(worst), bound=bound,
-                       truncation_slack=float(slack), samples=len(xs))
+                       truncation_slack=float(slack), samples=count)

@@ -397,11 +397,12 @@ def birkhoff_hat_scalar(system, phi, a, p, n):
     return total
 
 
-def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
+def _bowen_companion(system, ext_cfg, x_hat, n, eps, u, rng, sync_depth):
     """A companion in the n-Bowen ball of x_hat: base pullback through the
-    segment's chain plus a fiber perturbation beyond the sync depth."""
+    segment's chain to the end point moved by eps (2u - 1), plus a fiber
+    perturbation beyond the sync depth along branches drawn from rng."""
     end = system.orbit(x_hat.coords[0], n + 1)[0][-1]
-    target = (end + eps * (2.0 * rng.random() - 1.0)) % 1.0
+    target = (end + eps * (2.0 * u - 1.0)) % 1.0
     chain = pullback_chain(system, x_hat.coords[0], n, target)
     coords = [float(chain[0])]
     for i in range(ext_cfg.depth):
@@ -417,9 +418,11 @@ def _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync_depth):
 
 def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
                         n_range=(5, 20), seed=0, *, phi, lift_a):
-    """Reference Bowen-property sampler: each accepted sample's backward
-    orbit and companion are built one point at a time, interleaved with
-    the random draws.  phi_hat is the lift of phi (projection when lift_a
+    """Reference Bowen-property sampler: one scalar draw at a time, in the
+    order `verify_bowen` draws its blocks (every candidate segment, then
+    each sample's x branches, then every companion uniform, then each
+    sample's y branches), with each backward orbit and companion built one
+    point at a time.  phi_hat is the lift of phi (projection when lift_a
     is None, else fiber-averaged of base lift_a) and gives the bound's
     Hoelder data; the sums are taken from phi and lift_a."""
     from pressgap.extension import BowenReport, bowen_bound
@@ -431,24 +434,26 @@ def verify_bowen_scalar(system, ext_cfg, dec_cfg, phi_hat, eps, n_samples,
     bound = bowen_bound(ext_cfg, dec_cfg, phi_hat.holder_constant,
                         phi_hat.holder_exponent, eps)
     n_hi = min(n_range[1], ext_cfg.depth)
-    worst = 0.0
-    used = 0
+    segments = []
     attempts = 0
-    while used < n_samples and attempts < 60 * n_samples:
+    while len(segments) < n_samples and attempts < 60 * n_samples:
         attempts += 1
         x = float(rng.random())
         n = int(rng.integers(n_range[0], n_hi + 1))
-        if not good.contains(system, x, n):
-            continue
-        x_hat = extend_scalar(system, x, ext_cfg.depth, policy="random", rng=rng)
-        y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, rng, sync)
+        if good.contains(system, x, n):
+            segments.append((x, n))
+    x_hats = [extend_scalar(system, x, ext_cfg.depth, policy="random", rng=rng)
+              for x, _ in segments]
+    us = [float(rng.random()) for _ in segments]
+    worst = 0.0
+    for (_, n), x_hat, u in zip(segments, x_hats, us):
+        y_hat = _bowen_companion(system, ext_cfg, x_hat, n, eps, u, rng, sync)
         diff = abs(birkhoff_hat_scalar(system, phi, lift_a, x_hat, n)
                    - birkhoff_hat_scalar(system, phi, lift_a, y_hat, n))
         worst = max(worst, diff)
-        used += 1
     slack = 1e-9 * n_hi
     return BowenReport(empirical_max=float(worst), bound=bound,
-                       truncation_slack=float(slack), samples=used)
+                       truncation_slack=float(slack), samples=len(segments))
 
 
 # ---------------------------------------------------------------------------

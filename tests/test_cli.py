@@ -14,7 +14,7 @@ from pressgap import cli, orbits, transfer
 from pressgap.cli import fmt, main
 from pressgap.decomposition import DecompositionConfig
 
-from oracles import classify_segment, decompose
+from oracles import classify_segment, decompose, verify_bowen_scalar
 
 
 def run(args):
@@ -205,7 +205,28 @@ def test_extension_csv(tmp_path):
                 "geometric", "--sigma", "0.9", "--samples", "30",
                 "--out", str(out)]) == 0
     lines = read(out).splitlines()
-    assert lines[1].startswith("sigma,a,alpha,eps,bound,empirical_max")
+    assert lines[1] == "sigma,a,alpha,eps,bound,empirical_max,slack,within,samples"
+    assert len(lines) == 3
+    assert lines[2].endswith(",1,30")
+
+
+def test_extension_reports_a_sample_shortfall(tmp_path):
+    # sigma 0.5 admits few good segments on this map: the 60-draws-per-sample
+    # budget runs out before 25 are found, and the samples column says so
+    out = tmp_path / "e.csv"
+    assert run(["extension", "--map", "perturbed_doubling", "--potential",
+                "geometric", "--sigma", "0.5", "--samples", "25",
+                "--out", str(out)]) == 0
+    _, header, values = read(out).splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["within"] == "1"
+    assert 0 < int(row["samples"]) < 25
+    system = pg.perturbed_doubling(0.75)
+    phi = pg.geometric_potential(system, 1.0)
+    ref = verify_bowen_scalar(system, pg.ExtensionConfig(2.0, 24), DecompositionConfig(0.5),
+                              pg.lift_projection(phi), 1.0 / 32.0, 25, seed=0,
+                              phi=phi, lift_a=None)
+    assert int(row["samples"]) == ref.samples
 
 
 def test_solenoid_csv(tmp_path):
@@ -288,7 +309,10 @@ def test_sample_counts_are_rejected_first(args, field, tmp_path, capsys, monkeyp
 # retaken when branch solves started from the tabulated inverse lift, which
 # moved two glue points by 1 and 3 ulp and one verified_max by 64 ulp; the
 # decompose digest was taken when its class column still came from
-# classifying the log sigma row apart from the split
+# classifying the log sigma row apart from the split; the extension digest
+# was retaken when the Bowen sampler came to draw all candidate segments
+# first and then all branches, in blocks, and its CSV gained the samples
+# column
 _MP = ["--map", "manneville_pomeau", "--alpha", "0.5", "--seed", "3"]
 _GOLDEN = {
     "decompose.csv": (["decompose", "--samples", "150"],
@@ -296,7 +320,7 @@ _GOLDEN = {
     "glue.json": (["glue", "--sigma", "0.9", "--eps", "0.03125", "--samples", "6"],
                   "87ac4e7db022c429ee36c96cbcac42b56fb40c2ad6a9ecda88f2f2bc822c21c5"),
     "extension.csv": (["extension", "--potential", "geometric", "--samples", "25"],
-                      "740aaecfda853c271b3ed54013ec3cd39884199417ac821add352376d4ed924f"),
+                      "652080c61ebb8e0d60c4003a4b34e03c217adff28f49dbde0409243e8472933d"),
     "check.csv": (["check", "--sigma", "0.9", "--n-max", "8"],
                   "a4b5cee5ae2fdc381216bf10404c904ab9fab388c012ba2c329df18718ff6afe"),
 }

@@ -277,6 +277,20 @@ def test_vector_extend_equals_scalar_rows(builtin_maps):
                     assert p == ext_point(system, x, row)
 
 
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_block_branch_draws_equal_scalar_draws(degree):
+    # verify_bowen draws its branch ids in one block and its reference one
+    # at a time; both must give the same ids and leave the same state
+    block, scalar = np.random.default_rng(7), np.random.default_rng(7)
+    for rng in (block, scalar):
+        rng.random()
+        rng.integers(5, 21)
+    drawn = block.integers(degree, size=(6, 11))
+    expected = [[int(scalar.integers(degree)) for _ in range(11)] for _ in range(6)]
+    assert drawn.tolist() == expected
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
 @pytest.mark.parametrize("system_name", ["doubling", "mp", "perturbed", "tabulated"])
 def test_verify_bowen_matches_scalar_reference(system_name, doubling_map, mp_map,
                                                perturbed_map, sin_potential,
