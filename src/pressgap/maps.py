@@ -18,11 +18,14 @@ from .errors import BranchSolveError, MixingCapError, ValidationError
 TWO_PI = 2.0 * math.pi
 CIRCLE_DIAMETER = 0.5
 
-# A root solve stops once its step or its bracket is within _STOP_ULPS ulp of
-# x.  It fails when it has not stopped after the cap, or when the lift at
-# _STOP_ULPS ulp either side of x, widened by _RESIDUAL_ULPS ulp of the
-# target, does not bracket the target.
+# A root solve stops each point at the first iterate x where the lift at
+# _STOP_ULPS ulp either side of x brackets the target.  A point whose step
+# is within _STOP_ULPS ulp (or NaN) before that has stalled: it stops if the
+# two lift values, widened by _RESIDUAL_ULPS ulp of the target for the error
+# of evaluating the lift, bracket the target, and fails otherwise, as does
+# any point still open after _SOLVE_CAP iterations.
 _STOP_ULPS = 2.0
+_SIDES = np.array([[-_STOP_ULPS], [_STOP_ULPS]])
 _RESIDUAL_ULPS = 4.0
 _SOLVE_CAP = 100
 # a map without a closed-form solve tabulates its lift at this many uniform
@@ -50,52 +53,6 @@ def circle_dist(x, y):
 def circle_signed(origin, target):
     """Signed circular offset from origin to target, in [-1/2, 1/2)."""
     return (np.asarray(target, dtype=float) - np.asarray(origin, dtype=float) + 0.5) % 1.0 - 0.5
-
-
-def _bracketed_solve(lift, deriv, target, lo, hi, x):
-    """Roots of lift(x) = target on the bracket [lo, hi], elementwise.
-
-    `target` and the start `x` are 1-d arrays of one length, `lo` and `hi`
-    scalars or arrays of that length, and `lift` is increasing on each
-    bracket.  Every iteration
-    shrinks each point's bracket by the sign of lift(x) - target and takes
-    a Newton step; a step that lands outside the bracket, or back on the
-    previous iterate, is replaced by the bracket midpoint.
-    An element stops when its step is within _STOP_ULPS ulp of x.  That
-    covers lift(x) = target (a zero step) and a bracket that narrow (x is
-    an end of the shrunk bracket and the step stays inside it); a NaN step
-    stops it too, for the caller's root check to reject.  Later iterations
-    leave a stopped element unchanged, and every operation is elementwise,
-    so a root does not depend on the rest of the batch.
-    """
-    out = np.empty_like(x)
-    rows = np.arange(x.size)
-    prev = np.full_like(x, np.nan)
-    for _ in range(_SOLVE_CAP):
-        f = lift(x) - target
-        below = f < 0.0
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        xn = x - f / deriv(x)
-        # every earlier iterate is outside the bracket or at one of its
-        # ends, so Newton can only cycle between the two ends, as it does
-        # between two pieces of a piecewise-linear lift; a step back onto
-        # the previous iterate breaks that cycle
-        xn = np.where((xn < lo) | (xn > hi) | (xn == prev), 0.5 * (lo + hi), xn)
-        done = ~(np.abs(xn - x) > _STOP_ULPS * np.spacing(x))
-        prev, x = x, xn
-        stopped = np.count_nonzero(done)
-        if stopped == x.size:
-            out[rows] = x
-            return out
-        if stopped:
-            out[rows[done]] = x[done]
-            keep = ~done
-            rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
-            prev, x = prev[keep], x[keep]
-    raise BranchSolveError(
-        f"root solve did not settle in {_SOLVE_CAP} iterations "
-        f"(first open target {target[0]!r})")
 
 
 class MapSystem:
@@ -172,9 +129,7 @@ class MapSystem:
 
     def _solve_cuts(self):
         targets = np.arange(1.0, self.degree)
-        inner = _bracketed_solve(self._lift, self._deriv, targets, 0.0, 1.0,
-                                 targets / self.degree)
-        self._check_root(inner, targets)
+        inner = self._bracketed_solve(targets, 0.0, 1.0, targets / self.degree)
         return np.concatenate([[0.0], inner, [1.0]])
 
     def _tabulate(self):
@@ -197,19 +152,21 @@ class MapSystem:
         safeguarded Newton iteration on the point's branch cut interval
         (see `_bracketed_solve`), started from the inverse of the lift
         table sampled at _START_NODES nodes when the map is built, linearly
-        interpolated at the target and clipped to the interval, and then
-        checked without the derivative: the target branch + y must lie
-        between G at 2 ulp either side of x (within [0, 1]), widened by
-        4 ulp of the target for the error of evaluating G.  So a root that
-        passes is within 2 ulp, the solver's stop rule, of a sign change of
-        G - target, whatever `lift_deriv` returns; a root next to a cut may
-        sit on the cut's other side.  A failed test (a non-finite y always
-        fails it) or an iteration that does not settle raises
-        `BranchSolveError`, which names the failing point's branch and
+        interpolated at the target and clipped to the interval.  Each point
+        stops at the first iterate x that passes a check made without the
+        derivative: the target branch + y must lie between G at 2 ulp
+        either side of x (within [0, 1]); a point whose step stalls first
+        must pass it widened by 4 ulp of the target, for the error of
+        evaluating G.  So every root is within 2 ulp of a sign change of
+        G - target (up to those 4 ulp where its step stalled), whatever
+        `lift_deriv` returns; a root next to a cut may sit on the cut's
+        other side.  A stalled point that fails the widened check (a
+        non-finite y always does) or an iteration that does not settle
+        raises `BranchSolveError`, which names the failing point's branch and
         which the CLI reports as a numerical failure (exit 2).  Every
         operation is elementwise, so a root does not depend on the other
         points or on how their branches are grouped.  A map with a
-        closed-form solve skips the iteration and the test.
+        closed-form solve skips the iteration and the check.
         """
         y = np.asarray(y, dtype=float)
         if self._exact_solve is not None:
@@ -235,29 +192,74 @@ class MapSystem:
         # finite and inside the bracket, which (with the root check) is
         # what the root rests on
         start = np.maximum(np.minimum(np.interp(target, *self._start_table), hi), lo)
-        x = _bracketed_solve(self._lift, self._deriv, target, lo, hi, start)
-        self._check_root(x, target, branch)
-        return x
+        return self._bracketed_solve(target, lo, hi, start, branch)
 
-    def _check_root(self, x, target, branch=None):
-        """Raise BranchSolveError unless G - target changes sign within
-        _STOP_ULPS ulp of every x in [0, 1], up to _RESIDUAL_ULPS ulp of
-        the target; `branch` holds the points' branch ids (None for the
-        branch cuts)."""
-        slack = _RESIDUAL_ULPS * np.spacing(np.abs(target))
-        near = _STOP_ULPS * np.spacing(x)
-        left = self._lift(np.maximum(x - near, 0.0))
-        right = self._lift(np.minimum(x + near, 1.0))
-        passed = (left - slack <= target) & (target <= right + slack)  # NaN fails
-        if not passed.all():
-            i = int(np.argmin(passed))
-            what = ("branch cuts" if branch is None
-                    else f"branch {int(np.broadcast_to(branch, x.shape)[i])}")
-            residual = abs(float(self._lift(x[i])) - float(target[i]))
-            raise BranchSolveError(
-                f"{self.name}: {what} solve at target {target[i]!r} left residual "
-                f"{residual:.3g}, and G over x +- {_STOP_ULPS:g} ulp spans "
-                f"[{left[i]!r}, {right[i]!r}]")
+    def _bracketed_solve(self, target, lo, hi, x, branch=None):
+        """Roots of G(x) = target on the bracket [lo, hi], elementwise.
+
+        `target` and the start `x` are 1-d arrays of one length, `lo` and
+        `hi` scalars or arrays of that length, and G is increasing on each
+        bracket; `branch` holds the points' branch ids, for the error text
+        (None for the branch cuts).  Every iteration shrinks each point's
+        bracket by the sign of G(x) - target and takes a Newton step; a step
+        that lands outside the bracket, or back on the previous iterate, is
+        replaced by the bracket midpoint.  The step's end xn is then checked
+        without `lift_deriv`, and a point stops at the first xn where G at
+        _STOP_ULPS ulp either side (within [0, 1]) brackets the target.  A
+        point that fails the check after a step within _STOP_ULPS ulp, or a
+        NaN step, has stalled: it stops if the bracket holds once widened by
+        _RESIDUAL_ULPS ulp of the target for the error of evaluating G, and
+        raises `BranchSolveError` with its residual otherwise, as does a
+        point still open after _SOLVE_CAP iterations.  Later iterations
+        leave a stopped point unchanged, and every operation is elementwise,
+        so a root does not depend on the rest of the batch.
+        """
+        out = np.empty_like(x)
+        rows = np.arange(x.size)
+        prev = np.full_like(x, np.nan)
+        for _ in range(_SOLVE_CAP):
+            f = self._lift(x) - target
+            below = f < 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            xn = x - f / self._deriv(x)
+            # every earlier iterate is outside the bracket or at one of its
+            # ends, so Newton can only cycle between the two ends, as it
+            # does between two pieces of a piecewise-linear lift; a step
+            # back onto the previous iterate breaks that cycle
+            xn = np.where((xn < lo) | (xn > hi) | (xn == prev), 0.5 * (lo + hi), xn)
+            sides = np.minimum(np.maximum(xn + _SIDES * np.spacing(xn), 0.0), 1.0)
+            left, right = self._lift(sides)
+            passed = (left <= target) & (target <= right)  # NaN fails
+            stopped = np.count_nonzero(passed)
+            if stopped < x.size:
+                stalled = ~passed & ~(np.abs(xn - x) > _STOP_ULPS * np.spacing(x))
+                if stalled.any():
+                    slack = _RESIDUAL_ULPS * np.spacing(np.abs(target))
+                    failed = stalled & ~((left - slack <= target) & (target <= right + slack))
+                    if failed.any():
+                        i = int(np.argmax(failed))
+                        what = ("branch cuts" if branch is None else
+                                f"branch {int(np.broadcast_to(branch, out.shape)[rows[i]])}")
+                        residual = abs(float(self._lift(xn[i])) - float(target[i]))
+                        raise BranchSolveError(
+                            f"{self.name}: {what} solve at target {target[i]!r} left "
+                            f"residual {residual:.3g}, and G over x +- {_STOP_ULPS:g} ulp "
+                            f"spans [{left[i]!r}, {right[i]!r}]")
+                    passed |= stalled
+                    stopped = np.count_nonzero(passed)
+            if stopped == x.size:
+                out[rows] = xn
+                return out
+            prev, x = x, xn
+            if stopped:
+                out[rows[passed]] = xn[passed]
+                keep = ~passed
+                rows, target, lo, hi = rows[keep], target[keep], lo[keep], hi[keep]
+                prev, x = prev[keep], x[keep]
+        raise BranchSolveError(
+            f"root solve did not settle in {_SOLVE_CAP} iterations "
+            f"(first open target {target[0]!r})")
 
     def inverse_branches(self, y):
         """All degree preimages of y, indexed by branch id."""

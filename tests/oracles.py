@@ -1,7 +1,8 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here is deliberately brute force and shares no code path with the
-package: bisection on explicit functions, exhaustive subset search for
+package: bisection on explicit functions, a one-point loop of the
+inverse-branch solve's stop rule, exhaustive subset search for
 separated sets, dense-point interval images for covering times, and direct
 window scans for segment classification.  The exceptions are the package's
 earlier code, kept so that the faster paths can be compared with it bit for
@@ -38,7 +39,7 @@ import numpy as np
 
 from pressgap import kernels
 from pressgap.decomposition import GoodCollection, segment_log_sigma, split_indices
-from pressgap.errors import ConvergenceError, ValidationError
+from pressgap.errors import BranchSolveError, ConvergenceError, ValidationError
 from pressgap.extension import depth_for_tolerance, extend, tail_bound
 from pressgap.maps import CIRCLE_DIAMETER, circle_dist, zero_potential
 from pressgap.orbits import DEFAULT_ANCHOR, _candidate_pool
@@ -51,6 +52,45 @@ from pressgap.transfer import (_BREAKDOWN, _MAX_APPLICATIONS, _TOL, EigenData,
 def circ(x, y):
     d = abs(float(x) - float(y)) % 1.0
     return min(d, 1.0 - d)
+
+
+def branch_solve_newton_loop(system, branch, y, cap=100):
+    """One-point reference of the inverse-branch solve's rule: from the
+    tabulated start clipped to the branch's cut interval, shrink the bracket
+    by the sign of G(x) - target and take a Newton step, or the bracket
+    midpoint where the step leaves the bracket or lands back on the previous
+    iterate; stop at the first iterate whose G at 2 ulp either side (within
+    [0, 1]) brackets the target.  A step within 2 ulp, or a NaN one, that
+    fails that test stops if G there brackets the target to within 4 ulp of
+    it and raises otherwise, as does a point still open after `cap`
+    iterations."""
+    lift = lambda t: np.float64(system._lift(np.float64(t)))
+    deriv = lambda t: np.float64(system._deriv(np.float64(t)))
+    target = np.float64(y) + branch
+    lo = np.float64(system.branch_cuts[branch])
+    hi = np.float64(system.branch_cuts[branch + 1])
+    x = min(max(np.float64(np.interp(target, *system._start_table)), lo), hi)
+    slack = 4.0 * np.spacing(abs(target))
+    prev = np.float64(np.nan)
+    for _ in range(cap):
+        f = lift(x) - target
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        xn = x - f / deriv(x)
+        if xn < lo or xn > hi or xn == prev:
+            xn = 0.5 * (lo + hi)
+        near = 2.0 * np.spacing(xn)
+        left, right = lift(max(xn - near, 0.0)), lift(min(xn + near, 1.0))
+        if left <= target <= right:
+            return xn
+        if not abs(xn - x) > 2.0 * np.spacing(x):
+            if left - slack <= target <= right + slack:
+                return xn
+            raise BranchSolveError(f"stalled at target {target!r}")
+        prev, x = x, xn
+    raise BranchSolveError(f"open after {cap} iterations at target {target!r}")
 
 
 def bisect_root(f, lo, hi, iters=100):

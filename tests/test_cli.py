@@ -135,14 +135,17 @@ def test_transfer_method_follows_the_analytic_declarations(kind, potential, tmp_
 
 
 def test_transfer_falls_back_to_the_grid_byte_for_byte(tmp_path, monkeypatch):
-    # the digest of this run before collocation existed; PD 0.75 at t = 0.5
-    # has a collocation uncertainty of about 1e-14, above a tolerance of 0
+    # the grid digest of this run, retaken when each inverse-branch root
+    # came to stop at the first iterate that passes its root check (density
+    # entries moved by up to 3.6e-13 relative, lambda and the iteration
+    # count did not); PD 0.75 at t = 0.5 has a collocation uncertainty of
+    # about 1e-14, above a tolerance of 0
     monkeypatch.setattr(transfer, "_COLLOCATION_TOL", 0.0)
     out = tmp_path / "t.csv"
     assert run(["transfer", "--map", "perturbed_doubling", "--potential",
                 "geometric", "--potential-t", "0.5", "--out", str(out)]) == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
-            == "2762c18dedc16894f3fb52248b80c71ce0198b58b7e333db6475e524da5e5807")
+            == "acd010189df390b0d519ed0835d7367cae1852a4c68da46e6faff342d537abc2")
 
 
 def test_small_grid_size_fails_before_collocation(tmp_path, capsys, monkeypatch):
@@ -306,8 +309,9 @@ def test_sample_counts_are_rejected_first(args, field, tmp_path, capsys, monkeyp
 # sha256 of one benchmark-size Manneville-Pomeau run of each sampling
 # subcommand, as written by the one-at-a-time samplers and per-point
 # Birkhoff sums that the block samplers replaced; the glue digest was
-# retaken when branch solves started from the tabulated inverse lift, which
-# moved two glue points by 1 and 3 ulp and one verified_max by 64 ulp; the
+# retaken when each inverse-branch root came to stop at the first iterate
+# that passes its root check, which moved four glue points by 1 to 4 ulp
+# and one verified_max by 8 ulp; the
 # decompose digest was taken when its class column still came from
 # classifying the log sigma row apart from the split; the extension digest
 # was retaken when the Bowen sampler came to draw all candidate segments
@@ -318,7 +322,7 @@ _GOLDEN = {
     "decompose.csv": (["decompose", "--samples", "150"],
                       "1b7d7d98548ed2a8109439c6b5db85701ef6ee28e629c48513a2fe076e234178"),
     "glue.json": (["glue", "--sigma", "0.9", "--eps", "0.03125", "--samples", "6"],
-                  "87ac4e7db022c429ee36c96cbcac42b56fb40c2ad6a9ecda88f2f2bc822c21c5"),
+                  "3ffd29b266448447198a4cd01d06e0371228d0b7e946639638931c7bc0fdd03e"),
     "extension.csv": (["extension", "--potential", "geometric", "--samples", "25"],
                       "652080c61ebb8e0d60c4003a4b34e03c217adff28f49dbde0409243e8472933d"),
     "check.csv": (["check", "--sigma", "0.9", "--n-max", "8"],
@@ -361,19 +365,22 @@ _SOLENOID_GOLDEN = {
 }
 
 
-# the benchmark's Manneville-Pomeau transfer run, which solves the grid,
-# taken before collocation existed, and a perturbed-doubling run, which
-# collocation solves, taken when it came in
+# the benchmark's Manneville-Pomeau transfer run, which solves the grid, and
+# a perturbed-doubling run, which collocation solves; both were retaken when
+# each inverse-branch root came to stop at the first iterate that passes its
+# root check, which moved lambda in its last digit or two and the density
+# and measure entries by up to 1.4e-12 relative (MP) and 1.7e-14 (PD), with
+# the same iteration counts
 _TRANSFER_GOLDEN = {
     "transfer-mp-grid.csv": (
         ["transfer", "--map", "manneville_pomeau", "--alpha", "0.5",
          "--potential", "geometric", "--potential-t", "1",
          "--grid-size", "8192", "--seed", "0"],
-        "fb3e5ea46edab2ead444e8b3c5691f84f0e59fe00162d4088b9a6514c2d84098"),
+        "de5595439f53e4e7f584961a07c5672bee4860282cd38575d6d98c1a08d632e3"),
     "transfer-pd-collocation.csv": (
         ["transfer", "--map", "perturbed_doubling", "--potential", "geometric",
          "--potential-t", "0.5"],
-        "371433d3d4031c7a30b4b3b66344fa19ed852eec637a22808bcf887f7c5744c3"),
+        "ea68e6ffec8f80a1a85582a7b623506e5114d1890f164ea0b1905124c2ff3f33"),
 }
 
 

@@ -12,7 +12,7 @@ from pressgap.errors import BranchSolveError, MixingCapError, ValidationError
 from pressgap.maps import TWO_PI, circle_dist, circle_signed
 
 from oracles import (bisect_root, branch_lipschitz_loop, branch_solve_bisect,
-                     covering_time_dense)
+                     branch_solve_newton_loop, covering_time_dense)
 
 # sigma(x) is the sup of 1/g' over the pulled-back ball up to rounding: the
 # end solves' 2 ulp, the evaluation of g' at the ends and one division
@@ -311,6 +311,19 @@ def test_branch_solve_branch_array_matches_per_branch_calls(name, data, ys):
     assert square.tobytes() == mixed.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SOLVE_MAPS)), data=st.data(),
+       ys=st.lists(Y_VALUES, min_size=1, max_size=12))
+def test_branch_solve_matches_the_one_point_loop(name, data, ys):
+    # "tabulated" is a degree-3 table
+    system = SOLVE_MAPS[name]
+    y = np.asarray(ys)
+    branch = np.asarray(data.draw(st.lists(st.integers(0, system.degree - 1),
+                                           min_size=y.size, max_size=y.size)))
+    ref = np.array([branch_solve_newton_loop(system, b, v) for b, v in zip(branch, y)])
+    assert system.branch_solve(branch, y).tobytes() == ref.tobytes()
+
+
 def test_lift_inverse_matches_per_branch_solves():
     v = np.concatenate([np.linspace(-3.0, 6.0, 997), [0.0, 1.0, 2.0, 3.0 - 2.0 ** -51]])
     for system in list(SOLVE_MAPS.values()) + [pg.doubling()]:
@@ -346,25 +359,40 @@ def test_branch_solve_root_quality(name, data, y):
     assert _ulps(x, float(root)) <= 4.0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_branch_solve_stays_accurate_next_to_the_neutral_fixed_point(alpha):
+    # near 0, G' is close to 1 and G'' large, so the first Newton step from
+    # the table can land some 10 ulp off the root and still pass the check
+    # widened by 4 ulp of the target; that is why a point stops on the check
+    # unwidened
+    system = pg.manneville_pomeau(alpha)
+    y = np.geomspace(1e-5, 0.1, 4000)
+    ref = branch_solve_bisect(system, 0, y)
+    assert np.all(np.abs(system.branch_solve(0, y) - ref) <= 3.0 * np.spacing(ref))
+
+
 @pytest.mark.parametrize("system", [pg.manneville_pomeau(0.5), pg.manneville_pomeau(0.9),
                                     pg.perturbed_doubling(PD_DELTA)], ids=repr)
 def test_tabulated_start_settles_in_few_iterations(system, monkeypatch):
-    # each block of a solve runs the solver, whose iterations evaluate G
-    # once on the block's open points, and then the root check, which
-    # evaluates G twice on every point of the block
+    # each iteration of a block's solve evaluates G' once and G once on the
+    # block's open points, and then G twice on each of them for the root
+    # check, which stops the points that pass it
     blocks = []
-    lift, solve = system._lift, maps._bracketed_solve
+    lift, deriv, solve = system._lift, system._deriv, system._bracketed_solve
 
-    def counted(x):
-        blocks[-1].append(np.size(x))
-        return lift(x)
+    def counted(which, fn):
+        def wrapped(x):
+            blocks[-1][which].append(np.size(x))
+            return fn(x)
+        return wrapped
 
     def solve_block(*args):
-        blocks.append([])
+        blocks.append(([], []))
         return solve(*args)
 
-    monkeypatch.setattr(system, "_lift", counted)
-    monkeypatch.setattr(maps, "_bracketed_solve", solve_block)
+    monkeypatch.setattr(system, "_lift", counted(0, lift))
+    monkeypatch.setattr(system, "_deriv", counted(1, deriv))
+    monkeypatch.setattr(system, "_bracketed_solve", solve_block)
     rng = np.random.default_rng(7)
     evaluations = points = 0
     for branch in range(system.degree):
@@ -372,15 +400,15 @@ def test_tabulated_start_settles_in_few_iterations(system, monkeypatch):
         blocks.clear()
         x = system.branch_solve(branch, y)
         # the first iteration evaluates G on the whole block
-        sizes = [calls[0] for calls in blocks]
+        sizes = [lifts[0] for lifts, _ in blocks]
         assert len(blocks) == -(-y.size // maps._BLOCK) > 1 and sum(sizes) == y.size
-        for calls, size in zip(blocks, sizes):
-            loop = calls[:-2]
-            assert calls[-2:] == [size, size] and len(loop) <= 3
-            evaluations += sum(loop)
+        for lifts, derivs in blocks:
+            assert 1 <= len(derivs) <= 2
+            assert lifts == [n for size in derivs for n in (size, 2 * size)]
+            evaluations += sum(lifts)
         points += y.size
         assert _sign_change_nearby(system, x, y + branch)
-    assert evaluations / points <= 2.1
+    assert evaluations / points <= 3.05
 
 
 @pytest.mark.parametrize("system", [pg.doubling()] + list(SOLVE_MAPS.values()), ids=repr)
