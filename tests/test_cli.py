@@ -344,6 +344,12 @@ _PRESSURE_GOLDEN = {
     "pressure-doubling-zero.csv": (
         ["pressure", "--map", "doubling", "--potential", "zero", "--n-max", "10"],
         "ea092a0b51c526545a397f530e6aba0cc50b0a836a8cd06452d04577c5c554f5"),
+    # sigma_max = 0.8 on this map: the bad pools of 0.6 and 0.75 are
+    # refined from the tree's sigma field, while 0.9's is settled empty
+    "gap-report-pd.csv": (
+        ["gap-report", "--map", "perturbed_doubling", "--delta", "0.75",
+         "--sigma-grid", "0.6,0.75,0.9", "--eps", "0.03125", "--n-max", "10"],
+        "d81713ca826035e918aab0e1ac15f023221bbff3ca4440088b0a4ca2f886e751"),
     # a dense regime (several conflicts per row), taken from the screen of
     # every time-0 window pair that the tree's conflict recursion replaced
     "pressure-mp-dense.csv": (
