@@ -25,7 +25,8 @@ from .extension import ExtensionConfig, lift_projection, verify_bowen
 from .maps import (BUILTIN_MAPS, constant_potential, doubling,
                    geometric_potential, manneville_pomeau, perturbed_doubling,
                    tabulated_map, tabulated_potential, zero_potential)
-from .orbits import CylinderTree, FullCollection, OrbitSegment, tree_depth
+from .orbits import (CylinderTree, FullCollection, OrbitSegment, refine_levels,
+                     tree_depth)
 from .pressure import ct_hypothesis_check, gap_report, pressure_at_scale
 from .solenoid import (SolenoidSystem, apply_f, attractor_bowen_check,
                        check_fiber_depth, conjugacy_h, fiber_point,
@@ -250,10 +251,10 @@ def cmd_pressure(cfg):
     phi = build_potential(cfg, system)
     dec = DecompositionConfig(cfg["sigma"])
     colls = [FullCollection(), GoodCollection(dec), BadCollection(dec)]
-    # one tree, deep enough for every collection's refinement, serves all
-    # (eps, collection) cells
+    # one tree, deep enough for every unsettled collection's refinement,
+    # serves all (eps, collection) cells
     tree = CylinderTree(system, tree_depth(
-        system, cfg["n_max"], max(c.refine_depth for c in colls)))
+        system, cfg["n_max"], refine_levels(system, colls)))
     w = Writer(cfg["out"], cfg, ["collection", "sigma", "eps", "rate",
                                  "rate_uncertainty", "limsup_proxy", "empty"])
     for eps in _eps_values(cfg):

@@ -21,6 +21,13 @@ from .orbits import OrbitSegment
 # a block of 256 segments of length 20 holds 169k lift samples
 _DRAW_BLOCK_CAP = 256
 
+# the map's contraction bound settles the good and bad pools when log
+# sigma_max is below log sigma by this margin: a window mean of log sigma
+# exceeds log sigma_max only by the rounding of its logs, sum and
+# division, a few ulp of |log sigma_max| per term over the at most 18
+# terms of a tree under the node cap, far below 1e-9
+_SETTLE_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class DecompositionConfig:
@@ -90,6 +97,13 @@ def _segment_split(system, x, n, log_sigma):
     return int(split_indices(logs, [n], log_sigma)[0])
 
 
+def _bound_settles(system, cfg):
+    """Whether the map's contraction bound puts every window mean of log
+    sigma below log sigma, so that every segment is good and none is bad.
+    Never for sigma <= sigma_max."""
+    return float(np.log(system.sigma_max)) < cfg.log_sigma - _SETTLE_MARGIN
+
+
 class GoodCollection:
     """Segments whose every trailing window beats the threshold."""
 
@@ -99,10 +113,15 @@ class GoodCollection:
         self.cfg = cfg
         self.name = f"good({cfg.sigma:g})"
 
+    def settled(self, system):
+        """True when sigma exceeds the map's contraction bound by the
+        settling margin, so every segment is good; None otherwise."""
+        return True if _bound_settles(system, self.cfg) else None
+
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`: every
-        trailing-window mean of a row is below log sigma exactly when the
-        largest is."""
+        """Member mask of the depth-`depth` representatives of `tree`, for
+        an unsettled collection: every trailing-window mean of a row is
+        below log sigma exactly when the largest is."""
         _, worst = tree.window_means(n, depth)
         return worst < self.cfg.log_sigma
 
@@ -124,9 +143,15 @@ class BadCollection:
         self.cfg = cfg
         self.name = f"bad({cfg.sigma:g})"
 
+    def settled(self, system):
+        """False when sigma exceeds the map's contraction bound by the
+        settling margin, so no segment is bad; None otherwise."""
+        return False if _bound_settles(system, self.cfg) else None
+
     def pool_mask(self, tree, n, depth):
-        """Member mask of the depth-`depth` representatives of `tree`: the
-        full-window mean of a row is at least log sigma."""
+        """Member mask of the depth-`depth` representatives of `tree`, for
+        an unsettled collection: the full-window mean of a row is at least
+        log sigma."""
         first, _ = tree.window_means(n, depth)
         return first >= self.cfg.log_sigma
 

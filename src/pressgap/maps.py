@@ -73,12 +73,20 @@ class MapSystem:
     inv_deriv_peaks : iterable of (point, value) pairs
         Every local maximum of 1/g' on the circle, at a point in [0, 1),
         with the sup of 1/g' there (the larger one-sided value at a jump of
-        g'); `()` if none.  `branch_lipschitz` trusts this list, so a
-        missing peak gives too small a sigma.
+        g'); `()` if none, which declares 1/g' constant.  `branch_lipschitz`
+        and `sigma_max` trust this list, so a missing peak gives too small
+        a sigma.
     exact_branch_solve : callable, optional
         Closed-form (branch, y) -> preimage, bypassing the root solver.
     analytic : bool, optional
         Real-analytic and uniformly expanding: `transfer` may collocate.
+
+    Attributes
+    ----------
+    sigma_max : float
+        The contraction bound: the sup of 1/g', which no `branch_lipschitz`
+        value exceeds.  It is the largest declared peak, or 1/g' at 0 when
+        none is declared.
     """
 
     def __init__(self, name, lift, lift_deriv, degree, epsilon0, inv_deriv_peaks,
@@ -97,6 +105,8 @@ class MapSystem:
         self._peaks = [(float(p), float(v)) for p, v in inv_deriv_peaks]
         if any(not 0.0 <= p < 1.0 for p, _ in self._peaks):
             raise ValidationError("inv_deriv_peaks", "peak points must lie in [0, 1)")
+        self.sigma_max = (max(v for _, v in self._peaks) if self._peaks
+                          else float(1.0 / self._deriv(np.zeros(1))[0]))
         self.branch_cuts = self._solve_cuts()
         self._start_table = None if exact_branch_solve is not None else self._tabulate()
 

@@ -33,14 +33,19 @@ class OrbitSegment:
 
 
 class FullCollection:
-    """The collection of all orbit segments."""
+    """The collection of all orbit segments.
+
+    A collection's `settled(system)` is True when every segment is a
+    member, False when none is, and None when its pools must be read row
+    by row from a cylinder tree with its `pool_mask`, refined by
+    `refine_depth` levels.
+    """
 
     name = "full"
-    refine_depth = 0
 
-    def pool_mask(self, tree, n, depth):
-        """Every depth-`depth` representative of `tree` is a member."""
-        return np.ones(tree.levels[depth].size, dtype=bool)
+    def settled(self, system):
+        """Every segment is a member, on every map."""
+        return True
 
 
 class CylinderTree:
@@ -187,13 +192,21 @@ class CylinderTree:
 
 
 def tree_depth(system, n, refine=0):
-    """Depth of the tree behind length-n pools refined by `refine` levels:
-    n + refine, cut to fit degree^depth within DEFAULT_NODE_CAP, but never
-    below n."""
+    """Depth of the tree behind length-n pools refined by `refine` levels
+    (see `refine_levels`): n + refine, cut to fit degree^depth within
+    DEFAULT_NODE_CAP, but never below n."""
     depth = n + refine
     while system.degree ** depth > DEFAULT_NODE_CAP and depth > n:
         depth -= 1
     return depth
+
+
+def refine_levels(system, colls):
+    """Refinement levels that the pools of `colls` on `system` need: the
+    largest `refine_depth` of the collections left unsettled, 0 if all
+    are settled."""
+    return max((c.refine_depth for c in colls if c.settled(system) is None),
+               default=0)
 
 
 def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
@@ -201,18 +214,24 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     their length-n orbits and Birkhoff weights, the greedy order, and the
     members' conflicts as (2, K) pool-row pairs.
 
-    Membership-filtered collections may refine the pool with deeper-tree
-    representatives (finer resolution, same cylinders); a passed tree is
-    used when it is deep enough and shares the anchor.  Only the members'
-    orbit rows are gathered, and the conflicts are the tree's pairs with
-    both ends members, so one tree entry serves every collection and sigma.
+    A settled collection takes every row or none, at depth n and without
+    the tree's sigma field.  An unsettled one filters the rows with its
+    `pool_mask` and may refine the pool with deeper-tree representatives
+    (finer resolution, same cylinders).  A passed tree is used when it is
+    deep enough and shares the anchor.  Only the members' orbit rows are
+    gathered, and the conflicts are the tree's pairs with both ends
+    members, so one tree entry serves every collection and sigma.
     """
     if not 0 < eps < np.inf:
         raise ValidationError("eps", "must be positive and finite")
-    depth = tree_depth(system, n, coll.refine_depth)
+    settled = coll.settled(system)
+    depth = tree_depth(system, n, coll.refine_depth if settled is None else 0)
     if tree is None or tree.depth < depth or tree.anchor != float(anchor):
         tree = CylinderTree(system, depth, anchor=anchor)
-    rows = np.flatnonzero(coll.pool_mask(tree, n, depth))
+    if settled is None:
+        rows = np.flatnonzero(coll.pool_mask(tree, n, depth))
+    else:
+        rows = np.arange(tree.levels[depth].size if settled else 0)
     points = tree.levels[depth][rows]
     orbits = tree.orbit_matrix(n, depth, rows)
     weights = np.asarray(phi(orbits)).sum(axis=1)

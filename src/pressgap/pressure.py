@@ -16,7 +16,7 @@ import numpy as np
 from .decomposition import BadCollection, DecompositionConfig
 from .errors import CoverError, NodeCapError, ValidationError
 from .orbits import (DEFAULT_NODE_CAP, CylinderTree, FullCollection,
-                     greedy_cover, partition_sum_sep, tree_depth)
+                     greedy_cover, partition_sum_sep, refine_levels, tree_depth)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def pressure_at_scale(system, phi, coll, eps, n_max, tree=None):
         raise ValidationError("eps", "must be positive and finite")
     ns = list(range(1, n_max + 1))
     if tree is None:
-        depth = tree_depth(system, n_max, coll.refine_depth)
-        tree = CylinderTree(system, depth)
+        tree = CylinderTree(system, tree_depth(system, n_max,
+                                               refine_levels(system, [coll])))
     logs = [partition_sum_sep(system, phi, coll, n, eps, log=True, tree=tree)
             for n in ns]
     rate, unc, proxy, empty = growth_fit(ns, logs)
@@ -144,7 +144,9 @@ def gap_report(system, phi, sigma_grid, eps, n_max):
     """Gap reports over a sigma grid, one per sigma in grid order.
 
     One cylinder tree serves the full estimate and every bad-collection
-    estimate, so the tree's sigma field is computed once for the grid.
+    estimate.  Its depth adds the refinement levels of the bad pools that
+    the map's contraction bound leaves unsettled, and its sigma field is
+    computed, once for the grid, only when one is.
 
     Raising sigma strengthens the full-window failure condition, so the bad
     collection shrinks and its rate is nonincreasing along an increasing
@@ -154,15 +156,12 @@ def gap_report(system, phi, sigma_grid, eps, n_max):
     for s in sigmas:
         if not 0.0 < s < 1.0:
             raise ValidationError("sigma", f"{s} outside (0, 1)")
-    depth = tree_depth(system, n_max, BadCollection.refine_depth)
-    tree = CylinderTree(system, depth)
+    bads = [BadCollection(DecompositionConfig(s)) for s in sigmas]
+    tree = CylinderTree(system, tree_depth(system, n_max, refine_levels(system, bads)))
     p_full = pressure_at_scale(system, phi, FullCollection(), eps, n_max, tree=tree)
-    reports = []
-    for s in sigmas:
-        p_bad = pressure_at_scale(system, phi, BadCollection(DecompositionConfig(s)),
-                                  eps, n_max, tree=tree)
-        reports.append(GapReport.build(s, p_full, p_bad))
-    return reports
+    return [GapReport.build(s, p_full,
+                            pressure_at_scale(system, phi, bad, eps, n_max, tree=tree))
+            for s, bad in zip(sigmas, bads)]
 
 
 @dataclass(frozen=True)

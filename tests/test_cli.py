@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pressgap as pg
-from pressgap import cli, orbits, transfer
+from pressgap import cli, maps, orbits, transfer
 from pressgap.cli import fmt, main
 from pressgap.decomposition import DecompositionConfig
 
@@ -461,6 +461,26 @@ def test_pressure_builds_one_tree(tmp_path, monkeypatch):
     assert run(["pressure", "--map", "manneville_pomeau", "--n-max", "6",
                 "--eps-list", "0.0625,0.03125",
                 "--out", str(tmp_path / "p.csv")]) == 0
+    assert builds == [10]
+
+
+def test_pressure_on_a_settled_map_computes_no_sigma(tmp_path, monkeypatch):
+    # sigma 0.9 is above the perturbed map's contraction bound 0.8, so its
+    # good and bad pools are settled: no sigma value is computed and the
+    # tree has no refinement level
+    builds = _count_tree_builds(monkeypatch)
+    calls = []
+    sigma = maps.MapSystem.branch_lipschitz
+
+    def counting_sigma(self, x):
+        calls.append(np.size(x))
+        return sigma(self, x)
+
+    monkeypatch.setattr(maps.MapSystem, "branch_lipschitz", counting_sigma)
+    assert run(["pressure", "--map", "perturbed_doubling", "--delta", "0.75",
+                "--sigma", "0.9", "--n-max", "10",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert calls == []
     assert builds == [10]
 
 

@@ -737,3 +737,25 @@ def test_peak_points_must_lie_on_the_circle():
         with pytest.raises(ValidationError, match="inv_deriv_peaks"):
             pg.MapSystem("hand-built", lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0),
                          degree=2, epsilon0=0.25, inv_deriv_peaks=[(point, 1.0)])
+
+
+def _sin_table_degree2(nodes):
+    grid = np.linspace(0.0, 1.0, nodes)
+    return pg.tabulated_map(2.0 * grid + (0.5 / TWO_PI) * np.sin(TWO_PI * grid))
+
+
+BOUND_MAPS = {"doubling": pg.doubling(), "pd0.75": pg.perturbed_doubling(0.75),
+              "pd0.95": pg.perturbed_doubling(0.95), "mp0.5": pg.manneville_pomeau(0.5),
+              "table2": _sin_table_degree2(33), "table3": _sin_table(65)}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_MAPS))
+def test_sigma_max_is_the_sup_of_one_over_g_prime_and_bounds_sigma(name):
+    # the contraction bound that settles good and bad pools: at least 1/g'
+    # on a fine grid and within 1e-12 of its largest value there, and never
+    # below a sigma value
+    system = BOUND_MAPS[name]
+    inv = 1.0 / system.deriv(np.arange(2 ** 16) / 2 ** 16)
+    assert inv.max() <= system.sigma_max <= inv.max() + 1e-12
+    x = np.random.default_rng(11).random(10_000)
+    assert system.branch_lipschitz(x).max() <= system.sigma_max

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgap as pg
-from pressgap import kernels, orbits
+from pressgap import decomposition, kernels, orbits
 from pressgap.decomposition import (BadCollection, DecompositionConfig, GoodCollection,
                                     split_indices)
 from pressgap.errors import NodeCapError, ValidationError
@@ -122,6 +122,32 @@ def test_pool_masks_and_member_rows_match_the_full_matrices(name):
                          rng.integers(logs.shape[0], size=40)):
                 assert tree.orbit_matrix(n, depth, rows).tobytes() == full[rows].tobytes()
                 assert tree.orbit_matrix(n, depth, rows).shape == (rows.size, n)
+
+
+@pytest.mark.parametrize("name", ["doubling", "perturbed"])
+def test_settled_pools_are_the_masks_of_the_window_means(name):
+    # sigma one settling margin below the contraction bound, at it, and one
+    # and two margins above it: the rule never fires up to the bound and
+    # fires two margins above, and at every (n, depth) of a depth-14 tree a
+    # settled pool is the mask that the window means give
+    system = POOL_MAPS[name]
+    tree = CylinderTree(system, 14)
+    sigma_max = system.sigma_max
+    margin = decomposition._SETTLE_MARGIN
+    for shift in (-1.0, 0.0, 1.0, 2.0):
+        cfg = DecompositionConfig(sigma_max * float(np.exp(shift * margin)))
+        good, bad = GoodCollection(cfg).settled(system), BadCollection(cfg).settled(system)
+        if cfg.sigma <= sigma_max:
+            assert good is None and bad is None
+        if shift == 2.0:
+            assert good is True and bad is False
+        for depth in range(1, 15):
+            for n in range(1, depth + 1):
+                first, worst = tree.window_means(n, depth)
+                if good is not None:
+                    assert np.all(worst < cfg.log_sigma), (shift, n, depth)
+                if bad is not None:
+                    assert not np.any(first >= cfg.log_sigma), (shift, n, depth)
 
 
 def _assert_window_means_match_suffix_means(tree, n, depth):
