@@ -384,7 +384,7 @@ def cmd_solenoid(cfg):
     # measured fiber contraction on the first two rows of one sampled fiber
     y = float(rng.random())
     fiber = fiber_sample(sol, y, 2)
-    # planar distances only: the pair's thetas may differ by rounding
+    # planar distances only: the pair lies over one theta
     d0 = math.dist(*fiber.disk[:2].tolist())
     d1 = math.dist(*apply_f(sol, fiber).disk[:2].tolist())
     contraction = d1 / d0

@@ -54,10 +54,15 @@ class CylinderTree:
     Level k holds one representative per depth-k cylinder, indexed by the
     branch address read most-significant-first in base `degree`.  Forward
     orbits of representatives are exact level lookups: dropping the leading
-    address digit is one application of the map.  The log sigma field is
-    cached per level, its window means per (n, depth) and the Bowen
-    conflicts per (n, depth, eps), so every collection, sigma and eps served
-    by one tree classifies each pool once and finds each pair set once.
+    address digit is one application of the map.  Every per-tree result is
+    computed once and cached on the tree: the log sigma field of every
+    level (one `branch_lipschitz` call, at its first read), its window
+    means per (n, depth), the Birkhoff sums per (phi, n, depth), the Bowen
+    conflicts per (n, depth, eps) and the greedy log sum of a whole level
+    per (phi, n, eps).  So every collection, sigma and eps served by one
+    tree classifies each pool once, weighs each row once, finds each pair
+    set once and walks each settled pool once.  The caches end with the
+    tree, and so with the command that built it.
     """
 
     def __init__(self, system, depth, anchor=DEFAULT_ANCHOR):
@@ -74,13 +79,21 @@ class CylinderTree:
                                   for b in range(system.degree)])
             levels.append(nxt)
         self.levels = levels
-        self._log_sigma_levels = {}
+        self._log_sigma_levels = None
         self._window_means = {}
+        self._phi_levels = {}
+        self._birkhoff_sums = {}
         self._conflicts = {}
+        self._level_log_sums = {}
 
     def _log_sigma_level(self, k):
-        if k not in self._log_sigma_levels:
-            self._log_sigma_levels[k] = np.log(self.system.branch_lipschitz(self.levels[k]))
+        """log sigma at level k.  The first read computes every level in
+        one call; `branch_lipschitz` is elementwise, so each level's values
+        are bitwise those of a call on that level alone."""
+        if self._log_sigma_levels is None:
+            sizes = np.cumsum([level.size for level in self.levels[:-1]])
+            logs = np.log(self.system.branch_lipschitz(np.concatenate(self.levels)))
+            self._log_sigma_levels = np.split(logs, sizes)
         return self._log_sigma_levels[k]
 
     def orbit_matrix(self, n=None, depth=None, rows=None):
@@ -143,6 +156,31 @@ class CylinderTree:
                 entry = (sums, first, worst)
             self._window_means[n, depth] = entry
         return self._window_means[n, depth][1:]
+
+    def birkhoff_sums(self, phi, n, depth):
+        """S_n phi along each depth-`depth` representative's length-n orbit,
+        cached per (phi, n, depth), with phi evaluated once per level.
+
+        As in `window_means`, times 1..n-1 of row b * M + s, M =
+        degree**(depth - 1), are the (n - 1, depth - 1) row s, so each
+        entry is phi at level `depth` plus that row's sum, O(rows) down to
+        the n = 1 base.  The sum adds time 0 last, phi_0 + (phi_1 + ...),
+        which is not the order of numpy's row sum: the rows differ from
+        `phi(orbit_matrix(n, depth)).sum(axis=1)` by rounding only, and
+        not at all for the zero potential.  Needs depth >= n."""
+        key = (phi, n, depth)
+        if key not in self._birkhoff_sums:
+            if (phi, depth) not in self._phi_levels:
+                self._phi_levels[phi, depth] = np.asarray(phi(self.levels[depth]),
+                                                          dtype=float)
+            head = self._phi_levels[phi, depth]
+            if n == 1:
+                sums = head
+            else:
+                prev = self.birkhoff_sums(phi, n - 1, depth - 1)
+                sums = (head.reshape(self.system.degree, prev.size) + prev).ravel()
+            self._birkhoff_sums[key] = sums
+        return self._birkhoff_sums[key]
 
     def conflicts(self, n, depth, eps):
         """Address pairs of the depth-`depth` representatives at Bowen
@@ -209,6 +247,18 @@ def refine_levels(system, colls):
                default=0)
 
 
+def _pool_tree(system, coll, n, anchor, tree):
+    """(settled, depth, tree) of the collection's length-n pool: whether
+    the collection is settled (see `FullCollection`), the tree level the
+    pool is read from, and `tree` itself when it is deep enough and shares
+    the anchor, else a new tree."""
+    settled = coll.settled(system)
+    depth = tree_depth(system, n, coll.refine_depth if settled is None else 0)
+    if tree is None or tree.depth < depth or tree.anchor != float(anchor):
+        tree = CylinderTree(system, depth, anchor=anchor)
+    return settled, depth, tree
+
+
 def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     """The collection's members among the cylinder-tree representatives,
     their length-n orbits and Birkhoff weights, the greedy order, and the
@@ -218,23 +268,21 @@ def _candidate_pool(system, coll, n, eps, phi, anchor, tree=None):
     the tree's sigma field.  An unsettled one filters the rows with its
     `pool_mask` and may refine the pool with deeper-tree representatives
     (finer resolution, same cylinders).  A passed tree is used when it is
-    deep enough and shares the anchor.  Only the members' orbit rows are
-    gathered, and the conflicts are the tree's pairs with both ends
-    members, so one tree entry serves every collection and sigma.
+    deep enough and shares the anchor.  The weights are the members' rows
+    of the tree's Birkhoff sums, the members' orbit rows are gathered for
+    the greedy kernel, and the conflicts are the tree's pairs with both
+    ends members, so one tree entry serves every collection and sigma.
     """
     if not 0 < eps < np.inf:
         raise ValidationError("eps", "must be positive and finite")
-    settled = coll.settled(system)
-    depth = tree_depth(system, n, coll.refine_depth if settled is None else 0)
-    if tree is None or tree.depth < depth or tree.anchor != float(anchor):
-        tree = CylinderTree(system, depth, anchor=anchor)
+    settled, depth, tree = _pool_tree(system, coll, n, anchor, tree)
     if settled is None:
         rows = np.flatnonzero(coll.pool_mask(tree, n, depth))
     else:
         rows = np.arange(tree.levels[depth].size if settled else 0)
     points = tree.levels[depth][rows]
     orbits = tree.orbit_matrix(n, depth, rows)
-    weights = np.asarray(phi(orbits)).sum(axis=1)
+    weights = tree.birkhoff_sums(phi, n, depth)[rows]
     # descending weight, then candidate (address) order
     order = np.lexsort((np.arange(points.size), -weights))
     pairs = np.empty((2, 0), dtype=np.int32)
@@ -262,13 +310,25 @@ def partition_sum_sep(system, phi, coll, n, eps, anchor=DEFAULT_ANCHOR,
     weight (ties by address); a lower bound for the supremum over all
     separated subsets of the pool.  With ``log=True`` the stable log-sum is
     returned (-inf for empty pools).
+
+    A settled-True collection's pool is the whole depth-n level, the same
+    for every such collection (`full`, and `good` above the map's
+    contraction bound), so its log sum is kept on the tree per (phi, n,
+    eps) and one greedy walk serves them all.
     """
-    points, orbits, weights, order, pairs = _candidate_pool(
-        system, coll, n, eps, phi, anchor, tree=tree)
-    if points.size == 0:
-        return -np.inf if log else 0.0
-    keep = kernels.greedy_separated(orbits, order, pairs)
-    log_sum = _log_sum_exp(weights[keep])
+    settled, _, tree = _pool_tree(system, coll, n, anchor, tree)
+    key = (phi, n, float(eps))
+    if settled and key in tree._level_log_sums:
+        log_sum = tree._level_log_sums[key]
+    else:
+        points, orbits, weights, order, pairs = _candidate_pool(
+            system, coll, n, eps, phi, anchor, tree=tree)
+        log_sum = -np.inf
+        if points.size:
+            keep = kernels.greedy_separated(orbits, order, pairs)
+            log_sum = _log_sum_exp(weights[keep])
+        if settled:
+            tree._level_log_sums[key] = log_sum
     return log_sum if log else float(np.exp(log_sum))
 
 

@@ -101,19 +101,19 @@ def apply_f(sys, p):
 def fiber_point(sys, thetas, itineraries):
     """Canonical approximants over the S thetas with the (S, d)
     itineraries: the fiber centre over the deep base preimage, pushed
-    forward d times.  The backward bases take one root solve per depth
+    forward d times along the backward base orbit.  Each row lies over its
+    given theta, reduced mod 1, and each step's disk is taken at the
+    backward orbit's base, not at the forward image of the step before,
+    which would carry the rounding of the backward solves, amplified by
+    every forward step.  The backward bases take one root solve per depth
     step, and the push forward is d steps over all rows.
     """
-    itin = np.asarray(itineraries, dtype=int)
-    depth = itin.shape[1]
-    cur = extend(sys.base, thetas, itin)[-1]
-    u = np.zeros_like(cur)
-    v = np.zeros_like(cur)
-    grown = np.empty_like(itin)
-    for k in range(depth):
-        grown[:, depth - 1 - k] = _branch(cur)
-        cur, u, v = _step(sys, cur, u, v)
-    return AttractorBatch(cur, np.column_stack([u, v]), grown)
+    coords = extend(sys.base, thetas, itineraries)
+    u = np.zeros_like(coords[0])
+    v = np.zeros_like(coords[0])
+    for base in coords[:0:-1]:
+        _, u, v = _step(sys, base, u, v)
+    return AttractorBatch(coords[0], np.column_stack([u, v]), _branch(coords[1:]).T)
 
 
 def check_fiber_depth(depth):

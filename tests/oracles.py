@@ -643,11 +643,13 @@ def backward_bases_scalar(sys, theta, itinerary):
 
 def fiber_point_scalar(sys, theta, itinerary):
     """Canonical approximant over theta with the given itinerary: the fiber
-    center over the deep base preimage, pushed forward depth times."""
+    center over the deep base preimage, pushed forward depth times, each
+    step landing on the next base of the backward orbit."""
     bases = backward_bases_scalar(sys, theta, itinerary)
     p = AttractorPoint(theta=bases[-1], disk=(0.0, 0.0), itinerary=())
-    for _ in itinerary:
-        p = apply_f_scalar(sys, p)
+    for base in reversed(bases[:-1]):
+        step = apply_f_scalar(sys, p)
+        p = AttractorPoint(theta=base, disk=step.disk, itinerary=step.itinerary)
     return p
 
 

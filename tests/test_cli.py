@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pressgap as pg
-from pressgap import cli, maps, orbits, transfer
+from pressgap import cli, kernels, maps, orbits, transfer
 from pressgap.cli import fmt, main
 from pressgap.decomposition import DecompositionConfig
 
@@ -330,7 +330,11 @@ _GOLDEN = {
 }
 
 
-# the pressure-ladder runs, from the parent of the cached window means
+# the pressure-ladder runs, from the parent of the cached window means; the
+# perturbed-doubling geometric run was retaken when the weights came to be
+# the cylinder tree's Birkhoff sums, which add time 0 last to the (n - 1)
+# sum of the next level rather than in numpy's row-sum order: its full and
+# good rates moved from 2.6514283179038162e-06 to 2.6514283180312188e-06
 _PRESSURE_GOLDEN = {
     "gap-report-mp.csv": (
         ["gap-report", "--map", "manneville_pomeau", "--alpha", "0.5",
@@ -340,7 +344,7 @@ _PRESSURE_GOLDEN = {
         ["pressure", "--map", "perturbed_doubling", "--delta", "0.75",
          "--potential", "geometric", "--potential-t", "1",
          "--eps-list", "0.0625,0.03125", "--n-max", "10"],
-        "c2ce6a99e59bc2d99601742271f5a0aa53c026a3658cca21b98704b54ca8a274"),
+        "abbd18bcb439d2d9c02a66873cf8a59c423709a24a73f5bd23fe2187efaf38e3"),
     "pressure-doubling-zero.csv": (
         ["pressure", "--map", "doubling", "--potential", "zero", "--n-max", "10"],
         "ea092a0b51c526545a397f530e6aba0cc50b0a836a8cd06452d04577c5c554f5"),
@@ -359,15 +363,19 @@ _PRESSURE_GOLDEN = {
 }
 
 
-# the solenoid runs, as the one-point attractor forms wrote them
+# the solenoid runs, as the one-point attractor forms wrote them; retaken
+# when fiber points came to lie over their given thetas, with each disk
+# step taken at the backward base orbit instead of at the forward-pushed
+# base, whose rounding the forward steps amplify: the cloud rows' thetas
+# and disks and the metric-equivalence and Bowen rows moved
 _SOLENOID_GOLDEN = {
     "solenoid-cloud8.csv": (
         ["solenoid", "--samples", "200", "--cloud-depth", "8", "--seed", "3"],
-        "b2d12117ad593fd420191321c9efeaa64e159202139f614d79d9d20a4c491569"),
+        "feb1419cc2714b09c9f0f6948a61cad010073f4f7f054e457408c6a7672c7aec"),
     "solenoid-sigma0.6.csv": (
         ["solenoid", "--samples", "100", "--sigma", "0.6", "--eps", "0.0625",
          "--depth", "10", "--cloud-depth", "3", "--seed", "9"],
-        "f0d96005104ec19650f198ef2aac406a30bc770da9606d242207ef70c80f99dd"),
+        "50f3f5fe0d3265e6d104ea9594fdd759873488367e273d0d112e70d31e634d61"),
 }
 
 
@@ -528,6 +536,61 @@ def test_pressure_builds_each_log_sigma_matrix_once(tmp_path, monkeypatch):
     assert sorted(matrices) == [(1, 1), (1, 5)]
     assert sorted(entries) == sorted({(n, d) for n in range(1, 11) for d in (n, n + 4)})
     assert len(entries) == 20
+
+
+def _count_solves_and_walks(monkeypatch):
+    """Running totals of `branch_solve` points and greedy walks."""
+    counts = {"points": 0, "walks": 0}
+    solve = maps.MapSystem.branch_solve
+    walk = kernels.greedy_separated
+
+    def counting_solve(self, branch, y):
+        counts["points"] += int(np.size(y))
+        return solve(self, branch, y)
+
+    def counting_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(maps.MapSystem, "branch_solve", counting_solve)
+    monkeypatch.setattr(kernels, "greedy_separated", counting_walk)
+    return counts
+
+
+@pytest.mark.parametrize("args", [
+    ["pressure", "--map", "perturbed_doubling", "--delta", "0.75",
+     "--potential", "geometric", "--eps-list", "0.0625,0.03125", "--n-max", "8"],
+    ["gap-report", "--map", "manneville_pomeau", "--sigma-grid", "0.6,0.75,0.9",
+     "--n-max", "8"],
+], ids=["pressure", "gap-report"])
+def test_a_repeated_command_redoes_its_work(args, tmp_path, monkeypatch):
+    # every cache lives on the command's tree, so a second run in the same
+    # process solves as many points and walks as many pools as the first
+    counts = _count_solves_and_walks(monkeypatch)
+    work = []
+    for i in range(2):
+        before = dict(counts)
+        assert run(args + ["--out", str(tmp_path / f"{i}.csv")]) == 0
+        work.append({k: counts[k] - before[k] for k in counts})
+    assert work[0] == work[1]
+    assert work[0]["points"] > 0 and work[0]["walks"] > 0
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+# sha256 of this run's CSV at `38b582d`, before the conflict recursion, when
+# it exited 0 in under a second; the same run at --n-max 8 is still
+# byte-identical to that commit's.  Each conflict entry is now built from
+# the whole (n - 1, depth - 1) level, so the refined bad pool at (12, 16)
+# pays for 30,680,020 candidate pairs, over the budget: exit 2.  Bounding
+# the recursion by the pool's own rows lifts the refusal and should pass.
+@pytest.mark.xfail(strict=True, reason="conflict recursion bounded by the "
+                                       "level, not by the pool's rows")
+def test_sparse_bad_pool_on_a_dense_level_is_not_refused(tmp_path):
+    out = tmp_path / "p.csv"
+    assert run(["pressure", "--map", "manneville_pomeau", "--eps", "0.4",
+                "--n-max", "12", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "a67d8b269d4d11935c6af3001dd7c81a2e87db5cf64f7d49cb1ba8872622675e"
 
 
 def _count_conflict_entries(monkeypatch):

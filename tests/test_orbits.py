@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgap as pg
-from pressgap import decomposition, kernels, orbits
+from pressgap import decomposition, kernels, maps, orbits
 from pressgap.decomposition import (BadCollection, DecompositionConfig, GoodCollection,
                                     split_indices)
 from pressgap.errors import NodeCapError, ValidationError
@@ -235,6 +235,91 @@ def test_conflicts_beyond_the_pair_budget_raise_naming_eps(monkeypatch):
                        match=r"eps 0\.5: 1952 candidate pairs at \(n, depth\) = \(2, 6\)"):
         tree.conflicts(2, 6, 0.5)
     assert tree.conflicts(1, 5, 0.5).shape[1] == 480
+
+
+POTENTIALS = ("zero", "constant", "geometric")
+
+
+def _potential(label, system):
+    if label == "zero":
+        return pg.zero_potential()
+    if label == "constant":
+        return pg.constant_potential(-0.7)
+    return pg.geometric_potential(system, 1.0)
+
+
+@pytest.mark.parametrize("label", POTENTIALS)
+@pytest.mark.parametrize("name", sorted(POOL_MAPS))
+def test_birkhoff_sums_match_the_row_sums_of_the_orbit_matrix(name, label):
+    # each (n, depth) entry adds time 0 last to the (n - 1, depth - 1) sum,
+    # so it differs from numpy's row sum of the same n phi values by the
+    # rounding of two (n - 1)-term sums at most, and not at all for phi = 0
+    system = POOL_MAPS[name]
+    phi = _potential(label, system)
+    top = 10 if system.degree == 2 else 6
+    tree = CylinderTree(system, top + 4)
+    for n in range(top, 0, -1):
+        for depth in (n, n + 4):
+            values = phi(tree.orbit_matrix(n, depth))
+            ref = values.sum(axis=1)
+            sums = tree.birkhoff_sums(phi, n, depth)
+            assert sums.shape == ref.shape
+            if label == "zero":
+                assert sums.tobytes() == ref.tobytes(), (n, depth)
+            else:
+                bound = (n - 1) * 2.0**-52 * np.abs(values).sum(axis=1)
+                assert np.all(np.abs(sums - ref) <= bound), (n, depth)
+
+
+@pytest.mark.parametrize("name", sorted(POOL_MAPS))
+def test_sigma_field_is_one_call_bitwise_the_per_level_calls(name, monkeypatch):
+    system = POOL_MAPS[name]
+    tree = CylinderTree(system, tree_depth(system, 10, 4))
+    per_level = [np.log(system.branch_lipschitz(level)) for level in tree.levels]
+    calls = []
+    sigma = maps.MapSystem.branch_lipschitz
+
+    def counting_sigma(self, x):
+        calls.append(np.size(x))
+        return sigma(self, x)
+
+    monkeypatch.setattr(maps.MapSystem, "branch_lipschitz", counting_sigma)
+    for k in range(tree.depth, -1, -1):
+        got = tree.log_sigma_matrix(1, k)[:, 0]
+        assert got.tobytes() == per_level[k].tobytes(), k
+    assert calls == [sum(level.size for level in tree.levels)]
+
+
+def test_a_settled_good_pool_shares_the_full_pools_greedy_walk(monkeypatch):
+    # sigma 0.9 is above the perturbed map's contraction bound 0.8, so
+    # good(0.9) is the whole level, as full is: one walk per (phi, n, eps)
+    # serves both, and gives what a walk of the good pool alone gives
+    system = POOL_MAPS["perturbed"]
+    phi = pg.geometric_potential(system, 1.0)
+    good = GoodCollection(DecompositionConfig(0.9))
+    assert good.settled(system) is True
+    walks = []
+    walk = kernels.greedy_separated
+
+    def counting_walk(orbit_rows, order, pairs):
+        walks.append(np.shape(orbit_rows))
+        return walk(orbit_rows, order, pairs)
+
+    monkeypatch.setattr(kernels, "greedy_separated", counting_walk)
+    tree = CylinderTree(system, 8)
+    shared = {}
+    for n in range(1, 9):
+        for eps in (1.0 / 16.0, 1.0 / 32.0):
+            full_sum = partition_sum_sep(system, phi, FullCollection(), n, eps,
+                                         log=True, tree=tree)
+            good_sum = partition_sum_sep(system, phi, good, n, eps, log=True, tree=tree)
+            assert float(good_sum).hex() == float(full_sum).hex()
+            shared[n, eps] = good_sum
+    assert walks == [(2 ** n, n) for n in range(1, 9) for _ in range(2)]
+    for (n, eps), value in shared.items():
+        alone = partition_sum_sep(system, phi, good, n, eps, log=True,
+                                  tree=CylinderTree(system, n))
+        assert float(alone).hex() == float(value).hex()
 
 
 def test_node_cap():
